@@ -184,9 +184,8 @@ class AdmissibilityReport:
 def check_initial(e0: Ensemble, params: ModelParams) -> AdmissibilityReport:
     """Evaluate the admissibility condition on an initial state."""
     th = thresholds(params.kernel, params.sigma)
-    _, _, v_max = diagnostics.diameters(e0)
-    e_init, _, _ = diagnostics.energy(e0, params.sigma)
-    x_init = diagnostics.max_pair_functional(e0)
+    gaps = diagnostics._gap_fields(e0, params.sigma)
+    e_init, v_max, x_init = gaps["e_total"], gaps["v_max"], gaps["x_max"]
     bound_x = min(th.mu / (2.0 * params.sigma), th.x_m)
     return AdmissibilityReport(
         thresholds=th,

@@ -12,13 +12,14 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__
 from .admissibility import check_initial
 from .config import build_scenario, load_config, preset_config, save_config
 from .diagnostics import fit_decay_rate
 from .errors import AntipodalPair, ConfigError, SphereFlockError
-from .integrator import SimConfig, simulate
+from .integrator import simulate
 from .output import (_json_default, build_summary, read_frames_csv,
                      write_frames_csv, write_json, write_state_csv)
 from .scenarios import PRESETS
@@ -47,23 +48,11 @@ def _resolve_config(args):
 
 
 def _apply_overrides(cfg, args):
-    sim = cfg.sim
-    updates = {}
-    if args.t_end is not None:
-        updates["t_end"] = args.t_end
-    if args.dt is not None:
-        updates["dt"] = args.dt
-    if args.stride is not None:
-        updates["frame_stride"] = args.stride
-    if updates:
-        sim = SimConfig(dt=updates.get("dt", sim.dt),
-                        t_end=updates.get("t_end", sim.t_end),
-                        projection=sim.projection,
-                        frame_stride=updates.get("frame_stride", sim.frame_stride),
-                        seed=sim.seed)
+    updates = {name: value for name, value in
+               (("t_end", args.t_end), ("dt", args.dt), ("frame_stride", args.stride))
+               if value is not None}
     sigma = cfg.sigma if args.sigma is None else args.sigma
-    return cfg.__class__(kernel_name=cfg.kernel_name, kernel_params=cfg.kernel_params,
-                         sigma=sigma, sim=sim, scenario=cfg.scenario)
+    return replace(cfg, sigma=sigma, sim=replace(cfg.sim, **updates))
 
 
 def _cmd_simulate(args) -> int:

@@ -20,9 +20,10 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .dynamics import Ensemble, ModelParams, constraint_violation, pair_functional_table, rhs
+from .dynamics import (Ensemble, ModelParams, _dots_and_rates, _pair_dot, constraint_violation,
+                       rhs)
 from .errors import InsufficientSamples, NonPositiveValue
-from .geometry import pairwise_transport
+from .geometry import _transport_components, antipodal_mask
 
 
 @dataclass(frozen=True)
@@ -50,25 +51,33 @@ class DiagnosticsFrame:
 FRAME_FIELDS = tuple(f.name for f in fields(DiagnosticsFrame))
 
 
+def _energies(V: np.ndarray, xsq: np.ndarray, sigma: float) -> tuple[float, float, float]:
+    """(E, E_K, E_C) from the velocities and the (n, n) table |x_k - x_l|^2."""
+    n = V.shape[0]
+    ek = float((V * V).sum()) / n
+    ec = sigma / (2.0 * n * n) * float(xsq.sum())
+    return ek + ec, ek, ec
+
+
+def _gap_fields(ensemble: Ensemble, sigma: float) -> dict[str, float]:
+    """The frame fields read off one set of pair gap tables, by field name."""
+    X, V = ensemble.positions, ensemble.velocities
+    x1, x2, x3 = _pair_dot(X, X), _pair_dot(V, X), _pair_dot(V, V)
+    e, ek, ec = _energies(V, x1, sigma)
+    return dict(e_total=e, e_kinetic=ek, e_config=ec, d_x=float(np.sqrt(x1.max())),
+                d_v=float(np.sqrt(x3.max())), v_max=float(np.sqrt((V * V).sum(axis=1).max())),
+                x_max=float(np.sqrt((x1 * x1 + x2 * x2 + x3 * x3).max())))
+
+
 def energy(ensemble: Ensemble, sigma: float) -> tuple[float, float, float]:
     """(E, E_K, E_C); the configurational sum runs over all ordered pairs."""
-    X, V = ensemble.positions, ensemble.velocities
-    n = ensemble.n
-    ek = float((V * V).sum()) / n
-    diff = X[:, None, :] - X[None, :, :]
-    ec = sigma / (2.0 * n * n) * float((diff * diff).sum())
-    return ek + ec, ek, ec
+    return _energies(ensemble.velocities, _pair_dot(ensemble.positions, ensemble.positions), sigma)
 
 
 def diameters(ensemble: Ensemble) -> tuple[float, float, float]:
     """(max pair position distance, max pair velocity distance, max speed)."""
-    X, V = ensemble.positions, ensemble.velocities
-    xd = X[:, None, :] - X[None, :, :]
-    vd = V[:, None, :] - V[None, :, :]
-    d_x = float(np.sqrt((xd * xd).sum(axis=-1).max()))
-    d_v = float(np.sqrt((vd * vd).sum(axis=-1).max()))
-    v_max = float(np.sqrt((V * V).sum(axis=1).max()))
-    return d_x, d_v, v_max
+    gaps = _gap_fields(ensemble, 0.0)
+    return gaps["d_x"], gaps["d_v"], gaps["v_max"]
 
 
 @dataclass(frozen=True)
@@ -87,43 +96,43 @@ class FlockingMetrics:
 def flocking_metrics(ensemble: Ensemble) -> FlockingMetrics:
     """max_{i,j} |x_i+x_j| |R_{x_j->x_i} v_j - v_i| and min_{i,j} |x_i+x_j|."""
     X, V = ensemble.positions, ensemble.velocities
-    T, bad = pairwise_transport(X, V, antipodal="zero")
-    sums = X[:, None, :] + X[None, :, :]
-    margin = np.sqrt((sums * sums).sum(axis=-1))
-    mis = T - V[None, :, :]  # mis[j, i] = R_{x_j -> x_i} v_j - v_i
-    misnorm = np.sqrt((mis * mis).sum(axis=-1))
-    prod = margin * misnorm  # margin is pair-symmetric
+    dots = X @ X.T
+    bad = antipodal_mask(dots)
+    prod = np.sqrt(_misalignment(X, V, dots))
+    margin = np.sqrt(sum(np.add.outer(x, x) ** 2 for x in X.T))
+    prod *= margin  # margin is pair-symmetric
     prod[bad] = 0.0
     return FlockingMetrics(float(prod.max()), float(margin.min()), bool(bad.any()))
 
 
+def _misalignment(X: np.ndarray, V: np.ndarray, dots: np.ndarray) -> np.ndarray:
+    """|R_{x_k -> x_i} v_k - v_i|^2 as an (n, n) table indexed [k, i]."""
+    out = 0.0
+    for a, Ta in enumerate(_transport_components(X, V, dots)):
+        mis = Ta - V[:, a]
+        out += mis * mis
+    return out
+
+
 def max_pair_functional(ensemble: Ensemble) -> float:
     """max over pairs of the Euclidean norm of (X1, X2, X3)."""
-    table = pair_functional_table(ensemble)
-    return float(np.sqrt((table * table).sum(axis=-1).max()))
+    return _gap_fields(ensemble, 0.0)["x_max"]
 
 
 def pairwise_dissipation(ensemble: Ensemble, params: ModelParams) -> float:
     """sum_{i,j} (psi_ij / N^2) |R_{x_j -> x_i} v_j - v_i|^2."""
     X, V = ensemble.positions, ensemble.velocities
-    n = ensemble.n
-    T = pairwise_transport(X, V)
-    diff = X[:, None, :] - X[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    psim = params.kernel.psi(np.minimum(dist, 2.0))
-    mis = T - V[None, :, :]
-    return float((psim * (mis * mis).sum(axis=-1)).sum()) / (n * n)
+    dots, psim = _dots_and_rates(X, params.kernel)
+    return float((psim * _misalignment(X, V, dots)).sum()) / (ensemble.n * ensemble.n)
 
 
 def energy_rate(ensemble: Ensemble, params: ModelParams) -> float:
     """Analytic dE/dt by the chain rule through the right-hand side."""
-    X, V = ensemble.positions, ensemble.velocities
+    V = ensemble.velocities
     n = ensemble.n
     _, dV = rhs(ensemble, params)
     kinetic = 2.0 * float((V * dV).sum()) / n
-    xd = X[:, None, :] - X[None, :, :]
-    vd = V[:, None, :] - V[None, :, :]
-    config = params.sigma / (n * n) * float((xd * vd).sum())
+    config = params.sigma / (n * n) * float(_pair_dot(V, ensemble.positions).sum())
     return kinetic + config
 
 
@@ -133,16 +142,13 @@ def dissipation_residual(ensemble: Ensemble, params: ModelParams) -> float:
 
 
 def make_frame(t: float, ensemble: Ensemble, params: ModelParams) -> DiagnosticsFrame:
-    e, ek, ec = energy(ensemble, params.sigma)
-    d_x, d_v, v_max = diameters(ensemble)
+    """Every frame field from one set of gap tables and one misalignment table."""
     metrics = flocking_metrics(ensemble)
     radial, tangency = constraint_violation(ensemble.positions, ensemble.velocities)
     return DiagnosticsFrame(
-        t=t, e_total=e, e_kinetic=ek, e_config=ec,
-        d_x=d_x, d_v=d_v, v_max=v_max,
+        t=t, **_gap_fields(ensemble, params.sigma),
         flock_align=metrics.flock_align, antipode_margin=metrics.antipode_margin,
         drift_radial=radial, drift_tangency=tangency,
-        x_max=max_pair_functional(ensemble),
     )
 
 

@@ -24,12 +24,13 @@ so their agreement is a genuine whole-formula cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from .errors import AntipodalPair, InvalidEnsemble
-from .geometry import _transport_table, antipodal_mask
+from .geometry import _cross_weights, _transport_table, antipodal_mask
 from .kernels import Kernel
 
 # Ensemble state invariants (looser than construction-time projection noise
@@ -46,8 +47,8 @@ class ModelParams:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValueError("sigma must be finite and nonnegative")
 
 
 @dataclass(eq=False)
@@ -80,9 +81,10 @@ class Ensemble:
 
     def check(self) -> None:
         radial, tangency = constraint_violation(self.positions, self.velocities)
-        if radial > RADIAL_TOL:
+        # written so that NaN fails too
+        if not radial <= RADIAL_TOL:
             raise InvalidEnsemble(f"max |norm(x)-1| = {radial:.3e} exceeds {RADIAL_TOL:.1e}")
-        if tangency > TANGENCY_TOL:
+        if not tangency <= TANGENCY_TOL:
             raise InvalidEnsemble(f"max |<v, x>| = {tangency:.3e} exceeds {TANGENCY_TOL:.1e}")
 
     def copy(self) -> "Ensemble":
@@ -105,31 +107,36 @@ def constraint_violation(X: np.ndarray, V: np.ndarray) -> tuple[float, float]:
     return radial, tangency
 
 
-def _pair_tables(X: np.ndarray, V: np.ndarray, kernel: Kernel):
-    """Shared per-pair quantities: <x_k,x_i>, psi matrix, transports T[k,i]."""
+def _dots_and_rates(X: np.ndarray, kernel: Kernel):
+    """(n, n) tables <x_k, x_i> and psi(|x_i - x_k|); raises AntipodalPair."""
     dots = X @ X.T
     bad = antipodal_mask(dots)
     if bad.any():
         k, i = map(int, np.argwhere(bad)[0])
         raise AntipodalPair(f"agents {k} and {i} are antipodal", pair=(k, i))
-    diff = X[:, None, :] - X[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    psim = kernel.psi(np.minimum(dist, 2.0))
-    T = _transport_table(X, V, dots)
-    return dots, psim, T
+    sq = sum(np.subtract.outer(x, x) ** 2 for x in X.T)
+    return dots, kernel.psi(np.minimum(np.sqrt(sq), 2.0))
+
+
+# _LEVI[3 b + c, a] = epsilon_abc, so the row-wise cross product G x X is
+# (G[:, :, None] * X[:, None, :]).reshape(n, 9) @ _LEVI, cheaper than np.cross.
+_LEVI = np.array([[0, 0, 0], [0, 0, 1], [0, -1, 0], [0, 0, -1], [0, 0, 0], [1, 0, 0],
+                  [0, 1, 0], [-1, 0, 0], [0, 0, 0]], dtype=float)
 
 
 def _rhs_arrays(X: np.ndarray, V: np.ndarray, params: ModelParams):
-    """Hot-path right-hand side on raw (n, 3) arrays."""
+    """Hot-path right-hand side on raw (n, 3) arrays.
+
+    The coupling sum_k psi_ik T[k,i] of the four-term transport T[k,i] =
+    d_ki v_k + <x_k,v_k> x_i - <v_k,x_i> x_k + w_ki (x_k x x_i) contracts
+    term by term into (n, n) tables and matmuls; no (n, n, 3) table is built.
+    """
     n = X.shape[0]
-    dots, psim, T = _pair_tables(X, V, params.kernel)
-    # coupling_i = (1/n) sum_k psi[i,k] (T[k,i] - v_i); fixed ascending-k
-    # summation order via the axis-0 reductions below.
-    psim_t = psim.T
-    S = np.empty_like(V)
-    S[:, 0] = (psim_t * T[:, :, 0]).sum(axis=0)
-    S[:, 1] = (psim_t * T[:, :, 1]).sum(axis=0)
-    S[:, 2] = (psim_t * T[:, :, 2]).sum(axis=0)
+    dots, psim = _dots_and_rates(X, params.kernel)
+    xv = (X * V).sum(axis=1)
+    S = (psim * dots) @ V + (psim @ xv)[:, None] * X - (psim * (X @ V.T)) @ X
+    G = (psim * _cross_weights(X, V, dots)[1]).T @ X
+    S += (G[:, :, None] * X[:, None, :]).reshape(n, 9) @ _LEVI
     coupling = (S - psim.sum(axis=1)[:, None] * V) / n
     bonding = (params.sigma / n) * (X.sum(axis=0)[None, :] - dots.sum(axis=1)[:, None] * X)
     vsq = (V * V).sum(axis=1)
@@ -159,16 +166,18 @@ def lagrange_multiplier(ensemble: Ensemble, i: int, params: ModelParams) -> floa
     return -float(vi @ vi) / xsq - (params.sigma / ensemble.n) * bond
 
 
+def _pair_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(n, n) table of <a_k - a_l, b_k - b_l>, built one component at a time."""
+    out = 0.0
+    for a, b in zip(A.T, B.T):
+        out += np.subtract.outer(a, a) * np.subtract.outer(b, b)
+    return out
+
+
 def pair_functional_table(ensemble: Ensemble) -> np.ndarray:
     """All pair triples (X1, X2, X3) as an (n, n, 3) array."""
     X, V = ensemble.positions, ensemble.velocities
-    xd = X[:, None, :] - X[None, :, :]
-    vd = V[:, None, :] - V[None, :, :]
-    out = np.empty((ensemble.n, ensemble.n, 3))
-    out[:, :, 0] = (xd * xd).sum(axis=-1)
-    out[:, :, 1] = (vd * xd).sum(axis=-1)
-    out[:, :, 2] = (vd * vd).sum(axis=-1)
-    return out
+    return np.stack([_pair_dot(X, X), _pair_dot(V, X), _pair_dot(V, V)], axis=-1)
 
 
 def pair_functional(ensemble: Ensemble, i: int, j: int) -> np.ndarray:
@@ -216,7 +225,8 @@ def inhomogeneous_table(ensemble: Ensemble, params: ModelParams) -> np.ndarray:
     n = ensemble.n
     sigma = params.sigma
     psi0 = params.kernel.psi0
-    dots, psim, T = _pair_tables(X, V, params.kernel)
+    dots, psim = _dots_and_rates(X, params.kernel)
+    T = _transport_table(X, V, dots)
 
     x1 = pair_functional_table(ensemble)[:, :, 0]
     vsq = (V * V).sum(axis=1)
@@ -269,12 +279,5 @@ def pair_derivative_table(ensemble: Ensemble, params: ModelParams) -> np.ndarray
     """
     X, V = ensemble.positions, ensemble.velocities
     _, dV = rhs(ensemble, params)
-    xd = X[:, None, :] - X[None, :, :]
-    vd = V[:, None, :] - V[None, :, :]
-    ad = dV[:, None, :] - dV[None, :, :]
-    table = pair_functional_table(ensemble)
-    out = np.empty_like(table)
-    out[:, :, 0] = 2.0 * table[:, :, 1]
-    out[:, :, 1] = table[:, :, 2] + (ad * xd).sum(axis=-1)
-    out[:, :, 2] = 2.0 * (ad * vd).sum(axis=-1)
-    return out
+    return np.stack([2.0 * _pair_dot(V, X), _pair_dot(V, V) + _pair_dot(dV, X),
+                     2.0 * _pair_dot(dV, V)], axis=-1)

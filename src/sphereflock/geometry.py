@@ -178,18 +178,32 @@ def _transport_table(X: np.ndarray, V: np.ndarray, dots: np.ndarray) -> np.ndarr
     product below the guard get the rank-one term dropped (coincident
     limit).  np.cross is avoided: it dominates the cost at small n.
     """
-    x0, x1, x2 = X[:, 0], X[:, 1], X[:, 2]
-    c0 = np.multiply.outer(x1, x2) - np.multiply.outer(x2, x1)
-    c1 = np.multiply.outer(x2, x0) - np.multiply.outer(x0, x2)
-    c2 = np.multiply.outer(x0, x1) - np.multiply.outer(x1, x0)
-    nsq = c0 * c0 + c1 * c1 + c2 * c2
-    cv = c0 * V[:, 0, None] + c1 * V[:, 1, None] + c2 * V[:, 2, None]
-    ok = nsq > _CROSS_GUARD
-    w = np.where(ok, (1.0 - dots) * cv / np.where(ok, nsq, 1.0), 0.0)
+    T = np.empty(dots.shape + (3,))
+    for a, Ta in enumerate(_transport_components(X, V, dots)):
+        T[:, :, a] = Ta
+    return T
+
+
+def _transport_components(X: np.ndarray, V: np.ndarray, dots: np.ndarray):
+    """Yield the (n, n) tables T[:, :, a] of ``_transport_table`` for a = 0, 1, 2."""
+    c, w = _cross_weights(X, V, dots)
     xv = (X * V).sum(axis=1)
     vx = V @ X.T
-    T = np.empty(dots.shape + (3,))
-    T[:, :, 0] = dots * V[:, 0, None] + np.multiply.outer(xv, x0) - vx * X[:, 0, None] + w * c0
-    T[:, :, 1] = dots * V[:, 1, None] + np.multiply.outer(xv, x1) - vx * X[:, 1, None] + w * c1
-    T[:, :, 2] = dots * V[:, 2, None] + np.multiply.outer(xv, x2) - vx * X[:, 2, None] + w * c2
-    return T
+    for a in range(3):
+        yield dots * V[:, a, None] + np.multiply.outer(xv, X[:, a]) - vx * X[:, a, None] + w * c[a]
+
+
+def _cross_weights(X: np.ndarray, V: np.ndarray, dots: np.ndarray):
+    """Cross tables c[a][k, i] = (x_k x x_i)_a and the rank-one weight w[k, i].
+
+    w = (1 - <x_k,x_i>) <c_ki, v_k> / |c_ki|^2, zero below the guard, so that
+    T[k, i] = <x_k,x_i> v_k + <x_k,v_k> x_i - <x_i,v_k> x_k + w c_ki.
+    """
+    x0, x1, x2 = X.T
+    c = (np.multiply.outer(x1, x2) - np.multiply.outer(x2, x1),
+         np.multiply.outer(x2, x0) - np.multiply.outer(x0, x2),
+         np.multiply.outer(x0, x1) - np.multiply.outer(x1, x0))
+    nsq = c[0] * c[0] + c[1] * c[1] + c[2] * c[2]
+    cv = c[0] * V[:, 0, None] + c[1] * V[:, 1, None] + c[2] * V[:, 2, None]
+    ok = nsq > _CROSS_GUARD
+    return c, np.where(ok, (1.0 - dots) * cv / np.where(ok, nsq, 1.0), 0.0)

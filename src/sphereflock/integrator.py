@@ -14,6 +14,7 @@ otherwise a plain numpy loop with identical semantics runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +40,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be nonnegative")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError("dt must be finite and positive")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
+            raise ValueError("t_end must be finite and nonnegative")
         if self.frame_stride < 1:
             raise ValueError("frame_stride must be at least 1")
 

@@ -2,8 +2,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples on every run and have no per-example
+# deadline, which a slow or shared machine would otherwise trip.
+settings.register_profile("sphereflock", deadline=None, derandomize=True)
+settings.load_profile("sphereflock")
 
 from sphereflock import ModelParams, SimConfig, paper_kernel, paper_scenario, simulate
 

@@ -52,3 +52,58 @@ def rhs_oracle(ensemble, params):
             acc = acc + (params.sigma / n) * (X[k] - (xi @ X[k]) * xi)
         dV[i] = acc
     return V.copy(), dV
+
+
+def frame_oracle(t, ensemble, params):
+    """Every DiagnosticsFrame field, in order, from full (n, n, 3) pair tables.
+
+    The frame diagnostics as first written (energy, diameters, flocking
+    metrics and the pair-functional maximum each building their own
+    difference and transport tables), kept as the reference for the
+    contracted production path.
+    """
+    from sphereflock import pairwise_transport
+    from sphereflock.dynamics import constraint_violation
+
+    X, V = ensemble.positions, ensemble.velocities
+    n = ensemble.n
+    ek = float((V * V).sum()) / n
+    diff = X[:, None, :] - X[None, :, :]
+    ec = params.sigma / (2.0 * n * n) * float((diff * diff).sum())
+
+    xd = X[:, None, :] - X[None, :, :]
+    vd = V[:, None, :] - V[None, :, :]
+    d_x = float(np.sqrt((xd * xd).sum(axis=-1).max()))
+    d_v = float(np.sqrt((vd * vd).sum(axis=-1).max()))
+    v_max = float(np.sqrt((V * V).sum(axis=1).max()))
+
+    T, bad = pairwise_transport(X, V, antipodal="zero")
+    sums = X[:, None, :] + X[None, :, :]
+    margin = np.sqrt((sums * sums).sum(axis=-1))
+    mis = T - V[None, :, :]  # mis[j, i] = R_{x_j -> x_i} v_j - v_i
+    misnorm = np.sqrt((mis * mis).sum(axis=-1))
+    prod = margin * misnorm  # margin is pair-symmetric
+    prod[bad] = 0.0
+
+    table = np.empty((n, n, 3))
+    table[:, :, 0] = (xd * xd).sum(axis=-1)
+    table[:, :, 1] = (vd * xd).sum(axis=-1)
+    table[:, :, 2] = (vd * vd).sum(axis=-1)
+    x_max = float(np.sqrt((table * table).sum(axis=-1).max()))
+
+    radial, tangency = constraint_violation(X, V)
+    return (t, ek + ec, ek, ec, d_x, d_v, v_max, float(prod.max()), float(margin.min()),
+            radial, tangency, x_max)
+
+
+def dissipation_oracle(ensemble, params):
+    """sum_{i,j} (psi_ij / N^2) |R_{x_j -> x_i} v_j - v_i|^2, one pair at a time."""
+    X, V = ensemble.positions, ensemble.velocities
+    n = ensemble.n
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            psi = float(params.kernel.psi(min(np.linalg.norm(X[i] - X[j]), 2.0)))
+            mis = transport_oracle(X[j], X[i], V[j]) - V[i]
+            total += psi * float(mis @ mis)
+    return total / (n * n)

@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import random_ensemble
+from helpers import dissipation_oracle, frame_oracle, random_ensemble
 from sphereflock import (Ensemble, InsufficientSamples, ModelParams,
                          NonPositiveValue, SimConfig, diameters,
                          dissipation_residual, energy, energy_rate,
                          fit_decay_rate, flocking_metrics, linear_kernel,
-                         max_pair_functional, paper_kernel, paper_scenario,
-                         simulate, velocity_bound_check)
+                         max_pair_functional, pairwise_dissipation, paper_kernel,
+                         paper_scenario, random_scenario, simulate,
+                         velocity_bound_check)
+from sphereflock.diagnostics import make_frame
 from sphereflock.integrator import _rk4_raw
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -208,6 +213,47 @@ class TestFitDecayRate:
         t = np.linspace(0.0, 10.0, 50)
         with pytest.raises(InsufficientSamples):
             fit_decay_rate(t, np.exp(-t), (9.5, 10.0))
+
+
+def _property_state(kind, n, seed, speed, p):
+    """A random state, a tight nearly aligned cap, or one with an antipodal pair."""
+    if kind == "cap":
+        return random_scenario(seed, n, math.pi / 64, 0.01 * speed, p).ensemble
+    ens = random_ensemble(np.random.default_rng(seed), n, speed)
+    if kind == "antipodal" and n >= 2:
+        X = ens.positions.copy()
+        X[0], X[n - 1] = E3, -E3
+        return Ensemble.projected(X, ens.velocities)
+    return ens
+
+
+PROPERTY_STATES = st.tuples(st.sampled_from(["random", "cap", "antipodal"]),
+                            st.sampled_from([1, 2, 6, 40]), st.integers(0, 2**31 - 1),
+                            st.sampled_from([0.01, 0.3, 1.0]))
+
+
+class TestContractedPairSums:
+    """Frame diagnostics and dissipation against their (n, n, 3) references."""
+
+    @settings(max_examples=30)
+    @given(PROPERTY_STATES, st.sampled_from([0.0, 1.0, 5.0]))
+    def test_make_frame_matches_frame_oracle(self, state, sigma):
+        kind, n, seed, speed = state
+        p = ModelParams(paper_kernel(), sigma)
+        ens = _property_state(kind, n, seed, speed, p)
+        got = make_frame(0.25, ens, p).as_row()
+        assert_allclose(got, frame_oracle(0.25, ens, p), rtol=1e-12, atol=0)
+
+    @settings(max_examples=30)
+    @given(PROPERTY_STATES)
+    def test_dissipation_matches_per_pair_loop(self, state):
+        kind, n, seed, speed = state
+        p = ModelParams(linear_kernel(1.5) if seed % 2 else paper_kernel(), 1.0)
+        ens = _property_state("random" if kind == "antipodal" else kind, n, seed, speed, p)
+        # absolute slack at rounding level: k = i terms are zero only up to it
+        scale = p.kernel.psi0 * float((ens.velocities**2).sum(axis=1).max())
+        assert_allclose(pairwise_dissipation(ens, p), dissipation_oracle(ens, p),
+                        rtol=1e-12, atol=1e-15 * scale)
 
 
 def test_alignment_decays_on_benchmark_run(sigma1_traj):

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import random_ensemble, rhs_oracle
+from helpers import random_ensemble, random_unit, rhs_oracle
 from sphereflock import (AntipodalPair, Ensemble, InvalidEnsemble, ModelParams,
                          coefficient_matrix, inhomogeneous_term, lagrange_multiplier,
-                         pair_functional, paper_kernel, paper_scenario, rhs,
-                         spectral_abscissa)
+                         pair_functional, pairwise_dissipation, paper_kernel,
+                         paper_scenario, pairwise_transport, rhs, spectral_abscissa)
 from sphereflock.dynamics import (inhomogeneous_table, pair_derivative_table,
                                   pair_functional_table)
+from sphereflock.geometry import _CROSS_GUARD
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -28,6 +30,10 @@ class TestEnsemble:
     def test_rejects_non_tangent_velocities(self):
         with pytest.raises(InvalidEnsemble):
             Ensemble([E1], [[1e-3, 1, 0]])
+
+    def test_rejects_nan_positions(self):
+        with pytest.raises(InvalidEnsemble):
+            Ensemble([[np.nan, 0, 0]], [[0, 1, 0]])
 
     def test_validate_false_allows_off_manifold_states(self):
         ens = Ensemble([[1.1, 0, 0]], [[0, 1, 0]], validate=False)
@@ -117,6 +123,82 @@ class TestRhs:
         ens = Ensemble([E1, -E1], np.zeros((2, 3)))
         with pytest.raises(AntipodalPair):
             rhs(ens, params)
+
+
+def test_model_params_reject_nan_sigma():
+    with pytest.raises(ValueError):
+        ModelParams(paper_kernel(), float("nan"))
+
+
+STATES = st.tuples(st.sampled_from([1, 2, 6, 40]), st.integers(0, 2**32 - 1),
+                   st.sampled_from([0.01, 0.3, 1.0]))
+
+
+class TestRhsProperties:
+    """The contracted right-hand side against the per-agent textual oracle."""
+
+    @settings(max_examples=24)
+    @given(STATES, st.sampled_from([1.0, 5.0]))
+    def test_random_states(self, state, sigma):
+        n, seed, speed = state
+        ens = random_ensemble(np.random.default_rng(seed), n, speed)
+        p = ModelParams(paper_kernel(), sigma)
+        assert_allclose(rhs(ens, p)[1], rhs_oracle(ens, p)[1], rtol=0, atol=1e-12)
+
+    @settings(max_examples=24)
+    @given(STATES, st.floats(1e-4, 1e-3))
+    def test_off_sphere_rk_stages(self, state, h):
+        # RK stages X + hV, V + h a leave the sphere and the tangent planes.
+        # There the library keeps two conventions the oracle does not: the
+        # k = i transport is the four-term formula's |x_i|^2 v_i (not v_i),
+        # and the centripetal term is -|v_i|^2 x_i (not divided by |x_i|^2).
+        n, seed, speed = state
+        ens = random_ensemble(np.random.default_rng(seed), n, speed)
+        p = ModelParams(paper_kernel(), 1.0)
+        X = ens.positions + h * ens.velocities
+        V = ens.velocities + h * rhs(ens, p)[1]
+        stage = Ensemble(X, V, validate=False)
+        got, want = rhs(stage, p)[1], rhs_oracle(stage, p)[1]
+        xsq = (X * X).sum(axis=1)[:, None]
+        vsq = (V * V).sum(axis=1)[:, None]
+        want += p.kernel.psi0 / n * (xsq - 1.0) * V - vsq * (1.0 - 1.0 / xsq) * X
+        assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=12)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 6, 40]))
+    def test_near_coincident_pair_takes_cross_guard(self, seed, n):
+        rng = np.random.default_rng(seed)
+        ens = random_ensemble(rng, n)
+        X, V = ens.positions.copy(), ens.velocities.copy()
+        step = np.cross(X[0], random_unit(rng)[0])
+        X[1] = X[0] + 1e-13 * step / np.linalg.norm(step)
+        X[1] /= np.linalg.norm(X[1])
+        V[1] -= (V[1] @ X[1]) * X[1]
+        c = np.cross(X[1], X[0])
+        assert 0.0 < c @ c <= _CROSS_GUARD
+        close = Ensemble(X, V)
+        p = ModelParams(paper_kernel(), 1.0)
+        assert_allclose(rhs(close, p)[1], rhs_oracle(close, p)[1], rtol=0, atol=1e-12)
+
+    @settings(max_examples=12)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.data())
+    def test_antipodal_raise_names_the_reference_pair(self, seed, n, data):
+        ens = random_ensemble(np.random.default_rng(seed), n)
+        k = data.draw(st.integers(0, n - 1))
+        i = data.draw(st.integers(0, n - 1).filter(lambda j: j != k))
+        # an exactly unit axis: for a random unit x, <x, -x> = -|x|^2 may
+        # round short of the antipodal tolerance
+        X = ens.positions.copy()
+        X[k] = E3
+        X[i] = -E3
+        V = ens.velocities - (ens.velocities * X).sum(axis=1, keepdims=True) * X
+        with pytest.raises(AntipodalPair) as reference:
+            pairwise_transport(X, V)
+        ens, p = Ensemble(X, V), ModelParams(paper_kernel(), 1.0)
+        for evaluate in (rhs, pairwise_dissipation):
+            with pytest.raises(AntipodalPair) as got:
+                evaluate(ens, p)
+            assert got.value.pair == reference.value.pair == (min(i, k), max(i, k))
 
 
 class TestPairFunctional:

@@ -1,4 +1,8 @@
 import dataclasses
+import importlib.util
+import sys
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +18,34 @@ from sphereflock.integrator import energy_audit
 @pytest.fixture
 def params():
     return ModelParams(kernel=paper_kernel(), sigma=1.0)
+
+
+@pytest.fixture
+def fast_loops(monkeypatch):
+    """The ``_fast`` module the integrator dispatches to, loops defined.
+
+    Where numba is importable this is ``_fast`` itself, compiled.  Where it
+    is not, ``_fast`` defines no loops, so the same source file is loaded
+    again under a stand-in ``numba`` whose ``njit`` returns the function
+    unchanged, and the integrator is pointed at that copy: the loops then
+    run as plain Python and the comparisons check their arithmetic, though
+    not their compilation; a warning in the test report says so.
+    """
+    from sphereflock import _fast, integrator
+
+    if _fast.HAVE_NUMBA:
+        return _fast
+    warnings.warn("numba is not installed: the _fast loops run as plain Python, "
+                  "so their compilation is not verified", UserWarning)
+    stub = types.ModuleType("numba")
+    stub.njit = lambda **options: (lambda fn: fn)
+    monkeypatch.setitem(sys.modules, "numba", stub)
+    spec = importlib.util.spec_from_file_location("sphereflock._fast_interpreted",
+                                                  _fast.__file__)
+    loops = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loops)
+    monkeypatch.setattr(integrator, "_fast", loops)
+    return loops
 
 
 def great_circle_ensemble():
@@ -55,6 +87,10 @@ class TestRk4Step:
     def test_rejects_nonpositive_dt(self, params):
         with pytest.raises(ValueError):
             rk4_step(great_circle_ensemble(), 0.0, params)
+
+    def test_config_rejects_nan_dt(self):
+        with pytest.raises(ValueError):
+            SimConfig(dt=float("nan"))
 
 
 class TestGreatCircle:
@@ -116,20 +152,22 @@ class TestSimulate:
             assert radial <= 1e-9
             assert tangency <= 1e-8
 
-    def test_fast_and_numpy_paths_agree(self, params):
+    def test_fast_and_numpy_paths_agree(self, params, fast_loops):
         sc = paper_scenario(1.0, sim=SimConfig(dt=1e-3, t_end=0.2, frame_stride=200))
         slow_kernel = dataclasses.replace(params.kernel, fast_code=-1)
         slow = ModelParams(slow_kernel, params.sigma)
+        assert fast_loops.available(params.kernel) and not fast_loops.available(slow_kernel)
         a = simulate(sc.ensemble, params, sc.sim)
         b = simulate(sc.ensemble, slow, sc.sim)
         assert np.abs(a.final.ensemble.positions - b.final.ensemble.positions).max() <= 1e-13
         assert np.abs(a.final.ensemble.velocities - b.final.ensemble.velocities).max() <= 1e-13
 
-    def test_fast_and_numpy_paths_agree_for_linear_kernel(self):
+    def test_fast_and_numpy_paths_agree_for_linear_kernel(self, fast_loops):
         from sphereflock import linear_kernel
         kernel = linear_kernel(1.5)
         fast = ModelParams(kernel, 0.8)
         slow = ModelParams(dataclasses.replace(kernel, fast_code=-1), 0.8)
+        assert fast_loops.available(fast.kernel) and not fast_loops.available(slow.kernel)
         ens = random_ensemble(np.random.default_rng(9), 5)
         sim = SimConfig(dt=1e-3, t_end=0.2, frame_stride=200)
         a = simulate(ens, fast, sim)
@@ -242,13 +280,14 @@ class TestEnergyAudit:
         assert 3.0 <= coarse.slack / fine.slack <= 5.0
         assert_allclose(coarse.e_start, fine.e_start, rtol=1e-15)
 
-    def test_compiled_dissipation_matches_reference(self):
+    def test_compiled_dissipation_matches_reference(self, fast_loops):
         # the audit's per-step dissipation value must agree across paths
         import dataclasses as dc
         from sphereflock import linear_kernel
         for kernel in (paper_kernel(), linear_kernel(2.0)):
             fast = ModelParams(kernel, 0.9)
             slow = ModelParams(dc.replace(kernel, fast_code=-1), 0.9)
+            assert fast_loops.available(fast.kernel)
             ens = random_ensemble(np.random.default_rng(10), 6)
             a = energy_audit(ens, fast, 1e-3, 0.05)
             b = energy_audit(ens, slow, 1e-3, 0.05)
