@@ -5,16 +5,15 @@ reference; this module only accelerates the fixed-step inner loop, and
 only for kernels it knows in closed form (see ``Kernel.fast_code``).
 Without numba everything falls back to the numpy loop.
 
-Antipodal screening here uses the pair inner product: |x_k + x_i|^2 =
-2 + 2 <x_k, x_i> for unit vectors, so the cutoff matches the geometry
-module's tolerance up to rounding of the dot at -1.
+Antipodal screening matches ``geometry.antipodal_mask``: pairs whose inner
+product falls below _OPPOSITE_DOT get the exact |x_k + x_i|^2 test.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import ANTIPODAL_TOL, _CROSS_GUARD
+from .geometry import ANTIPODAL_TOL, _CROSS_GUARD, _OPPOSITE_DOT
 
 try:
     from numba import njit
@@ -28,7 +27,7 @@ FAST_NONE = -1
 FAST_EXP3 = 0  # 3 (e^(2-r) - 1)
 FAST_LINEAR = 1  # p (2 - r)
 
-_ANTIPODAL_DOT = 0.5 * ANTIPODAL_TOL**2 - 1.0
+_ANTIPODAL_SQ = ANTIPODAL_TOL**2
 
 
 def available(kernel) -> bool:
@@ -51,8 +50,12 @@ if HAVE_NUMBA:
             b2 = 0.0
             for k in range(n):
                 d = X[k, 0] * X[i, 0] + X[k, 1] * X[i, 1] + X[k, 2] * X[i, 2]
-                if k != i and d <= _ANTIPODAL_DOT:
-                    return 1 + k * n + i
+                if k != i and d < _OPPOSITE_DOT:
+                    a0 = X[i, 0] + X[k, 0]
+                    a1 = X[i, 1] + X[k, 1]
+                    a2 = X[i, 2] + X[k, 2]
+                    if a0 * a0 + a1 * a1 + a2 * a2 <= _ANTIPODAL_SQ:
+                        return 1 + k * n + i
                 e0 = X[i, 0] - X[k, 0]
                 e1 = X[i, 1] - X[k, 1]
                 e2 = X[i, 2] - X[k, 2]

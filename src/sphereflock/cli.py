@@ -2,41 +2,31 @@
 
 Subcommands: simulate, check, fit-rate, verify, preset.  Exit codes:
 0 success, 1 invariant failure, 2 configuration error, 3 antipodal abort.
-The SPHEREFLOCK_THREADS environment variable caps worker counts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import replace
 
 from . import __version__
 from .admissibility import check_initial
-from .config import build_scenario, load_config, preset_config, save_config
+from .config import load_config, save_config
 from .diagnostics import fit_decay_rate
 from .errors import AntipodalPair, ConfigError, SphereFlockError
 from .integrator import simulate
 from .output import (_json_default, build_summary, read_frames_csv,
                      write_frames_csv, write_json, write_state_csv)
-from .scenarios import PRESETS
+from .scenarios import PRESETS, build_scenario, preset_config
 from .verify import run_all
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_CONFIG = 2
 EXIT_ANTIPODAL = 3
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("SPHEREFLOCK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"SPHEREFLOCK_THREADS must be an integer, got {raw!r}")
 
 
 def _resolve_config(args):
@@ -134,8 +124,7 @@ def _cmd_fit_rate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    workers = min(args.workers, _max_workers()) if args.workers else _max_workers()
-    results = run_all(workers=workers)
+    results = run_all()
     passed = sum(r.passed for r in results)
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
@@ -185,8 +174,6 @@ def _parser() -> argparse.ArgumentParser:
     fit.set_defaults(func=_cmd_fit_rate)
 
     ver = sub.add_parser("verify", help="run the built-in invariant suite")
-    ver.add_argument("--workers", type=int, default=0,
-                     help="thread count (capped by SPHEREFLOCK_THREADS)")
     ver.set_defaults(func=_cmd_verify)
 
     pre = sub.add_parser("preset", help="write a named preset as a config file")

@@ -1,7 +1,8 @@
-"""Flat key = value run configuration: parse, emit, and scenario building.
+"""Flat key = value run configuration: the INI text format.
 
 Sections: [kernel], [params], [sim], [scenario].  No nesting; every value
 round-trips exactly (floats are written with 17 significant digits).
+``scenarios.build_scenario`` turns a parsed RunConfig into a runnable state.
 """
 
 from __future__ import annotations
@@ -11,19 +12,14 @@ import io
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .dynamics import ModelParams
 from .errors import ConfigError
 from .integrator import SimConfig
-from .kernels import kernel_from_name
-from .scenarios import (BENCHMARK_POSITIONS, BENCHMARK_VELOCITIES, Scenario,
-                        _build_ensemble, random_scenario)
 
 _SCENARIO_KINDS = ("paper", "random", "explicit")
 
 
-def _fmt(x: float) -> str:
+def fmt_float(x: float) -> str:
+    """17 significant digits: parsing the text back yields the same double."""
     return format(float(x), ".17g")
 
 
@@ -64,14 +60,14 @@ def emit_config(cfg: RunConfig) -> str:
     out = io.StringIO()
     print("[kernel]", file=out)
     print(f"name = {cfg.kernel_name}", file=out)
-    print(f"params = {' '.join(_fmt(p) for p in cfg.kernel_params)}", file=out)
+    print(f"params = {' '.join(fmt_float(p) for p in cfg.kernel_params)}", file=out)
     print("", file=out)
     print("[params]", file=out)
-    print(f"sigma = {_fmt(cfg.sigma)}", file=out)
+    print(f"sigma = {fmt_float(cfg.sigma)}", file=out)
     print("", file=out)
     print("[sim]", file=out)
-    print(f"dt = {_fmt(cfg.sim.dt)}", file=out)
-    print(f"t_end = {_fmt(cfg.sim.t_end)}", file=out)
+    print(f"dt = {fmt_float(cfg.sim.dt)}", file=out)
+    print(f"t_end = {fmt_float(cfg.sim.t_end)}", file=out)
     print(f"projection = {'on' if cfg.sim.projection else 'off'}", file=out)
     print(f"frame_stride = {cfg.sim.frame_stride}", file=out)
     print(f"seed = {cfg.sim.seed}", file=out)
@@ -81,18 +77,18 @@ def emit_config(cfg: RunConfig) -> str:
     print(f"kind = {sc.kind}", file=out)
     print(f"label = {sc.label}", file=out)
     print(f"n = {sc.n}", file=out)
-    print(f"pos_spread = {_fmt(sc.pos_spread)}", file=out)
-    print(f"vel_scale = {_fmt(sc.vel_scale)}", file=out)
+    print(f"pos_spread = {fmt_float(sc.pos_spread)}", file=out)
+    print(f"vel_scale = {fmt_float(sc.vel_scale)}", file=out)
     print(f"seed = {sc.seed}", file=out)
     for i, (x, v) in enumerate(zip(sc.positions, sc.velocities), start=1):
-        print(f"x{i} = {' '.join(_fmt(c) for c in x)}", file=out)
-        print(f"v{i} = {' '.join(_fmt(c) for c in v)}", file=out)
+        print(f"x{i} = {' '.join(fmt_float(c) for c in x)}", file=out)
+        print(f"v{i} = {' '.join(fmt_float(c) for c in v)}", file=out)
     return out.getvalue()
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse flat key = value text back into a RunConfig."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -131,7 +127,7 @@ def parse_config(text: str) -> RunConfig:
         spec = ScenarioSpec(
             kind=kind,
             n=int(sc.get("n", "6")),
-            pos_spread=float(sc.get("pos_spread", _fmt(math.pi / 64))),
+            pos_spread=float(sc.get("pos_spread", fmt_float(math.pi / 64))),
             vel_scale=float(sc.get("vel_scale", "0.01")),
             seed=int(sc.get("seed", "0")),
             label=sc.get("label", ""),
@@ -153,31 +149,3 @@ def save_config(cfg: RunConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(emit_config(cfg))
 
-
-def build_scenario(cfg: RunConfig) -> Scenario:
-    """Materialize the configured scenario (kernel, parameters, state)."""
-    kernel = kernel_from_name(cfg.kernel_name, *cfg.kernel_params)
-    params = ModelParams(kernel=kernel, sigma=cfg.sigma)
-    sc = cfg.scenario
-    if sc.kind == "paper":
-        ensemble, pos_adj, vel_adj = _build_ensemble(BENCHMARK_POSITIONS, BENCHMARK_VELOCITIES)
-        label = sc.label or f"paper-sigma{cfg.sigma:g}"
-        return Scenario(ensemble=ensemble, params=params, sim=cfg.sim, label=label,
-                        position_adjustment=pos_adj, velocity_adjustment=vel_adj)
-    if sc.kind == "random":
-        return random_scenario(sc.seed, sc.n, sc.pos_spread, sc.vel_scale,
-                               params, sim=cfg.sim, label=sc.label)
-    ensemble, pos_adj, vel_adj = _build_ensemble(np.array(sc.positions),
-                                                 np.array(sc.velocities))
-    return Scenario(ensemble=ensemble, params=params, sim=cfg.sim,
-                    label=sc.label or "explicit",
-                    position_adjustment=pos_adj, velocity_adjustment=vel_adj)
-
-
-def preset_config(name: str) -> RunConfig:
-    """RunConfig equivalents of the named presets."""
-    if name == "paper-sigma1":
-        return RunConfig(sigma=1.0, scenario=ScenarioSpec(kind="paper", label=name))
-    if name == "paper-sigma5":
-        return RunConfig(sigma=5.0, scenario=ScenarioSpec(kind="paper", label=name))
-    raise ConfigError(f"unknown preset {name!r}")

@@ -97,7 +97,7 @@ def flocking_metrics(ensemble: Ensemble) -> FlockingMetrics:
     """max_{i,j} |x_i+x_j| |R_{x_j->x_i} v_j - v_i| and min_{i,j} |x_i+x_j|."""
     X, V = ensemble.positions, ensemble.velocities
     dots = X @ X.T
-    bad = antipodal_mask(dots)
+    bad = antipodal_mask(X, dots)
     prod = np.sqrt(_misalignment(X, V, dots))
     margin = np.sqrt(sum(np.add.outer(x, x) ** 2 for x in X.T))
     prod *= margin  # margin is pair-symmetric

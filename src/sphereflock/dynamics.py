@@ -110,7 +110,7 @@ def constraint_violation(X: np.ndarray, V: np.ndarray) -> tuple[float, float]:
 def _dots_and_rates(X: np.ndarray, kernel: Kernel):
     """(n, n) tables <x_k, x_i> and psi(|x_i - x_k|); raises AntipodalPair."""
     dots = X @ X.T
-    bad = antipodal_mask(dots)
+    bad = antipodal_mask(X, dots)
     if bad.any():
         k, i = map(int, np.argwhere(bad)[0])
         raise AntipodalPair(f"agents {k} and {i} are antipodal", pair=(k, i))

@@ -28,6 +28,12 @@ TANGENT_TOL = 1e-10
 # Tangency slack accepted by transport() on its input vector.
 TRANSPORT_TANGENT_TOL = 1e-8
 
+# <x_k, x_i> below this pre-screens a pair for the exact |x_k + x_i| test
+# of the batched antipodal screen.  A pair within ANTIPODAL_TOL has
+# <x_k, x_i> ~ -(|x_k|^2 + |x_i|^2) / 2, below this whenever the squared
+# norms average above 0.99, as for every state or RK stage integrated here.
+_OPPOSITE_DOT = -0.99
+
 # |z1 x z2|^2 below this in the batched path collapses the rank-one term;
 # its prefactor 1 - <z1,z2> ~ |z1-z2|^2/2 is then negligible as well.
 _CROSS_GUARD = 1e-24
@@ -137,10 +143,18 @@ def transport(z1, z2, v) -> np.ndarray:
     return rotation_matrix(a, z2) @ w
 
 
-def antipodal_mask(dots: np.ndarray) -> np.ndarray:
-    """Off-diagonal pairs with |x_k + x_i| <= ANTIPODAL_TOL, from <x_k, x_i>."""
-    bad = 2.0 + 2.0 * dots <= ANTIPODAL_TOL**2
-    np.fill_diagonal(bad, False)
+def antipodal_mask(X: np.ndarray, dots: np.ndarray) -> np.ndarray:
+    """Pairs with |x_k + x_i| <= ANTIPODAL_TOL, given dots = X @ X.T.
+
+    The sum is formed from the coordinates: near <x_k, x_i> = -1 the dot
+    resolves 2 + 2 <x_k, x_i> only to ~1e-16, the square of the tolerance.
+    The dot table only pre-screens; the diagonal |2 x_k| never qualifies.
+    """
+    bad = dots < _OPPOSITE_DOT
+    if bad.any():
+        k, i = np.nonzero(bad)
+        s = X[k] + X[i]
+        bad[k, i] = (s * s).sum(axis=1) <= ANTIPODAL_TOL**2
     return bad
 
 
@@ -157,7 +171,7 @@ def pairwise_transport(positions, vectors, antipodal: str = "raise"):
     X = np.asarray(positions, dtype=float)
     V = np.asarray(vectors, dtype=float)
     dots = X @ X.T
-    bad = antipodal_mask(dots)
+    bad = antipodal_mask(X, dots)
     if antipodal == "raise" and bad.any():
         k, i = map(int, np.argwhere(bad)[0])
         raise AntipodalPair(f"agents {k} and {i} are antipodal", pair=(k, i))

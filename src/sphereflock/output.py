@@ -16,6 +16,7 @@ import json
 
 import numpy as np
 
+from .config import fmt_float
 from .diagnostics import RateFit
 from .integrator import Trajectory
 
@@ -23,15 +24,11 @@ CSV_COLUMNS = ("t", "E", "E_K", "E_C", "D_x", "D_v", "V_max", "flock_align",
                "antipode_margin", "drift_radial", "drift_tangency", "X_max")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_frames_csv(path, trajectory: Trajectory) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for frame in trajectory.frames:
-            fh.write(",".join(_fmt(v) for v in frame.diagnostics.as_row()) + "\n")
+            fh.write(",".join(fmt_float(v) for v in frame.diagnostics.as_row()) + "\n")
 
 
 def read_frames_csv(path) -> dict[str, np.ndarray]:
@@ -52,7 +49,7 @@ def write_state_csv(path, trajectory: Trajectory) -> None:
         fh.write(",".join(cols) + "\n")
         for frame in trajectory.frames:
             row = [frame.time] + list(frame.ensemble.positions.reshape(-1))
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(fmt_float(v) for v in row) + "\n")
 
 
 def frame_dict(diag) -> dict:

@@ -1,16 +1,21 @@
-"""Scenario construction: the built-in 6-agent benchmark and seeded random setups."""
+"""Scenario construction: the preset table and the one RunConfig -> Scenario builder.
+
+Scenario kinds are the built-in 6-agent benchmark, seeded random setups
+and explicit per-agent rows.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import RunConfig, ScenarioSpec
 from .dynamics import Ensemble, ModelParams
 from .errors import ConfigError
 from .geometry import ANTIPODAL_TOL, project_to_sphere, project_to_tangent, rotation_matrix
 from .integrator import SimConfig
-from .kernels import paper_kernel
+from .kernels import kernel_from_name
 
 # 6-agent benchmark initial data (4-decimal coordinates; positions are
 # renormalized and velocities tangent-projected at construction).
@@ -69,6 +74,25 @@ def _build_ensemble(positions, velocities) -> tuple[Ensemble, float, float]:
     return Ensemble(Xp, Vp), pos_adj, vel_adj
 
 
+def build_scenario(cfg: RunConfig) -> Scenario:
+    """Materialize the configured scenario (kernel, parameters, state)."""
+    params = ModelParams(kernel=kernel_from_name(cfg.kernel_name, *cfg.kernel_params),
+                         sigma=cfg.sigma)
+    sc = cfg.scenario
+    if sc.kind == "random":
+        return random_scenario(sc.seed, sc.n, sc.pos_spread, sc.vel_scale,
+                               params, sim=cfg.sim, label=sc.label)
+    if sc.kind == "paper":
+        positions, velocities = BENCHMARK_POSITIONS, BENCHMARK_VELOCITIES
+        label = sc.label or f"paper-sigma{cfg.sigma:g}"
+    else:
+        positions, velocities = sc.positions, sc.velocities
+        label = sc.label or "explicit"
+    ensemble, pos_adj, vel_adj = _build_ensemble(positions, velocities)
+    return Scenario(ensemble=ensemble, params=params, sim=cfg.sim, label=label,
+                    position_adjustment=pos_adj, velocity_adjustment=vel_adj)
+
+
 def paper_scenario(sigma: float, sim: SimConfig | None = None) -> Scenario:
     """The 6-agent benchmark configuration with the built-in kernel.
 
@@ -77,15 +101,7 @@ def paper_scenario(sigma: float, sim: SimConfig | None = None) -> Scenario:
     """
     if sigma <= 0.0:
         raise ConfigError("sigma must be positive")
-    ensemble, pos_adj, vel_adj = _build_ensemble(BENCHMARK_POSITIONS, BENCHMARK_VELOCITIES)
-    return Scenario(
-        ensemble=ensemble,
-        params=ModelParams(kernel=paper_kernel(), sigma=float(sigma)),
-        sim=sim if sim is not None else SimConfig(),
-        label=f"paper-sigma{sigma:g}",
-        position_adjustment=pos_adj,
-        velocity_adjustment=vel_adj,
-    )
+    return build_scenario(RunConfig(sigma=float(sigma), sim=sim or SimConfig()))
 
 
 def random_scenario(seed: int, n: int, pos_spread: float, vel_scale: float,
@@ -126,13 +142,21 @@ def random_scenario(seed: int, n: int, pos_spread: float, vel_scale: float,
     )
 
 
-#: Named presets accepted by the command line and config files.
-PRESETS = ("paper-sigma1", "paper-sigma5")
+#: The named presets accepted by the command line: the benchmark data at
+#: the rendezvous (sigma = 1) and the inadmissible (sigma = 5) bonding rate.
+PRESETS: dict[str, RunConfig] = {
+    name: RunConfig(sigma=sigma, scenario=ScenarioSpec(kind="paper", label=name))
+    for name, sigma in (("paper-sigma1", 1.0), ("paper-sigma5", 5.0))
+}
+
+
+def preset_config(name: str) -> RunConfig:
+    """The RunConfig of a named preset."""
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
+    return PRESETS[name]
 
 
 def preset_scenario(name: str, sim: SimConfig | None = None) -> Scenario:
-    if name == "paper-sigma1":
-        return paper_scenario(1.0, sim=sim)
-    if name == "paper-sigma5":
-        return paper_scenario(5.0, sim=sim)
-    raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
+    cfg = preset_config(name)
+    return build_scenario(cfg if sim is None else replace(cfg, sim=sim))

@@ -2,13 +2,11 @@
 
 Smoke-level sample counts, chosen to finish in well under a minute; the
 pytest suite runs the same families of checks at full size.  Every check
-is deterministic (fixed seeds) and independent of the others, so they may
-run on a thread pool.
+is deterministic (fixed seeds) and independent of the others.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +23,15 @@ class CheckResult:
     detail: str
 
 
-def _random_unit(rng, n=1):
+def random_unit(rng, n=1):
+    """(n, 3) uniform points on the sphere: normalized standard normals."""
     v = rng.standard_normal((n, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _random_ensemble(rng, n, speed=1.0) -> dynamics.Ensemble:
-    X = _random_unit(rng, n)
+def random_ensemble(rng, n, speed=1.0) -> dynamics.Ensemble:
+    """Uniform positions, tangent-projected normal velocities."""
+    X = random_unit(rng, n)
     V = speed * rng.standard_normal((n, 3))
     V -= (X * V).sum(axis=1, keepdims=True) * X
     return dynamics.Ensemble(X, V)
@@ -42,8 +42,8 @@ def check_transport_identities(samples: int = 2000) -> CheckResult:
     worst = 0.0
     eye = np.eye(3)
     for _ in range(samples):
-        z1 = _random_unit(rng)[0]
-        z2 = _random_unit(rng)[0]
+        z1 = random_unit(rng)[0]
+        z2 = random_unit(rng)[0]
         if np.linalg.norm(z1 + z2) <= 1e-6:
             continue
         rot = geometry.rotation_matrix(z1, z2)
@@ -93,7 +93,7 @@ def check_force_tangency(ensembles: int = 100) -> CheckResult:
     params = dynamics.ModelParams(kernels.paper_kernel(), 1.0)
     worst = 0.0
     for _ in range(ensembles):
-        ens = _random_ensemble(rng, int(rng.integers(2, 9)))
+        ens = random_ensemble(rng, int(rng.integers(2, 9)))
         _, dV = dynamics.rhs(ens, params)
         vsq = (ens.velocities**2).sum(axis=1)
         # d<v,x>/dt = <dv,x> + |v|^2 must vanish along the flow
@@ -108,7 +108,7 @@ def check_pair_system(ensembles: int = 100) -> CheckResult:
     worst = 0.0
     for _ in range(ensembles):
         params = dynamics.ModelParams(kernel, float(rng.uniform(0.1, 5.0)))
-        ens = _random_ensemble(rng, int(rng.integers(2, 9)))
+        ens = random_ensemble(rng, int(rng.integers(2, 9)))
         lhs = dynamics.pair_derivative_table(ens, params)
         amat = dynamics.coefficient_matrix(kernel.psi0, params.sigma)
         x = dynamics.pair_functional_table(ens)
@@ -126,7 +126,7 @@ def check_dissipation_identity(ensembles: int = 100) -> CheckResult:
     worst = 0.0
     for _ in range(ensembles):
         params = dynamics.ModelParams(kernel, float(rng.uniform(0.1, 5.0)))
-        ens = _random_ensemble(rng, int(rng.integers(1, 9)))
+        ens = random_ensemble(rng, int(rng.integers(1, 9)))
         res = diagnostics.dissipation_residual(ens, params)
         rate = abs(diagnostics.energy_rate(ens, params))
         worst = max(worst, res / max(1.0, rate))
@@ -152,7 +152,7 @@ def check_remainder_bounds(ensembles: int = 1000) -> CheckResult:
     for _ in range(ensembles):
         sigma = float(rng.uniform(0.05, 5.0))
         params = dynamics.ModelParams(kernel, sigma)
-        ens = _random_ensemble(rng, int(rng.integers(2, 9)), speed=float(rng.uniform(0.2, 1.5)))
+        ens = random_ensemble(rng, int(rng.integers(2, 9)), speed=float(rng.uniform(0.2, 1.5)))
         f = dynamics.inhomogeneous_table(ens, params)
         d_x, d_v, v = diagnostics.diameters(ens)
         c1 = kernel.c1_norm
@@ -224,9 +224,6 @@ ALL_CHECKS = (
 )
 
 
-def run_all(workers: int = 1) -> list[CheckResult]:
-    """Run every check; results come back in declaration order."""
-    if workers <= 1:
-        return [check() for check in ALL_CHECKS]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda c: c(), ALL_CHECKS))
+def run_all() -> list[CheckResult]:
+    """Run every check in declaration order."""
+    return [check() for check in ALL_CHECKS]

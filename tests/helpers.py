@@ -2,20 +2,7 @@
 
 import numpy as np
 
-from sphereflock import Ensemble
-
-
-def random_unit(rng, n=1):
-    v = rng.standard_normal((n, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def random_ensemble(rng, n, speed=1.0):
-    """Uniform positions, tangent-projected normal velocities."""
-    X = random_unit(rng, n)
-    V = speed * rng.standard_normal((n, 3))
-    V -= (X * V).sum(axis=1, keepdims=True) * X
-    return Ensemble(X, V)
+from sphereflock.verify import random_ensemble, random_unit
 
 
 def transport_oracle(xk, xi, v):

@@ -3,18 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from sphereflock import (ConfigError, SimConfig, check_initial, paper_scenario,
                          preset_scenario, random_scenario, simulate)
 from sphereflock.cli import main
-from sphereflock.config import (RunConfig, ScenarioSpec, build_scenario,
-                                emit_config, parse_config, preset_config)
+from sphereflock.config import RunConfig, ScenarioSpec, emit_config, parse_config
 from sphereflock.dynamics import ModelParams
 from sphereflock.kernels import paper_kernel
 from sphereflock.diagnostics import FRAME_FIELDS
 from sphereflock.output import CSV_COLUMNS, read_frames_csv, write_frames_csv
-from sphereflock.scenarios import BENCHMARK_POSITIONS
+from sphereflock.scenarios import (BENCHMARK_POSITIONS, PRESETS, build_scenario,
+                                   preset_config)
 
 
 class TestPaperScenario:
@@ -37,8 +38,17 @@ class TestPaperScenario:
     def test_preset_names(self):
         assert preset_scenario("paper-sigma1").params.sigma == 1.0
         assert preset_scenario("paper-sigma5").params.sigma == 5.0
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="paper-sigma1, paper-sigma5"):
             preset_scenario("nope")
+        # every path to a preset's state goes through the one builder
+        for name in PRESETS:
+            cfg = preset_config(name)
+            built = (preset_scenario(name), paper_scenario(cfg.sigma),
+                     build_scenario(parse_config(emit_config(cfg))))
+            for sc in built:
+                assert np.array_equal(sc.ensemble.positions, built[0].ensemble.positions)
+                assert np.array_equal(sc.ensemble.velocities, built[0].ensemble.velocities)
+                assert (sc.label, sc.params.sigma) == (name, cfg.sigma)
 
 
 class TestRandomScenario:
@@ -76,7 +86,36 @@ class TestRandomScenario:
             random_scenario(0, 3, 3.0, 0.1, p)
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+VECTORS = st.tuples(FINITE, FINITE, FINITE)
+# configparser reads a value up to the line end and strips its ends
+LABELS = st.text().filter(lambda s: s == s.strip() and len(s.splitlines()) <= 1)
+
+
+@st.composite
+def run_configs(draw):
+    kind = draw(st.sampled_from(["paper", "random", "explicit"]))
+    rows = draw(st.integers(1, 4)) if kind == "explicit" else 0
+    scenario = ScenarioSpec(
+        kind=kind, n=draw(st.integers(1, 10**6)), pos_spread=draw(FINITE),
+        vel_scale=draw(FINITE), seed=draw(st.integers(0, 2**63)), label=draw(LABELS),
+        positions=tuple(draw(VECTORS) for _ in range(rows)),
+        velocities=tuple(draw(VECTORS) for _ in range(rows)))
+    sim = SimConfig(dt=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+                    t_end=draw(st.floats(min_value=0.0, allow_infinity=False)),
+                    projection=draw(st.booleans()), frame_stride=draw(st.integers(1, 10**6)),
+                    seed=draw(st.integers(0, 2**63)))
+    return RunConfig(kernel_name=draw(st.sampled_from(["paper", "linear"])),
+                     kernel_params=tuple(draw(st.lists(FINITE, max_size=2))),
+                     sigma=draw(FINITE), sim=sim, scenario=scenario)
+
+
 class TestConfigRoundTrip:
+    @given(run_configs())
+    @example(RunConfig(scenario=ScenarioSpec(label="50%")))
+    def test_generated_round_trip(self, cfg):
+        assert parse_config(emit_config(cfg)) == cfg
+
     def test_default_round_trip(self):
         cfg = RunConfig()
         assert parse_config(emit_config(cfg)) == cfg
@@ -244,15 +283,10 @@ class TestCli:
         partial = read_frames_csv(tmp_path / "o.csv")
         assert len(partial["t"]) == 1 and partial["t"][0] == 0.0
 
-    def test_verify_passes_and_respects_thread_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPHEREFLOCK_THREADS", "2")
-        assert main(["verify", "--workers", "8"]) == 0
+    def test_verify_passes(self, capsys):
+        assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "11/11 checks passed" in out
-
-    def test_bad_thread_env_is_config_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPHEREFLOCK_THREADS", "many")
-        assert main(["verify"]) == 2
 
     def test_verify_failure_exits_one(self, capsys, monkeypatch):
         import sphereflock.verify as verify_mod

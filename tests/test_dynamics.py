@@ -181,16 +181,15 @@ class TestRhsProperties:
         assert_allclose(rhs(close, p)[1], rhs_oracle(close, p)[1], rtol=0, atol=1e-12)
 
     @settings(max_examples=12)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.data())
-    def test_antipodal_raise_names_the_reference_pair(self, seed, n, data):
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.booleans(), st.data())
+    def test_antipodal_raise_names_the_reference_pair(self, seed, n, on_axis, data):
         ens = random_ensemble(np.random.default_rng(seed), n)
         k = data.draw(st.integers(0, n - 1))
         i = data.draw(st.integers(0, n - 1).filter(lambda j: j != k))
-        # an exactly unit axis: for a random unit x, <x, -x> = -|x|^2 may
-        # round short of the antipodal tolerance
+        # a random unit x, whose <x, -x> = -|x|^2 may round off -1, or an axis
         X = ens.positions.copy()
-        X[k] = E3
-        X[i] = -E3
+        X[k] = E3 if on_axis else X[k]
+        X[i] = -X[k]
         V = ens.velocities - (ens.velocities * X).sum(axis=1, keepdims=True) * X
         with pytest.raises(AntipodalPair) as reference:
             pairwise_transport(X, V)

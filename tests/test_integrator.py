@@ -9,9 +9,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import random_ensemble
-from sphereflock import (AntipodalPair, Ensemble, ModelParams, SimConfig,
-                         constraint_drift, paper_kernel, paper_scenario, rhs,
-                         rk4_step, simulate)
+from sphereflock import (ANTIPODAL_TOL, AntipodalPair, Ensemble, ModelParams,
+                         SimConfig, constraint_drift, paper_kernel, paper_scenario,
+                         rhs, rk4_step, simulate)
 from sphereflock.integrator import energy_audit
 
 
@@ -174,6 +174,15 @@ class TestSimulate:
         b = simulate(ens, slow, sim)
         assert np.abs(a.final.ensemble.positions - b.final.ensemble.positions).max() <= 1e-13
         assert np.abs(a.final.ensemble.velocities - b.final.ensemble.velocities).max() <= 1e-13
+
+    def test_fast_loop_aborts_on_random_antipodal_pair(self, params, fast_loops):
+        X = random_ensemble(np.random.default_rng(0), 2).positions.copy()
+        X[1] = -X[0]
+        assert 2.0 + 2.0 * (X[0] @ X[1]) > ANTIPODAL_TOL**2  # the dot alone misses it
+        assert fast_loops.available(params.kernel)
+        with pytest.raises(AntipodalPair) as info:
+            simulate(Ensemble(X, np.zeros((2, 3))), params, SimConfig(dt=1e-3, t_end=0.1))
+        assert info.value.time == 0.0 and set(info.value.pair) == {0, 1}
 
     def test_energy_never_increases_across_frames(self, params):
         sc = paper_scenario(1.0, sim=SimConfig(dt=1e-3, t_end=2.0, frame_stride=10))
