@@ -26,8 +26,7 @@ from .errors import (AntipodalPair, ConfigError, InsufficientSamples,
 from .geometry import (ANTIPODAL_TOL, COINCIDENT_TOL, pairwise_transport,
                        project_to_sphere, project_to_tangent, rotation_matrix,
                        tangent_vector, transport, unit_vector)
-from .integrator import (Frame, SimConfig, StepResult, Trajectory,
-                         constraint_drift, rk4_step, simulate)
+from .integrator import Frame, SimConfig, StepResult, Trajectory, rk4_step, simulate
 from .kernels import (Kernel, KernelReport, eval_psi, kernel_from_name,
                       linear_kernel, make_kernel, paper_kernel, validate_kernel)
 from .scenarios import (PRESETS, Scenario, paper_scenario, preset_scenario,

@@ -22,7 +22,7 @@ reported inadmissible with their margins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import diagnostics
 from .dynamics import Ensemble, ModelParams, spectral_abscissa
@@ -104,11 +104,7 @@ class Thresholds:
     delta: float
 
     def as_dict(self) -> dict:
-        return {
-            "mu": self.mu, "c_const": self.c_const, "v0": self.v0,
-            "e0": self.e0, "x_m": self.x_m, "psi_m": self.psi_m,
-            "delta": self.delta,
-        }
+        return asdict(self)
 
 
 def _speed_energy_thresholds(mu: float, c: float) -> tuple[float, float]:
@@ -164,14 +160,7 @@ class AdmissibilityReport:
 
     def as_dict(self) -> dict:
         return {
-            "thresholds": self.thresholds.as_dict(),
-            "v_initial": self.v_initial,
-            "e_initial": self.e_initial,
-            "x_initial": self.x_initial,
-            "bound_x": self.bound_x,
-            "verdict_v": self.verdict_v,
-            "verdict_e": self.verdict_e,
-            "verdict_x": self.verdict_x,
+            **asdict(self),
             "admissible": self.admissible,
             "margins": {
                 "v": self.thresholds.v0 - self.v_initial,

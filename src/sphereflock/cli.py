@@ -18,7 +18,7 @@ from .config import load_config, save_config
 from .diagnostics import fit_decay_rate
 from .errors import AntipodalPair, ConfigError, SphereFlockError
 from .integrator import simulate
-from .output import (_json_default, build_summary, read_frames_csv,
+from .output import (_json_default, build_summary, fit_dict, read_frames_csv,
                      write_frames_csv, write_json, write_state_csv)
 from .scenarios import PRESETS, build_scenario, preset_config
 from .verify import run_all
@@ -116,9 +116,7 @@ def _cmd_fit_rate(args) -> int:
     t = columns["t"]
     window = tuple(args.window) if args.window else (t[-1] / 8.0, t[-1])
     fit = fit_decay_rate(t, columns[args.column], window)
-    print(json.dumps({"column": args.column, "rate": fit.rate,
-                      "r_squared": fit.r_squared, "degenerate": fit.degenerate,
-                      "n_samples": fit.n_samples, "window": list(fit.window)},
+    print(json.dumps({"column": args.column, **fit_dict(fit)},
                      indent=2, sort_keys=True, default=_json_default))
     return EXIT_OK
 

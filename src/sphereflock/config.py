@@ -70,7 +70,6 @@ def emit_config(cfg: RunConfig) -> str:
     print(f"t_end = {fmt_float(cfg.sim.t_end)}", file=out)
     print(f"projection = {'on' if cfg.sim.projection else 'off'}", file=out)
     print(f"frame_stride = {cfg.sim.frame_stride}", file=out)
-    print(f"seed = {cfg.sim.seed}", file=out)
     print("", file=out)
     print("[scenario]", file=out)
     sc = cfg.scenario
@@ -86,6 +85,30 @@ def emit_config(cfg: RunConfig) -> str:
     return out.getvalue()
 
 
+def _floats(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.split())
+
+
+def _on_off(text: str) -> bool:
+    flag = text.strip().lower()
+    if flag not in ("on", "off"):
+        raise ConfigError(f"projection must be on or off, got {flag!r}")
+    return flag == "on"
+
+
+# The keys read from each section and their parsers.  An absent key takes
+# the dataclass default; an unlisted key (such as a retired [sim] seed) is
+# ignored.
+_KERNEL_KEYS = {"name": str, "params": _floats}
+_SIM_KEYS = {"dt": float, "t_end": float, "projection": _on_off, "frame_stride": int}
+_SCENARIO_KEYS = {"kind": str, "label": str, "n": int, "pos_spread": float,
+                  "vel_scale": float, "seed": int}
+
+
+def _present(section, keys: dict) -> dict:
+    return {key: parse(section[key]) for key, parse in keys.items() if key in section}
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse flat key = value text back into a RunConfig."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -93,49 +116,29 @@ def parse_config(text: str) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
+
+    def section(name):
+        return parser[name] if parser.has_section(name) else {}
+
     try:
-        kernel = parser["kernel"] if parser.has_section("kernel") else {}
-        name = kernel.get("name", "paper")
-        params = tuple(float(tok) for tok in kernel.get("params", "").split())
-
-        sigma = float(parser.get("params", "sigma", fallback="1"))
-
-        sim_sec = parser["sim"] if parser.has_section("sim") else {}
-        proj = sim_sec.get("projection", "on").strip().lower()
-        if proj not in ("on", "off"):
-            raise ConfigError(f"projection must be on or off, got {proj!r}")
-        sim = SimConfig(
-            dt=float(sim_sec.get("dt", "1e-3")),
-            t_end=float(sim_sec.get("t_end", "80")),
-            projection=proj == "on",
-            frame_stride=int(sim_sec.get("frame_stride", "10")),
-            seed=int(sim_sec.get("seed", "0")),
-        )
-
-        sc = parser["scenario"] if parser.has_section("scenario") else {}
-        kind = sc.get("kind", "paper")
+        kernel = _present(section("kernel"), _KERNEL_KEYS)
+        run = {f"kernel_{key}": value for key, value in kernel.items()}
+        run.update(_present(section("params"), {"sigma": float}))
+        sc = section("scenario")
         positions, velocities = [], []
         i = 1
         while f"x{i}" in sc:
             if f"v{i}" not in sc:
                 raise ConfigError(f"x{i} given without v{i}")
-            positions.append(tuple(float(tok) for tok in sc[f"x{i}"].split()))
-            velocities.append(tuple(float(tok) for tok in sc[f"v{i}"].split()))
+            positions.append(_floats(sc[f"x{i}"]))
+            velocities.append(_floats(sc[f"v{i}"]))
             if len(positions[-1]) != 3 or len(velocities[-1]) != 3:
                 raise ConfigError(f"x{i}/v{i} must each have 3 components")
             i += 1
-        spec = ScenarioSpec(
-            kind=kind,
-            n=int(sc.get("n", "6")),
-            pos_spread=float(sc.get("pos_spread", fmt_float(math.pi / 64))),
-            vel_scale=float(sc.get("vel_scale", "0.01")),
-            seed=int(sc.get("seed", "0")),
-            label=sc.get("label", ""),
-            positions=tuple(positions),
-            velocities=tuple(velocities),
-        )
-        return RunConfig(kernel_name=name, kernel_params=params, sigma=sigma,
-                         sim=sim, scenario=spec)
+        spec = ScenarioSpec(**_present(sc, _SCENARIO_KEYS), positions=tuple(positions),
+                            velocities=tuple(velocities))
+        return RunConfig(**run, sim=SimConfig(**_present(section("sim"), _SIM_KEYS)),
+                         scenario=spec)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
 

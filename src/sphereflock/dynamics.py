@@ -30,7 +30,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .errors import AntipodalPair, InvalidEnsemble
-from .geometry import _cross_weights, _transport_table, antipodal_mask
+from .geometry import _cross_weights, _transport_table, antipodal_mask, project_state
 from .kernels import Kernel
 
 # Ensemble state invariants (looser than construction-time projection noise
@@ -87,17 +87,10 @@ class Ensemble:
         if not tangency <= TANGENCY_TOL:
             raise InvalidEnsemble(f"max |<v, x>| = {tangency:.3e} exceeds {TANGENCY_TOL:.1e}")
 
-    def copy(self) -> "Ensemble":
-        return Ensemble(self.positions, self.velocities, validate=False)
-
     @classmethod
     def projected(cls, positions, velocities) -> "Ensemble":
         """Build a valid ensemble by renormalizing and tangent-projecting."""
-        X = np.array(positions, dtype=float)
-        V = np.array(velocities, dtype=float)
-        X /= np.linalg.norm(X, axis=1, keepdims=True)
-        V -= (X * V).sum(axis=1, keepdims=True) * X
-        return cls(X, V)
+        return cls(*project_state(positions, velocities))
 
 
 def constraint_violation(X: np.ndarray, V: np.ndarray) -> tuple[float, float]:
@@ -107,15 +100,22 @@ def constraint_violation(X: np.ndarray, V: np.ndarray) -> tuple[float, float]:
     return radial, tangency
 
 
+def _pair_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(n, n) table of <a_k - a_l, b_k - b_l>, built one component at a time."""
+    out = 0.0
+    for a, b in zip(A.T, B.T):
+        d = np.subtract.outer(a, a)
+        out += d * (d if A is B else np.subtract.outer(b, b))
+    return out
+
+
 def _dots_and_rates(X: np.ndarray, kernel: Kernel):
     """(n, n) tables <x_k, x_i> and psi(|x_i - x_k|); raises AntipodalPair."""
     dots = X @ X.T
     bad = antipodal_mask(X, dots)
     if bad.any():
-        k, i = map(int, np.argwhere(bad)[0])
-        raise AntipodalPair(f"agents {k} and {i} are antipodal", pair=(k, i))
-    sq = sum(np.subtract.outer(x, x) ** 2 for x in X.T)
-    return dots, kernel.psi(np.minimum(np.sqrt(sq), 2.0))
+        raise AntipodalPair.between(*np.argwhere(bad)[0])
+    return dots, kernel.psi(np.minimum(np.sqrt(_pair_dot(X, X)), 2.0))
 
 
 # _LEVI[3 b + c, a] = epsilon_abc, so the row-wise cross product G x X is
@@ -164,14 +164,6 @@ def lagrange_multiplier(ensemble: Ensemble, i: int, params: ModelParams) -> floa
     xsq = float(xi @ xi)
     bond = float(((X - xi) @ xi).sum()) / xsq
     return -float(vi @ vi) / xsq - (params.sigma / ensemble.n) * bond
-
-
-def _pair_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(n, n) table of <a_k - a_l, b_k - b_l>, built one component at a time."""
-    out = 0.0
-    for a, b in zip(A.T, B.T):
-        out += np.subtract.outer(a, a) * np.subtract.outer(b, b)
-    return out
 
 
 def pair_functional_table(ensemble: Ensemble) -> np.ndarray:

@@ -19,6 +19,12 @@ class AntipodalPair(SphereFlockError):
         self.time = time
         self.partial_trajectory = partial_trajectory
 
+    @classmethod
+    def between(cls, k, i) -> "AntipodalPair":
+        """The error naming agents k and i, with ``pair = (k, i)``."""
+        k, i = int(k), int(i)
+        return cls(f"agents {k} and {i} are antipodal", pair=(k, i))
+
 
 class OffSphere(SphereFlockError):
     """A vector required to lie on the unit sphere does not."""

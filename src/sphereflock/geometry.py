@@ -78,6 +78,15 @@ def project_to_tangent(x, v) -> np.ndarray:
     return w - (w @ z) * z
 
 
+def project_state(positions, velocities) -> tuple[np.ndarray, np.ndarray]:
+    """Project each position row onto the sphere and each velocity row onto
+    the tangent plane at the projected position; returns new (n, 3) arrays."""
+    X = np.asarray(positions, dtype=float)
+    V = np.asarray(velocities, dtype=float)
+    Xp = X / np.linalg.norm(X, axis=1, keepdims=True)
+    return Xp, V - (Xp * V).sum(axis=1, keepdims=True) * Xp
+
+
 def rotation_matrix(z1, z2) -> np.ndarray:
     """Transport matrix along the great circle from z1 to z2.
 
@@ -173,8 +182,7 @@ def pairwise_transport(positions, vectors, antipodal: str = "raise"):
     dots = X @ X.T
     bad = antipodal_mask(X, dots)
     if antipodal == "raise" and bad.any():
-        k, i = map(int, np.argwhere(bad)[0])
-        raise AntipodalPair(f"agents {k} and {i} are antipodal", pair=(k, i))
+        raise AntipodalPair.between(*np.argwhere(bad)[0])
     T = _transport_table(X, V, dots)
     if antipodal == "zero":
         T[bad] = 0.0

@@ -22,6 +22,7 @@ import numpy as np
 from . import _fast, diagnostics
 from .dynamics import Ensemble, ModelParams, _rhs_arrays, constraint_violation
 from .errors import AntipodalPair
+from .geometry import project_state
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,6 @@ class SimConfig:
     t_end: float = 80.0
     projection: bool = True
     frame_stride: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -93,11 +93,6 @@ class Trajectory:
         return self.frames[-1]
 
 
-def constraint_drift(ensemble: Ensemble) -> tuple[float, float]:
-    """(max_i |norm(x_i) - 1|, max_i |<v_i, x_i>|)."""
-    return constraint_violation(ensemble.positions, ensemble.velocities)
-
-
 def _rk4_raw(X, V, dt, params):
     """Reference numpy RK4 step for the second-order system (dx = v, dv = a)."""
     _, a1 = _rhs_arrays(X, V, params)
@@ -114,10 +109,14 @@ def _rk4_raw(X, V, dt, params):
     return Xn, Vn
 
 
-def _project_raw(X, V):
-    Xp = X / np.linalg.norm(X, axis=1, keepdims=True)
-    Vp = V - (Xp * V).sum(axis=1, keepdims=True) * Xp
-    return Xp, Vp
+def _step(X, V, dt, params, project):
+    """The numpy step: RK4, then the drift (radial, tangency) of its result,
+    then optionally the projection back onto the sphere and tangent planes."""
+    Xn, Vn = _rk4_raw(X, V, dt, params)
+    radial, tangency = constraint_violation(Xn, Vn)
+    if project:
+        Xn, Vn = project_state(Xn, Vn)
+    return Xn, Vn, radial, tangency
 
 
 def rk4_step(ensemble: Ensemble, dt: float, params: ModelParams,
@@ -131,10 +130,8 @@ def rk4_step(ensemble: Ensemble, dt: float, params: ModelParams,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    X, V = _rk4_raw(ensemble.positions, ensemble.velocities, dt, params)
-    radial, tangency = constraint_violation(X, V)
-    if project:
-        X, V = _project_raw(X, V)
+    X, V, radial, tangency = _step(ensemble.positions, ensemble.velocities, dt, params,
+                                   project)
     return StepResult(Ensemble(X, V), radial, tangency)
 
 
@@ -150,8 +147,9 @@ def _advance(X, V, dt, steps, params, project):
             X, V, dt, steps, params.sigma, kernel.fast_code, kernel.fast_param,
             project)
         if status != 0:
+            # status = 1 + k n + i; the i-outer loop meets a pair first at i < k
             k, i = divmod(status - 1, X.shape[0])
-            exc = AntipodalPair(f"agents {k} and {i} are antipodal", pair=(k, i))
+            exc = AntipodalPair.between(i, k)
             exc.steps_done = done
             raise exc
         return max_r, max_t
@@ -159,15 +157,12 @@ def _advance(X, V, dt, steps, params, project):
     max_t = 0.0
     for s in range(steps):
         try:
-            Xn, Vn = _rk4_raw(X, V, dt, params)
+            Xn, Vn, radial, tangency = _step(X, V, dt, params, project)
         except AntipodalPair as exc:
             exc.steps_done = s
             raise
-        radial, tangency = constraint_violation(Xn, Vn)
         max_r = max(max_r, radial)
         max_t = max(max_t, tangency)
-        if project:
-            Xn, Vn = _project_raw(Xn, Vn)
         X[:] = Xn
         V[:] = Vn
     return max_r, max_t
@@ -193,9 +188,8 @@ class EnergyAudit:
     t_end: float
 
 
-def energy_audit(e0: Ensemble, params: ModelParams, dt: float, t_end: float,
-                 project: bool = True) -> EnergyAudit:
-    """Integrate with per-step (stride-1) trapezoidal dissipation accounting."""
+def energy_audit(e0: Ensemble, params: ModelParams, dt: float, t_end: float) -> EnergyAudit:
+    """Integrate with projection and per-step (stride-1) trapezoidal dissipation accounting."""
     X = e0.positions.copy()
     V = e0.velocities.copy()
     kernel = params.kernel
@@ -211,11 +205,11 @@ def energy_audit(e0: Ensemble, params: ModelParams, dt: float, t_end: float,
     prev = dissipation_now()
     total = 0.0
     for _ in range(n_steps):
-        _advance(X, V, dt, 1, params, project)
+        _advance(X, V, dt, 1, params, project=True)
         cur = dissipation_now()
         total += 0.5 * (prev + cur) * dt
         prev = cur
-    e_end = diagnostics.energy(Ensemble(X, V, validate=project), params.sigma)[0]
+    e_end = diagnostics.energy(Ensemble(X, V), params.sigma)[0]
     return EnergyAudit(e_start=e_start, e_end=e_end, dissipated=total,
                        slack=e_end + total - e_start, dt=dt, t_end=t_end)
 

@@ -46,9 +46,6 @@ class Kernel:
     fast_code: int = -1
     fast_param: float = 0.0
 
-    def __call__(self, r):
-        return self.psi(np.asarray(r, dtype=float))
-
 
 def eval_psi(kernel: Kernel, r):
     """Evaluate the kernel at chord distance(s) r in [0, 2]."""

@@ -56,6 +56,10 @@ def frame_dict(diag) -> dict:
     return {k: float(v) for k, v in dataclasses.asdict(diag).items()}
 
 
+def fit_dict(fit: RateFit) -> dict:
+    return dict(dataclasses.asdict(fit), window=list(fit.window))
+
+
 def build_summary(label: str, trajectory: Trajectory, fit: RateFit | None,
                   admissibility: dict | None, runtime: dict,
                   adjustments: dict | None = None) -> dict:
@@ -71,21 +75,13 @@ def build_summary(label: str, trajectory: Trajectory, fit: RateFit | None,
                             if admissibility is not None else None),
         "final_frame": frame_dict(trajectory.final.diagnostics),
         "initial_frame": frame_dict(trajectory.frames[0].diagnostics),
-        "fit": None,
+        "fit": fit_dict(fit) if fit is not None else None,
         "max_step_drift": {
             "radial": trajectory.max_step_radial,
             "tangency": trajectory.max_step_tangency,
         },
         "runtime": runtime,
     }
-    if fit is not None:
-        summary["fit"] = {
-            "rate": fit.rate,
-            "r_squared": fit.r_squared,
-            "degenerate": fit.degenerate,
-            "n_samples": fit.n_samples,
-            "window": list(fit.window),
-        }
     if adjustments:
         summary["input_adjustments"] = adjustments
     return summary

@@ -129,13 +129,10 @@ def random_scenario(seed: int, n: int, pos_spread: float, vel_scale: float,
     sin_theta = np.sqrt(np.maximum(1.0 - cos_theta**2, 0.0))
     phi = rng.random(n) * 2.0 * np.pi
     local = np.stack([sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta], axis=1)
-    X = local @ rot.T
-    X /= np.linalg.norm(X, axis=1, keepdims=True)
     V = vel_scale * rng.standard_normal((n, 3))
-    V -= (X * V).sum(axis=1, keepdims=True) * X
 
     return Scenario(
-        ensemble=Ensemble(X, V),
+        ensemble=Ensemble.projected(local @ rot.T, V),
         params=params,
         sim=sim if sim is not None else SimConfig(),
         label=label or f"random-seed{seed}",

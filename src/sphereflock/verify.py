@@ -30,11 +30,9 @@ def random_unit(rng, n=1):
 
 
 def random_ensemble(rng, n, speed=1.0) -> dynamics.Ensemble:
-    """Uniform positions, tangent-projected normal velocities."""
-    X = random_unit(rng, n)
-    V = speed * rng.standard_normal((n, 3))
-    V -= (X * V).sum(axis=1, keepdims=True) * X
-    return dynamics.Ensemble(X, V)
+    """Uniform positions (as ``random_unit``), tangent-projected normal velocities."""
+    X = rng.standard_normal((n, 3))  # drawn before V, as in random_unit
+    return dynamics.Ensemble.projected(X, speed * rng.standard_normal((n, 3)))
 
 
 def check_transport_identities(samples: int = 2000) -> CheckResult:

@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from helpers import random_ensemble, random_unit
 from sphereflock import (ModelParams, SimConfig, check_initial, fit_decay_rate,
@@ -20,6 +21,9 @@ from sphereflock.diagnostics import diameters, dissipation_residual, energy_rate
 from sphereflock.dynamics import (coefficient_matrix, inhomogeneous_table,
                                   pair_derivative_table, pair_functional_table)
 from sphereflock.integrator import energy_audit
+
+# the full-size runs take minutes; `pytest -m "not slow"` leaves them out
+pytestmark = pytest.mark.slow
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])

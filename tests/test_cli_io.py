@@ -103,8 +103,7 @@ def run_configs(draw):
         velocities=tuple(draw(VECTORS) for _ in range(rows)))
     sim = SimConfig(dt=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
                     t_end=draw(st.floats(min_value=0.0, allow_infinity=False)),
-                    projection=draw(st.booleans()), frame_stride=draw(st.integers(1, 10**6)),
-                    seed=draw(st.integers(0, 2**63)))
+                    projection=draw(st.booleans()), frame_stride=draw(st.integers(1, 10**6)))
     return RunConfig(kernel_name=draw(st.sampled_from(["paper", "linear"])),
                      kernel_params=tuple(draw(st.lists(FINITE, max_size=2))),
                      sigma=draw(FINITE), sim=sim, scenario=scenario)
@@ -124,7 +123,7 @@ class TestConfigRoundTrip:
         cfg = RunConfig(
             kernel_name="linear", kernel_params=(1.7,), sigma=math.pi,
             sim=SimConfig(dt=1.0 / 3.0, t_end=math.e, projection=False,
-                          frame_stride=7, seed=3),
+                          frame_stride=7),
             scenario=ScenarioSpec(kind="random", n=9, pos_spread=math.pi / 64,
                                   vel_scale=0.01, seed=11, label="probe"),
         )
@@ -139,6 +138,14 @@ class TestConfigRoundTrip:
         assert again == cfg
         sc = build_scenario(again)
         assert sc.ensemble.n == 2
+
+    def test_retired_sim_seed_is_ignored(self):
+        # emit_config's text from before SimConfig lost its unused seed field
+        old = ("[kernel]\nname = paper\nparams = \n\n[params]\nsigma = 1\n\n[sim]\n"
+               "dt = 0.002\nt_end = 3\nprojection = on\nframe_stride = 10\nseed = 7\n\n"
+               "[scenario]\nkind = paper\nlabel = \nn = 6\npos_spread = 0.049087385212340517\n"
+               "vel_scale = 0.01\nseed = 0\n")
+        assert parse_config(old) == RunConfig(sim=SimConfig(dt=0.002, t_end=3.0))
 
     def test_malformed_config_raises(self):
         with pytest.raises(ConfigError):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import random_ensemble, random_unit, rhs_oracle
 from sphereflock import (AntipodalPair, Ensemble, InvalidEnsemble, ModelParams,
                          coefficient_matrix, inhomogeneous_term, lagrange_multiplier,
                          pair_functional, pairwise_dissipation, paper_kernel,
-                         paper_scenario, pairwise_transport, rhs, spectral_abscissa)
+                         paper_scenario, pairwise_transport, project_to_sphere,
+                         project_to_tangent, rhs, spectral_abscissa)
 from sphereflock.dynamics import (inhomogeneous_table, pair_derivative_table,
                                   pair_functional_table)
 from sphereflock.geometry import _CROSS_GUARD
@@ -39,10 +40,22 @@ class TestEnsemble:
         ens = Ensemble([[1.1, 0, 0]], [[0, 1, 0]], validate=False)
         assert ens.n == 1
 
-    def test_projected_constructor(self):
+    @given(st.lists(st.tuples(st.tuples(*[st.floats(-1e3, 1e3)] * 3),
+                              st.tuples(*[st.floats(-1.0, 1.0)] * 3)), min_size=1, max_size=8))
+    @example([((2.0, 0.0, 0.0), (0.5, 1.0, 0.0))])
+    def test_projected_constructor(self, rows):
         ens = Ensemble.projected([[2.0, 0, 0]], [[0.5, 1, 0]])
         assert_allclose(ens.positions[0], E1, atol=1e-15)
         assert abs(ens.velocities[0] @ ens.positions[0]) <= 1e-16
+        # any finite state with nonzero position rows projects to a valid
+        # ensemble, row for row the single-vector projections
+        X = np.array([x for x, _ in rows])
+        V = np.array([v for _, v in rows])
+        assume(np.linalg.norm(X, axis=1).min() >= 1e-3)
+        ens = Ensemble.projected(X, V)  # validates
+        for x, v, xp, vp in zip(X, V, ens.positions, ens.velocities):
+            assert np.abs(xp - project_to_sphere(x)).max() <= 1e-15
+            assert np.abs(vp - project_to_tangent(xp, v)).max() <= 1e-15
 
 
 class TestLagrangeMultiplier:
