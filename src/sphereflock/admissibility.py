@@ -103,9 +103,6 @@ class Thresholds:
     psi_m: float
     delta: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def _speed_energy_thresholds(mu: float, c: float) -> tuple[float, float]:
     """(V0, E0) from the two-case displays; E0 = V0^2/4 in both branches.

@@ -1,14 +1,15 @@
 """Flat key = value run configuration: the INI text format.
 
 Sections: [kernel], [params], [sim], [scenario].  No nesting; every value
-round-trips exactly (floats are written with 17 significant digits).
+round-trips exactly (floats are written with 17 significant digits).  The
+key tables are the schema: each key is read by the parser its table names
+and written in the form that parser reads back.
 ``scenarios.build_scenario`` turns a parsed RunConfig into a runnable state.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -55,36 +56,6 @@ class RunConfig:
     scenario: ScenarioSpec = field(default_factory=ScenarioSpec)
 
 
-def emit_config(cfg: RunConfig) -> str:
-    """Serialize a RunConfig to flat key = value text."""
-    out = io.StringIO()
-    print("[kernel]", file=out)
-    print(f"name = {cfg.kernel_name}", file=out)
-    print(f"params = {' '.join(fmt_float(p) for p in cfg.kernel_params)}", file=out)
-    print("", file=out)
-    print("[params]", file=out)
-    print(f"sigma = {fmt_float(cfg.sigma)}", file=out)
-    print("", file=out)
-    print("[sim]", file=out)
-    print(f"dt = {fmt_float(cfg.sim.dt)}", file=out)
-    print(f"t_end = {fmt_float(cfg.sim.t_end)}", file=out)
-    print(f"projection = {'on' if cfg.sim.projection else 'off'}", file=out)
-    print(f"frame_stride = {cfg.sim.frame_stride}", file=out)
-    print("", file=out)
-    print("[scenario]", file=out)
-    sc = cfg.scenario
-    print(f"kind = {sc.kind}", file=out)
-    print(f"label = {sc.label}", file=out)
-    print(f"n = {sc.n}", file=out)
-    print(f"pos_spread = {fmt_float(sc.pos_spread)}", file=out)
-    print(f"vel_scale = {fmt_float(sc.vel_scale)}", file=out)
-    print(f"seed = {sc.seed}", file=out)
-    for i, (x, v) in enumerate(zip(sc.positions, sc.velocities), start=1):
-        print(f"x{i} = {' '.join(fmt_float(c) for c in x)}", file=out)
-        print(f"v{i} = {' '.join(fmt_float(c) for c in v)}", file=out)
-    return out.getvalue()
-
-
 def _floats(text: str) -> tuple:
     return tuple(float(tok) for tok in text.split())
 
@@ -92,7 +63,7 @@ def _floats(text: str) -> tuple:
 def _on_off(text: str) -> bool:
     flag = text.strip().lower()
     if flag not in ("on", "off"):
-        raise ConfigError(f"projection must be on or off, got {flag!r}")
+        raise ConfigError(f"expected on or off, got {flag!r}")
     return flag == "on"
 
 
@@ -100,13 +71,35 @@ def _on_off(text: str) -> bool:
 # the dataclass default; an unlisted key (such as a retired [sim] seed) is
 # ignored.
 _KERNEL_KEYS = {"name": str, "params": _floats}
+_PARAMS_KEYS = {"sigma": float}
 _SIM_KEYS = {"dt": float, "t_end": float, "projection": _on_off, "frame_stride": int}
 _SCENARIO_KEYS = {"kind": str, "label": str, "n": int, "pos_spread": float,
                   "vel_scale": float, "seed": int}
+# How emit_config writes a value for each parser that is not plain str.
+_FORMATS = {float: fmt_float, _on_off: lambda flag: "on" if flag else "off",
+            _floats: lambda values: " ".join(fmt_float(c) for c in values)}
 
 
 def _present(section, keys: dict) -> dict:
     return {key: parse(section[key]) for key, parse in keys.items() if key in section}
+
+
+def emit_config(cfg: RunConfig) -> str:
+    """Serialize a RunConfig: the keys of the parse tables, then the x<i>/v<i> rows."""
+    lines = []
+    for name, keys, owner, prefix in (("kernel", _KERNEL_KEYS, cfg, "kernel_"),
+                                      ("params", _PARAMS_KEYS, cfg, ""),
+                                      ("sim", _SIM_KEYS, cfg.sim, ""),
+                                      ("scenario", _SCENARIO_KEYS, cfg.scenario, "")):
+        if lines:
+            lines.append("")
+        lines.append(f"[{name}]")
+        for key, parse in keys.items():
+            lines.append(f"{key} = {_FORMATS.get(parse, str)(getattr(owner, prefix + key))}")
+    for i, (x, v) in enumerate(zip(cfg.scenario.positions, cfg.scenario.velocities), start=1):
+        lines.append(f"x{i} = {_FORMATS[_floats](x)}")
+        lines.append(f"v{i} = {_FORMATS[_floats](v)}")
+    return "\n".join(lines) + "\n"
 
 
 def parse_config(text: str) -> RunConfig:
@@ -123,7 +116,7 @@ def parse_config(text: str) -> RunConfig:
     try:
         kernel = _present(section("kernel"), _KERNEL_KEYS)
         run = {f"kernel_{key}": value for key, value in kernel.items()}
-        run.update(_present(section("params"), {"sigma": float}))
+        run.update(_present(section("params"), _PARAMS_KEYS))
         sc = section("scenario")
         positions, velocities = [], []
         i = 1

@@ -34,31 +34,42 @@ TRANSPORT_TANGENT_TOL = 1e-8
 # norms average above 0.99, as for every state or RK stage integrated here.
 _OPPOSITE_DOT = -0.99
 
-# |z1 x z2|^2 below this in the batched path collapses the rank-one term;
+# |z1 x z2|^2 below this collapses the rank-one term;
 # its prefactor 1 - <z1,z2> ~ |z1-z2|^2/2 is then negligible as well.
 _CROSS_GUARD = 1e-24
 
 
-def unit_vector(x, tol: float = UNIT_TOL) -> np.ndarray:
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row dots of (m, 3) arrays, each rounded as the 1-D ``a[j] @ b[j]``
+    (``(a * b).sum(axis=1)`` rounds about a third of the rows differently)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _check_unit(z: np.ndarray) -> None:
+    """Raise OffSphere unless every row of the (m, 3) array z has unit norm."""
+    err = float(np.abs(np.sqrt(_row_dot(z, z)) - 1.0).max())
+    if not err <= UNIT_TOL:
+        raise OffSphere(f"|norm - 1| = {err:.3e} exceeds {UNIT_TOL:.1e}")
+
+
+def unit_vector(x) -> np.ndarray:
     """Return x as a float 3-vector, checking it lies on the unit sphere."""
     z = np.asarray(x, dtype=float)
     if z.shape != (3,):
         raise OffSphere(f"expected a 3-vector, got shape {z.shape}")
-    err = abs(float(np.linalg.norm(z)) - 1.0)
-    if err > tol:
-        raise OffSphere(f"|norm - 1| = {err:.3e} exceeds {tol:.1e}")
+    _check_unit(z[None])
     return z
 
 
-def tangent_vector(base, v, tol: float = TANGENT_TOL) -> np.ndarray:
+def tangent_vector(base, v) -> np.ndarray:
     """Return v as a float 3-vector, checking tangency to the sphere at base."""
     b = unit_vector(base)
     w = np.asarray(v, dtype=float)
     if w.shape != (3,):
         raise NotTangent(f"expected a 3-vector, got shape {w.shape}")
     err = abs(float(w @ b))
-    if err > tol:
-        raise NotTangent(f"|<v, base>| = {err:.3e} exceeds {tol:.1e}")
+    if not err <= TANGENT_TOL:
+        raise NotTangent(f"|<v, base>| = {err:.3e} exceeds {TANGENT_TOL:.1e}")
     return w
 
 
@@ -90,51 +101,30 @@ def project_state(positions, velocities) -> tuple[np.ndarray, np.ndarray]:
 def rotation_matrix(z1, z2) -> np.ndarray:
     """Transport matrix along the great circle from z1 to z2.
 
-    Accepts single 3-vectors or matching (n, 3) batches (returning
-    (n, 3, 3)).  Returns the identity when |z1 - z2| <= COINCIDENT_TOL and
-    raises AntipodalPair when |z1 + z2| <= ANTIPODAL_TOL.  Between the two
-    cutoffs the rank-one term uses the normalized cross product guarded by
-    its norm.  The transpose equals ``rotation_matrix(z2, z1)``.
+    Accepts matching (n, 3) batches (returning (n, 3, 3)) or single
+    3-vectors, run as a batch of one.  Returns the identity when |z1 - z2| <=
+    COINCIDENT_TOL and raises AntipodalPair when |z1 + z2| <= ANTIPODAL_TOL.
+    Between the cutoffs the rank-one term uses the normalized cross product
+    guarded by its norm.  The transpose equals ``rotation_matrix(z2, z1)``.
     """
     a = np.asarray(z1, dtype=float)
     b = np.asarray(z2, dtype=float)
     if a.ndim == 1:
-        return _rotation_matrix_single(unit_vector(a), unit_vector(b))
-    return _rotation_matrix_batch(a, b)
-
-
-def _rotation_matrix_single(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if float(np.linalg.norm(a + b)) <= ANTIPODAL_TOL:
-        raise AntipodalPair("transport is singular for antipodal endpoints")
-    if float(np.linalg.norm(a - b)) <= COINCIDENT_TOL:
-        return np.eye(3)
-    d = float(a @ b)
-    rot = d * np.eye(3) + np.outer(b, a) - np.outer(a, b)
-    c = np.cross(a, b)
-    nsq = float(c @ c)
-    if nsq > _CROSS_GUARD:
-        rot += ((1.0 - d) / nsq) * np.outer(c, c)
-    return rot
-
-
-def _rotation_matrix_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return rotation_matrix(unit_vector(a)[None], unit_vector(b)[None])[0]
     if a.shape != b.shape or a.ndim != 2 or a.shape[1] != 3:
         raise OffSphere(f"batched inputs must both be (n, 3), got {a.shape} and {b.shape}")
-    for z in (a, b):
-        err = float(np.abs(np.linalg.norm(z, axis=1) - 1.0).max())
-        if err > UNIT_TOL:
-            raise OffSphere(f"|norm - 1| = {err:.3e} exceeds {UNIT_TOL:.1e}")
-    if float(np.linalg.norm(a + b, axis=1).min()) <= ANTIPODAL_TOL:
+    _check_unit(a)
+    _check_unit(b)
+    if float(np.sqrt(_row_dot(a + b, a + b)).min()) <= ANTIPODAL_TOL:
         raise AntipodalPair("transport is singular for antipodal endpoints")
-    d = (a * b).sum(axis=1)
+    d = _row_dot(a, b)
     rot = d[:, None, None] * np.eye(3) + b[:, :, None] * a[:, None, :] - a[:, :, None] * b[:, None, :]
     c = np.cross(a, b)
-    nsq = (c * c).sum(axis=1)
+    nsq = _row_dot(c, c)
     ok = nsq > _CROSS_GUARD
     w = np.where(ok, (1.0 - d) / np.where(ok, nsq, 1.0), 0.0)
     rot += w[:, None, None] * (c[:, :, None] * c[:, None, :])
-    coincident = np.linalg.norm(a - b, axis=1) <= COINCIDENT_TOL
-    rot[coincident] = np.eye(3)
+    rot[np.sqrt(_row_dot(a - b, a - b)) <= COINCIDENT_TOL] = np.eye(3)
     return rot
 
 
@@ -147,7 +137,7 @@ def transport(z1, z2, v) -> np.ndarray:
     a = unit_vector(z1)
     w = np.asarray(v, dtype=float)
     slack = abs(float(w @ a))
-    if slack > TRANSPORT_TANGENT_TOL:
+    if not slack <= TRANSPORT_TANGENT_TOL:
         raise NotTangent(f"|<v, z1>| = {slack:.3e} exceeds {TRANSPORT_TANGENT_TOL:.1e}")
     return rotation_matrix(a, z2) @ w
 

@@ -125,14 +125,14 @@ def rk4_step(ensemble: Ensemble, dt: float, params: ModelParams,
 
     Local truncation error is O(dt^5) against the exact flow.  With
     ``project`` the result is renormalized to the sphere and re-projected
-    to the tangent spaces; the drift measured beforehand is returned either
-    way.
+    to the tangent spaces; without it the result is returned unvalidated.
+    The drift measured beforehand is returned either way.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     X, V, radial, tangency = _step(ensemble.positions, ensemble.velocities, dt, params,
                                    project)
-    return StepResult(Ensemble(X, V), radial, tangency)
+    return StepResult(Ensemble(X, V, validate=project), radial, tangency)
 
 
 def _advance(X, V, dt, steps, params, project):

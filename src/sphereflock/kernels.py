@@ -10,7 +10,7 @@ be an upper bound, never an underestimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -42,7 +42,6 @@ class Kernel:
     psi_prime: Callable[[np.ndarray], np.ndarray]
     psi0: float
     c1_norm: float
-    params: tuple = field(default=())
     fast_code: int = -1
     fast_param: float = 0.0
 
@@ -56,7 +55,7 @@ def eval_psi(kernel: Kernel, r):
     return float(out) if np.isscalar(r) or arr.ndim == 0 else out
 
 
-def make_kernel(name, psi, psi_prime, psi0=None, c1_norm=None, params=()) -> Kernel:
+def make_kernel(name, psi, psi_prime, psi0=None, c1_norm=None) -> Kernel:
     """Build a kernel, computing psi0 and c1_norm numerically if not given.
 
     A numeric c1_norm comes from a dense grid maximum of |psi| + |psi'|
@@ -68,7 +67,7 @@ def make_kernel(name, psi, psi_prime, psi0=None, c1_norm=None, params=()) -> Ker
         grid = np.linspace(0.0, 2.0, _C1_GRID)
         c1_norm = float(np.max(np.abs(psi(grid)) + np.abs(psi_prime(grid)))) * _C1_INFLATION
     return Kernel(name=name, psi=psi, psi_prime=psi_prime, psi0=float(psi0),
-                  c1_norm=float(c1_norm), params=tuple(params))
+                  c1_norm=float(c1_norm))
 
 
 def paper_kernel() -> Kernel:
@@ -98,7 +97,6 @@ def linear_kernel(scale: float = 1.0) -> Kernel:
         psi_prime=lambda r: np.full_like(np.asarray(r, dtype=float), -scale),
         psi0=2.0 * scale,
         c1_norm=3.0 * scale,
-        params=(scale,),
         fast_code=1,
         fast_param=scale,
     )

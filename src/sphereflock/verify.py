@@ -37,27 +37,24 @@ def random_ensemble(rng, n, speed=1.0) -> dynamics.Ensemble:
 
 def check_transport_identities(samples: int = 2000) -> CheckResult:
     rng = np.random.default_rng(7)
-    worst = 0.0
-    eye = np.eye(3)
-    for _ in range(samples):
-        z1 = random_unit(rng)[0]
-        z2 = random_unit(rng)[0]
-        if np.linalg.norm(z1 + z2) <= 1e-6:
-            continue
-        rot = geometry.rotation_matrix(z1, z2)
-        d = z1 @ z2
-        c = np.cross(z1, z2)
-        v = geometry.project_to_tangent(z1, rng.standard_normal(3))
-        worst = max(
-            worst,
-            np.abs(rot.T @ rot - eye).max(),
-            np.abs(rot @ z1 - z2).max(),
-            np.abs(rot @ z2 - (2.0 * d * z2 - z1)).max(),
-            np.abs(rot @ c - c).max(),
-            np.abs(rot.T - geometry.rotation_matrix(z2, z1)).max(),
-            abs((rot @ v) @ z2),
-            abs(np.linalg.norm(rot @ v) - np.linalg.norm(v)),
-        )
+    draws = rng.standard_normal((samples, 3, 3))  # per sample: z1, z2, then v
+    z1, z2 = (draws[:, j] / np.linalg.norm(draws[:, j], axis=1, keepdims=True) for j in (0, 1))
+    keep = np.linalg.norm(z1 + z2, axis=1) > 1e-6
+    z1, z2, g = z1[keep], z2[keep], draws[keep, 2]
+    rot = geometry.rotation_matrix(z1, z2)
+    d = (z1 * z2).sum(axis=1, keepdims=True)
+    c = np.cross(z1, z2)
+    v = g - (g * z1).sum(axis=1, keepdims=True) * z1
+    rz1, rz2, rc, rv = np.einsum("pij,qpj->qpi", rot, np.stack([z1, z2, c, v]))
+    worst = max(
+        np.abs(np.einsum("pij,pik->pjk", rot, rot) - np.eye(3)).max(),
+        np.abs(rz1 - z2).max(),
+        np.abs(rz2 - (2.0 * d * z2 - z1)).max(),
+        np.abs(rc - c).max(),
+        np.abs(rot.transpose(0, 2, 1) - geometry.rotation_matrix(z2, z1)).max(),
+        np.abs((rv * z2).sum(axis=1)).max(),
+        np.abs(np.linalg.norm(rv, axis=1) - np.linalg.norm(v, axis=1)).max(),
+    )
     return CheckResult("transport identities", worst <= 1e-12, f"worst residual {worst:.3e}")
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import random_unit
@@ -12,6 +12,22 @@ from sphereflock import (AntipodalPair, NotTangent, OffSphere, ZeroVector,
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
+NAN = np.array([np.nan, 0.0, 0.0])
+
+UNIT = (st.tuples(*3 * [st.floats(-1.0, 1.0)])
+        .filter(lambda v: np.linalg.norm(v) >= 0.1).map(project_to_sphere))
+
+
+@st.composite
+def unit_pairs(draw):
+    """Unit-vector pairs at least 1e-6 from antipodal, half of them near it."""
+    z1 = draw(UNIT)
+    if draw(st.booleans()):
+        z2 = draw(UNIT)
+    else:
+        z2 = project_to_sphere(-z1 + 10.0 ** draw(st.floats(-6.0, -1.0)) * draw(UNIT))
+    assume(np.linalg.norm(z1 + z2) >= 1e-6)
+    return z1, z2
 
 
 class TestRotationMatrix:
@@ -48,6 +64,15 @@ class TestRotationMatrix:
     def test_rejects_non_unit_input(self):
         with pytest.raises(OffSphere):
             rotation_matrix([1.0, 1.0, 0.0], E2)
+        with pytest.raises(OffSphere):
+            unit_vector(NAN)
+        for z1, z2 in ((NAN, E2), (E1, NAN), (NAN[None], E2[None]), (E1[None], NAN[None])):
+            with pytest.raises(OffSphere):
+                rotation_matrix(z1, z2)
+        with pytest.raises(OffSphere):
+            transport(NAN, E2, E3)
+        with pytest.raises(OffSphere):
+            transport(E1, NAN, E3)
 
     def test_identity_suite_on_random_pairs(self):
         rng = np.random.default_rng(3)
@@ -72,9 +97,22 @@ class TestRotationMatrix:
         z2 = random_unit(rng, 32)
         batch = rotation_matrix(z1, z2)
         for k in range(32):
-            # reduction order differs between np.dot and square-sum, so
-            # agreement is to the last bit, not bitwise
-            assert np.abs(batch[k] - rotation_matrix(z1[k], z2[k])).max() <= 1e-15
+            assert np.array_equal(batch[k], rotation_matrix(z1[k], z2[k]))
+
+    @given(unit_pairs())
+    def test_transport_identities_property(self, pair):
+        z1, z2 = pair
+        rot = rotation_matrix(z1, z2)
+        d = z1 @ z2
+        c = np.cross(z1, z2)
+        # rounding in c is amplified by 1 / |z1 + z2| near the antipode:
+        # residuals reach ~1e-10 at a distance of 1e-6
+        tol = 1e-12 + 1e-15 / np.linalg.norm(z1 + z2)
+        assert np.abs(rot.T @ rot - np.eye(3)).max() <= tol
+        assert np.abs(rot @ z1 - z2).max() <= tol
+        assert np.abs(rot @ z2 - (2.0 * d * z2 - z1)).max() <= tol
+        assert np.abs(rot @ c - c).max() <= tol
+        assert np.abs(rot.T - rotation_matrix(z2, z1)).max() <= tol
 
     def test_continuity_at_coincidence(self):
         rng = np.random.default_rng(5)
@@ -112,6 +150,10 @@ class TestTransport:
     def test_rejects_non_tangent_vector(self):
         with pytest.raises(NotTangent):
             transport(E1, E2, E1)
+        with pytest.raises(NotTangent):
+            transport(E1, E2, NAN)
+        with pytest.raises(NotTangent):
+            tangent_vector(E1, [0.0, np.nan, 0.0])
 
     def test_pairwise_table_matches_scalar_transport(self):
         rng = np.random.default_rng(7)

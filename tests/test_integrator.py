@@ -85,6 +85,13 @@ class TestRk4Step:
         assert post_radial <= 1e-15
         assert post_tangency <= 1e-15
 
+    def test_unprojected_step_keeps_its_drift(self, params):
+        # the unprojected result drifts past the ensemble tolerance (1e-9)
+        step = rk4_step(paper_scenario(1.0).ensemble, 1e-2, params, project=False)
+        assert_allclose(step.pre_radial, 1.41e-9, rtol=1e-2)
+        radial, _ = constraint_violation(step.ensemble.positions, step.ensemble.velocities)
+        assert radial == step.pre_radial
+
     def test_rejects_nonpositive_dt(self, params):
         with pytest.raises(ValueError):
             rk4_step(great_circle_ensemble(), 0.0, params)
