@@ -21,7 +21,7 @@ from .dynamics import (Ensemble, ModelParams, coefficient_matrix,
                        pair_derivative_table, pair_functional, pair_functional_table,
                        rhs, spectral_abscissa)
 from .errors import (AntipodalPair, ConfigError, InsufficientSamples,
-                     InvalidEnsemble, NonPositiveValue, NoRoot, NotTangent,
+                     InvalidEnsemble, NonFinite, NonPositiveValue, NoRoot, NotTangent,
                      OffSphere, OutOfRange, SphereFlockError, ZeroVector)
 from .geometry import (ANTIPODAL_TOL, COINCIDENT_TOL, pairwise_transport,
                        project_to_sphere, project_to_tangent, rotation_matrix,

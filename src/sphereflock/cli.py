@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: simulate, check, fit-rate, verify, preset.  Exit codes:
-0 success, 1 invariant failure, 2 configuration error, 3 antipodal abort.
+0 success, 1 invariant failure, 2 configuration error, 3 antipodal abort,
+4 non-finite state.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from . import __version__
 from .admissibility import check_initial
 from .config import load_config, save_config
 from .diagnostics import fit_decay_rate
-from .errors import AntipodalPair, ConfigError, SphereFlockError
+from .errors import AntipodalPair, ConfigError, NonFinite, SphereFlockError
 from .integrator import simulate
 from .output import (_json_default, build_summary, fit_dict, read_frames_csv,
                      write_frames_csv, write_json, write_state_csv)
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_CONFIG = 2
 EXIT_ANTIPODAL = 3
+EXIT_NONFINITE = 4
 
 
 def _resolve_config(args):
@@ -57,7 +59,7 @@ def _cmd_simulate(args) -> int:
     try:
         trajectory = simulate(scenario.ensemble, scenario.params, scenario.sim,
                               label=scenario.label)
-    except AntipodalPair as exc:
+    except (AntipodalPair, NonFinite) as exc:
         if exc.partial_trajectory is not None and exc.partial_trajectory.frames:
             write_frames_csv(args.out, exc.partial_trajectory)
             print(f"partial frames up to the abort -> {args.out}", file=sys.stderr)
@@ -182,14 +184,20 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _at(time) -> str:
+    return f" at t = {time:g}" if time is not None else ""
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except AntipodalPair as exc:
-        where = f" at t = {exc.time:g}" if exc.time is not None else ""
-        print(f"antipodal abort{where}: {exc}", file=sys.stderr)
+        print(f"antipodal abort{_at(exc.time)}: {exc}", file=sys.stderr)
         return EXIT_ANTIPODAL
+    except NonFinite as exc:
+        print(f"non-finite state, last finite frame{_at(exc.time)}: {exc}", file=sys.stderr)
+        return EXIT_NONFINITE
     except (SphereFlockError, OSError, ValueError) as exc:
         # anything rejected before stepping begins is a configuration problem
         print(f"config error: {exc}", file=sys.stderr)

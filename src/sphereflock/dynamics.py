@@ -124,12 +124,13 @@ _LEVI = np.array([[0, 0, 0], [0, 0, 1], [0, -1, 0], [0, 0, -1], [0, 0, 0], [1, 0
                   [0, 1, 0], [-1, 0, 0], [0, 0, 0]], dtype=float)
 
 
-def _rhs_arrays(X: np.ndarray, V: np.ndarray, params: ModelParams):
-    """Hot-path right-hand side on raw (n, 3) arrays.
+def _pair_pass(X: np.ndarray, V: np.ndarray, params: ModelParams):
+    """One pass over the pair tables at a state: (dv/dt, S, r, vsq).
 
-    The coupling sum_k psi_ik T[k,i] of the four-term transport T[k,i] =
-    d_ki v_k + <x_k,v_k> x_i - <v_k,x_i> x_k + w_ki (x_k x x_i) contracts
-    term by term into (n, n) tables and matmuls; no (n, n, 3) table is built.
+    S_i = sum_k psi_ik T[k,i] is the coupling sum of the four-term transport
+    T[k,i] = d_ki v_k + <x_k,v_k> x_i - <v_k,x_i> x_k + w_ki (x_k x x_i),
+    r_i = sum_k psi_ik and vsq_i = |v_i|^2.  S contracts term by term into
+    (n, n) tables and matmuls; no (n, n, 3) table is built.
     """
     n = X.shape[0]
     dots, psim = _dots_and_rates(X, params.kernel)
@@ -137,11 +138,32 @@ def _rhs_arrays(X: np.ndarray, V: np.ndarray, params: ModelParams):
     S = (psim * dots) @ V + (psim @ xv)[:, None] * X - (psim * (X @ V.T)) @ X
     G = (psim * _cross_weights(X, V, dots)[1]).T @ X
     S += (G[:, :, None] * X[:, None, :]).reshape(n, 9) @ _LEVI
-    coupling = (S - psim.sum(axis=1)[:, None] * V) / n
+    r = psim.sum(axis=1)
+    coupling = (S - r[:, None] * V) / n
     bonding = (params.sigma / n) * (X.sum(axis=0)[None, :] - dots.sum(axis=1)[:, None] * X)
     vsq = (V * V).sum(axis=1)
     dV = -vsq[:, None] * X + coupling + bonding
-    return V.copy(), dV
+    return dV, S, r, vsq
+
+
+def _rhs_arrays(X: np.ndarray, V: np.ndarray, params: ModelParams):
+    """Hot-path right-hand side (dx, dv) on raw (n, 3) arrays."""
+    return V.copy(), _pair_pass(X, V, params)[0]
+
+
+def _rhs_and_dissipation(X: np.ndarray, V: np.ndarray, params: ModelParams):
+    """(dv, D) from one pair pass: the acceleration and the dissipation sum.
+
+    R is orthogonal, so |R v_k - v_i|^2 = |v_k|^2 + |v_i|^2 - 2 <R v_k, v_i>
+    and D = sum_{i,k} psi_ik |R v_k - v_i|^2 / n^2 = 2 (sum_i r_i |v_i|^2
+    - sum_i <S_i, v_i>) / n^2; the psi table is exactly symmetric (its
+    distances are built from antisymmetric differences), so the row sums r
+    serve as column sums too.  The subtraction cancels as D -> 0: the error
+    is absolute, of order eps sum_i r_i |v_i|^2 / n^2, not relative to D.
+    """
+    n = X.shape[0]
+    dV, S, r, vsq = _pair_pass(X, V, params)
+    return dV, 2.0 * (float(r @ vsq) - float((S * V).sum())) / (n * n)
 
 
 def rhs(ensemble: Ensemble, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,21 @@ class AntipodalPair(SphereFlockError):
         return cls(f"agents {k} and {i} are antipodal", pair=(k, i))
 
 
+class NonFinite(SphereFlockError):
+    """The state of a run stopped being finite (NaN or inf), as when dt is
+    far too large for the dynamics.
+
+    ``time`` holds the time of the last finite frame (for ``simulate``) or
+    state (for ``energy_audit``), and ``partial_trajectory`` the frames
+    computed up to it.
+    """
+
+    def __init__(self, message, time=None, partial_trajectory=None):
+        super().__init__(message)
+        self.time = time
+        self.partial_trajectory = partial_trajectory
+
+
 class OffSphere(SphereFlockError):
     """A vector required to lie on the unit sphere does not."""
 

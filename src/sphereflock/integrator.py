@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fast, diagnostics
-from .dynamics import Ensemble, ModelParams, _rhs_arrays, constraint_violation
-from .errors import AntipodalPair
+from .dynamics import (Ensemble, ModelParams, _rhs_and_dissipation, _rhs_arrays,
+                       constraint_violation)
+from .errors import AntipodalPair, NonFinite
 from .geometry import project_state
 
 
@@ -93,9 +94,14 @@ class Trajectory:
         return self.frames[-1]
 
 
-def _rk4_raw(X, V, dt, params):
-    """Reference numpy RK4 step for the second-order system (dx = v, dv = a)."""
-    _, a1 = _rhs_arrays(X, V, params)
+def _worst(a: float, b: float) -> float:
+    """max(a, b), NaN if either is (Python's max(x, nan) returns x)."""
+    return b if b > a or b != b else a
+
+
+def _rk4_raw(X, V, a1, dt, params):
+    """Reference numpy RK4 step for the second-order system (dx = v, dv = a),
+    given the stage-one acceleration a1 at (X, V)."""
     half = 0.5 * dt
     v2 = V + half * a1
     _, a2 = _rhs_arrays(X + half * V, v2, params)
@@ -109,10 +115,11 @@ def _rk4_raw(X, V, dt, params):
     return Xn, Vn
 
 
-def _step(X, V, dt, params, project):
-    """The numpy step: RK4, then the drift (radial, tangency) of its result,
-    then optionally the projection back onto the sphere and tangent planes."""
-    Xn, Vn = _rk4_raw(X, V, dt, params)
+def _step(X, V, a1, dt, params, project):
+    """The numpy step from (X, V) with acceleration a1 there: RK4, then the
+    drift (radial, tangency) of its result, then optionally the projection
+    back onto the sphere and tangent planes."""
+    Xn, Vn = _rk4_raw(X, V, a1, dt, params)
     radial, tangency = constraint_violation(Xn, Vn)
     if project:
         Xn, Vn = project_state(Xn, Vn)
@@ -130,8 +137,8 @@ def rk4_step(ensemble: Ensemble, dt: float, params: ModelParams,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    X, V, radial, tangency = _step(ensemble.positions, ensemble.velocities, dt, params,
-                                   project)
+    X, V = ensemble.positions, ensemble.velocities
+    X, V, radial, tangency = _step(X, V, _rhs_arrays(X, V, params)[1], dt, params, project)
     return StepResult(Ensemble(X, V, validate=project), radial, tangency)
 
 
@@ -139,7 +146,8 @@ def _advance(X, V, dt, steps, params, project):
     """Advance `steps` steps in place; returns pre-projection drift maxima.
 
     Raises AntipodalPair with ``steps_done`` set to the count of completed
-    steps within this call.
+    steps within this call, and NonFinite if the state is not finite after
+    them (NaN and inf persist, so one check per call suffices).
     """
     kernel = params.kernel
     if _fast.available(kernel):
@@ -152,19 +160,20 @@ def _advance(X, V, dt, steps, params, project):
             exc = AntipodalPair.between(i, k)
             exc.steps_done = done
             raise exc
-        return max_r, max_t
-    max_r = 0.0
-    max_t = 0.0
-    for s in range(steps):
-        try:
-            Xn, Vn, radial, tangency = _step(X, V, dt, params, project)
-        except AntipodalPair as exc:
-            exc.steps_done = s
-            raise
-        max_r = max(max_r, radial)
-        max_t = max(max_t, tangency)
-        X[:] = Xn
-        V[:] = Vn
+    else:
+        max_r = max_t = 0.0
+        for s in range(steps):
+            try:
+                Xn, Vn, radial, tangency = _step(X, V, _rhs_arrays(X, V, params)[1], dt,
+                                                 params, project)
+            except AntipodalPair as exc:
+                exc.steps_done = s
+                raise
+            max_r, max_t = _worst(max_r, radial), _worst(max_t, tangency)
+            X[:] = Xn
+            V[:] = Vn
+    if not (np.isfinite(X).all() and np.isfinite(V).all()):
+        raise NonFinite(f"the state is not finite after {steps} steps of dt = {dt:g}")
     return max_r, max_t
 
 
@@ -177,7 +186,8 @@ class EnergyAudit:
     overestimates the convex decaying dissipation, so slack comes out
     slightly positive and shrinks as O(dt^2).  The step must resolve the
     initial alignment transient, which decays at roughly the communication
-    rate at contact.
+    rate at contact.  ``max_step_radial`` / ``max_step_tangency`` are the
+    worst pre-projection drifts of the run's steps, as on a Trajectory.
     """
 
     e_start: float
@@ -186,32 +196,73 @@ class EnergyAudit:
     slack: float
     dt: float
     t_end: float
+    max_step_radial: float
+    max_step_tangency: float
+
+
+def _ledger_numpy(X, V, dt, n_steps, params):
+    """Yield (radial drift, tangency drift, D) for the start state and after
+    each projected step, advancing X, V in place.
+
+    One pair pass per state gives both D and the next step's stage-one
+    acceleration, so a step costs four pair passes.  The final state's D
+    comes from the independent ``pairwise_dissipation``.
+    """
+    a1, rate = _rhs_and_dissipation(X, V, params)
+    yield 0.0, 0.0, rate
+    for s in range(1, n_steps + 1):
+        Xn, Vn, radial, tangency = _step(X, V, a1, dt, params, True)
+        X[:] = Xn
+        V[:] = Vn
+        if s < n_steps:
+            a1, rate = _rhs_and_dissipation(X, V, params)
+        else:
+            rate = diagnostics.pairwise_dissipation(Ensemble(X, V, validate=False), params)
+        yield radial, tangency, rate
+
+
+def _ledger_fast(X, V, dt, n_steps, params):
+    """``_ledger_numpy`` through the compiled step and dissipation loops."""
+    kernel = params.kernel
+
+    def rate() -> float:
+        return float(_fast.dissipation(X, V, kernel.fast_code, kernel.fast_param))
+
+    yield 0.0, 0.0, rate()
+    for _ in range(n_steps):
+        yield *_advance(X, V, dt, 1, params, project=True), rate()
 
 
 def energy_audit(e0: Ensemble, params: ModelParams, dt: float, t_end: float) -> EnergyAudit:
-    """Integrate with projection and per-step (stride-1) trapezoidal dissipation accounting."""
+    """Integrate with projection and per-step (stride-1) trapezoidal dissipation accounting.
+
+    Also records the worst pre-projection step drift.  Raises NonFinite,
+    with ``time`` the last state whose dissipation sum was finite, as soon
+    as the sum is not finite.
+    """
     X = e0.positions.copy()
     V = e0.velocities.copy()
-    kernel = params.kernel
-    fast = _fast.available(kernel)
-
-    def dissipation_now() -> float:
-        if fast:
-            return float(_fast.dissipation(X, V, kernel.fast_code, kernel.fast_param))
-        return diagnostics.pairwise_dissipation(Ensemble(X, V, validate=False), params)
-
     e_start = diagnostics.energy(e0, params.sigma)[0]
     n_steps = int(round(t_end / dt))
-    prev = dissipation_now()
-    total = 0.0
-    for _ in range(n_steps):
-        _advance(X, V, dt, 1, params, project=True)
-        cur = dissipation_now()
-        total += 0.5 * (prev + cur) * dt
-        prev = cur
+    ledger = _ledger_fast if _fast.available(params.kernel) else _ledger_numpy
+    steps = ledger(X, V, dt, n_steps, params)
+    prev = next(steps)[2]
+    total = max_r = max_t = t_finite = 0.0
+    try:
+        for s, (radial, tangency, cur) in enumerate(steps, 1):
+            if not math.isfinite(cur):
+                raise NonFinite(f"the dissipation sum is {cur} at t = {s * dt:g}")
+            total += 0.5 * (prev + cur) * dt
+            prev = cur
+            max_r, max_t = _worst(max_r, radial), _worst(max_t, tangency)
+            t_finite = s * dt
+    except NonFinite as exc:
+        exc.time = t_finite
+        raise
     e_end = diagnostics.energy(Ensemble(X, V), params.sigma)[0]
     return EnergyAudit(e_start=e_start, e_end=e_end, dissipated=total,
-                       slack=e_end + total - e_start, dt=dt, t_end=t_end)
+                       slack=e_end + total - e_start, dt=dt, t_end=t_end,
+                       max_step_radial=max_r, max_step_tangency=max_t)
 
 
 def simulate(e0: Ensemble, params: ModelParams, config: SimConfig,
@@ -220,7 +271,8 @@ def simulate(e0: Ensemble, params: ModelParams, config: SimConfig,
 
     Deterministic for fixed inputs.  An antipodal configuration aborts the
     run: the raised AntipodalPair carries the failing time and the partial
-    trajectory recorded so far.
+    trajectory recorded so far.  A state that stops being finite aborts it
+    the same way with NonFinite, whose time is that of the last frame.
     """
     n_steps = int(round(config.t_end / config.dt))
     frames: list[Frame] = []
@@ -245,12 +297,12 @@ def simulate(e0: Ensemble, params: ModelParams, config: SimConfig,
         try:
             max_r, max_t = _advance(X, V, config.dt, chunk_steps, params,
                                     config.projection)
-        except AntipodalPair as exc:
+        except (AntipodalPair, NonFinite) as exc:
             exc.time = (step + getattr(exc, "steps_done", 0)) * config.dt
             exc.partial_trajectory = traj
             raise
-        traj.max_step_radial = max(traj.max_step_radial, max_r)
-        traj.max_step_tangency = max(traj.max_step_tangency, max_t)
+        traj.max_step_radial = _worst(traj.max_step_radial, max_r)
+        traj.max_step_tangency = _worst(traj.max_step_tangency, max_t)
         step += chunk_steps
         if step % stride == 0:
             record(step)

@@ -116,17 +116,23 @@ def check_pair_system(ensembles: int = 100) -> CheckResult:
 
 
 def check_dissipation_identity(ensembles: int = 100) -> CheckResult:
+    """dE/dt + D = 0, and the D read off the rhs pair pass (the energy
+    ledger's) against ``pairwise_dissipation``."""
     rng = np.random.default_rng(17)
     kernel = kernels.paper_kernel()
     worst = 0.0
+    worst_fused = 0.0
     for _ in range(ensembles):
         params = dynamics.ModelParams(kernel, float(rng.uniform(0.1, 5.0)))
         ens = random_ensemble(rng, int(rng.integers(1, 9)))
         res = diagnostics.dissipation_residual(ens, params)
         rate = abs(diagnostics.energy_rate(ens, params))
         worst = max(worst, res / max(1.0, rate))
-    return CheckResult("energy dissipation identity", worst <= 1e-10,
-                       f"worst scaled residual {worst:.3e}")
+        fused = dynamics._rhs_and_dissipation(ens.positions, ens.velocities, params)[1]
+        worst_fused = max(worst_fused, abs(fused - diagnostics.pairwise_dissipation(ens, params)))
+    return CheckResult("energy dissipation identity", worst <= 1e-10 and worst_fused <= 1e-13,
+                       f"worst scaled residual {worst:.3e}, "
+                       f"fused dissipation deviation {worst_fused:.3e}")
 
 
 def check_decay_rate_eigenvalues(grid: int = 32) -> CheckResult:

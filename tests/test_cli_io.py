@@ -290,6 +290,16 @@ class TestCli:
         partial = read_frames_csv(tmp_path / "o.csv")
         assert len(partial["t"]) == 1 and partial["t"][0] == 0.0
 
+    def test_non_finite_exit_code(self, tmp_path, capsys):
+        # dt = 2 blows the paper run up within its first stride
+        code = main(["simulate", "--preset", "paper-sigma1", "--dt", "2", "--t-end", "400",
+                     "--out", str(tmp_path / "o.csv"),
+                     "--summary", str(tmp_path / "s.json")])
+        assert code == 4
+        assert "non-finite state" in capsys.readouterr().err
+        partial = read_frames_csv(tmp_path / "o.csv")
+        assert len(partial["t"]) == 1 and partial["t"][0] == 0.0
+
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out

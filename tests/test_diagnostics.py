@@ -11,7 +11,7 @@ from sphereflock import (Ensemble, InsufficientSamples, ModelParams,
                          dissipation_residual, energy, energy_rate,
                          fit_decay_rate, flocking_metrics, linear_kernel,
                          max_pair_functional, pairwise_dissipation, paper_kernel,
-                         paper_scenario, random_scenario, simulate,
+                         paper_scenario, random_scenario, rhs, simulate,
                          velocity_bound_check)
 from sphereflock.diagnostics import make_frame
 from sphereflock.integrator import _rk4_raw
@@ -81,8 +81,9 @@ class TestDissipationIdentity:
         dt = 1e-6
         for _ in range(10):
             ens = random_ensemble(rng, 5)
-            fwd_x, fwd_v = _rk4_raw(ens.positions, ens.velocities, dt, params)
-            back_x, back_v = _rk4_raw(ens.positions, ens.velocities, -dt, params)
+            a1 = rhs(ens, params)[1]
+            fwd_x, fwd_v = _rk4_raw(ens.positions, ens.velocities, a1, dt, params)
+            back_x, back_v = _rk4_raw(ens.positions, ens.velocities, a1, -dt, params)
             e_fwd = energy(Ensemble(fwd_x, fwd_v, validate=False), params.sigma)[0]
             e_back = energy(Ensemble(back_x, back_v, validate=False), params.sigma)[0]
             fd = (e_fwd - e_back) / (2.0 * dt)

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import random_ensemble, random_unit, rhs_oracle
+from helpers import dissipation_oracle, random_ensemble, random_unit, rhs_oracle
 from sphereflock import (AntipodalPair, Ensemble, InvalidEnsemble, ModelParams,
                          coefficient_matrix, inhomogeneous_term, lagrange_multiplier,
                          pair_functional, pairwise_dissipation, paper_kernel,
                          paper_scenario, pairwise_transport, project_to_sphere,
                          project_to_tangent, rhs, spectral_abscissa)
-from sphereflock.dynamics import (inhomogeneous_table, pair_derivative_table,
-                                  pair_functional_table)
+from sphereflock.dynamics import (_rhs_and_dissipation, _rhs_arrays, inhomogeneous_table,
+                                  pair_derivative_table, pair_functional_table)
 from sphereflock.geometry import _CROSS_GUARD
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -143,6 +143,20 @@ def test_model_params_reject_nan_sigma():
         ModelParams(paper_kernel(), float("nan"))
 
 
+def near_coincident_ensemble(rng, n):
+    """A random tangent state whose agents 0 and 1 lie 1e-13 apart, so that
+    their transport drops the rank-one term (|x_0 x x_1|^2 <= _CROSS_GUARD)."""
+    ens = random_ensemble(rng, n)
+    X, V = ens.positions.copy(), ens.velocities.copy()
+    step = np.cross(X[0], random_unit(rng)[0])
+    X[1] = X[0] + 1e-13 * step / np.linalg.norm(step)
+    X[1] /= np.linalg.norm(X[1])
+    V[1] -= (V[1] @ X[1]) * X[1]
+    c = np.cross(X[1], X[0])
+    assert 0.0 < c @ c <= _CROSS_GUARD
+    return Ensemble(X, V)
+
+
 STATES = st.tuples(st.sampled_from([1, 2, 6, 40]), st.integers(0, 2**32 - 1),
                    st.sampled_from([0.01, 0.3, 1.0]))
 
@@ -180,16 +194,7 @@ class TestRhsProperties:
     @settings(max_examples=12)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 6, 40]))
     def test_near_coincident_pair_takes_cross_guard(self, seed, n):
-        rng = np.random.default_rng(seed)
-        ens = random_ensemble(rng, n)
-        X, V = ens.positions.copy(), ens.velocities.copy()
-        step = np.cross(X[0], random_unit(rng)[0])
-        X[1] = X[0] + 1e-13 * step / np.linalg.norm(step)
-        X[1] /= np.linalg.norm(X[1])
-        V[1] -= (V[1] @ X[1]) * X[1]
-        c = np.cross(X[1], X[0])
-        assert 0.0 < c @ c <= _CROSS_GUARD
-        close = Ensemble(X, V)
+        close = near_coincident_ensemble(np.random.default_rng(seed), n)
         p = ModelParams(paper_kernel(), 1.0)
         assert_allclose(rhs(close, p)[1], rhs_oracle(close, p)[1], rtol=0, atol=1e-12)
 
@@ -211,6 +216,29 @@ class TestRhsProperties:
             with pytest.raises(AntipodalPair) as got:
                 evaluate(ens, p)
             assert got.value.pair == reference.value.pair == (min(i, k), max(i, k))
+
+
+class TestFusedDissipation:
+    """The dissipation sum read off the rhs pair pass, against the pair-by-pair oracle."""
+
+    @settings(max_examples=24)
+    @given(STATES, st.booleans())
+    def test_matches_oracle(self, state, close_pair):
+        n, seed, speed = state
+        rng = np.random.default_rng(seed)
+        ens = (near_coincident_ensemble(rng, n) if close_pair and n > 1
+               else random_ensemble(rng, n, speed))
+        p = ModelParams(paper_kernel(), 1.0)
+        dV, D = _rhs_and_dissipation(ens.positions, ens.velocities, p)
+        # the same pass also yields the right-hand side, bit for bit
+        assert np.array_equal(dV, _rhs_arrays(ens.positions, ens.velocities, p)[1])
+        # The error is absolute: D is the difference of two sums of size
+        # K = 2 sum_i r_i |v_i|^2 / n^2, and D <= 2 K.  At n = 1 and unit
+        # speed K ~ 40 and |D - oracle| reaches 5.7e-14 = 1.8 eps K, with D = 0.
+        X, V = ens.positions, ens.velocities
+        rates = p.kernel.psi(np.minimum(np.linalg.norm(X[:, None] - X[None], axis=-1), 2.0))
+        K = 2.0 * float(rates.sum(axis=1) @ (V * V).sum(axis=1)) / n**2
+        assert abs(D - dissipation_oracle(ens, p)) <= 1e-14 * max(1.0, K)
 
 
 class TestPairFunctional:

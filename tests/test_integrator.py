@@ -9,8 +9,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import random_ensemble
-from sphereflock import (ANTIPODAL_TOL, AntipodalPair, Ensemble, ModelParams,
-                         SimConfig, paper_kernel, paper_scenario, rhs, rk4_step, simulate)
+from sphereflock import (ANTIPODAL_TOL, AntipodalPair, Ensemble, ModelParams, NonFinite,
+                         SimConfig, energy, pairwise_dissipation, paper_kernel,
+                         paper_scenario, rhs, rk4_step, simulate)
 from sphereflock.dynamics import constraint_violation
 from sphereflock.integrator import energy_audit
 
@@ -18,6 +19,12 @@ from sphereflock.integrator import energy_audit
 @pytest.fixture
 def params():
     return ModelParams(kernel=paper_kernel(), sigma=1.0)
+
+
+@pytest.fixture
+def numpy_params(params):
+    """``params`` with the kernel's compiled code withheld: the numpy loops run."""
+    return ModelParams(dataclasses.replace(params.kernel, fast_code=-1), params.sigma)
 
 
 @pytest.fixture
@@ -206,6 +213,37 @@ class TestSimulate:
         assert info.value.time == 0.0
         assert len(info.value.partial_trajectory.frames) == 1
 
+    @pytest.mark.parametrize("dt, projection", [(2.0, True), (5.0, False)])
+    def test_blow_up_raises_non_finite(self, params, dt, projection):
+        # dt far too large: the state turns NaN within the first stride of 10
+        sc = paper_scenario(1.0)
+        config = SimConfig(dt=dt, t_end=200 * dt, projection=projection)
+        with pytest.raises(NonFinite) as info, np.errstate(all="ignore"):
+            simulate(sc.ensemble, params, config)
+        assert info.value.time == 0.0
+        frames = info.value.partial_trajectory.frames
+        assert len(frames) == 1 and np.isfinite(frames[0].ensemble.positions).all()
+
+    def test_drift_maxima_keep_nan(self, numpy_params, monkeypatch):
+        # Python's max(x, nan) returns x; a NaN drift must reach the record
+        from sphereflock import integrator
+
+        calls = []
+
+        def nan_on_third_call(X, V):
+            calls.append(None)
+            drift = constraint_violation(X, V)
+            return (float("nan"),) * 2 if len(calls) == 3 else drift
+
+        monkeypatch.setattr(integrator, "constraint_violation", nan_on_third_call)
+        sc = paper_scenario(1.0)
+        traj = simulate(sc.ensemble, numpy_params, SimConfig(dt=1e-3, t_end=0.01,
+                                                              frame_stride=2))
+        assert np.isnan(traj.max_step_radial) and np.isnan(traj.max_step_tangency)
+        calls.clear()
+        audit = energy_audit(sc.ensemble, numpy_params, 1e-3, 0.01)
+        assert np.isnan(audit.max_step_radial) and np.isnan(audit.max_step_tangency)
+
 
 def test_simulate_works_without_numba(tmp_path):
     """The import guard must leave a working numpy loop when numba is absent."""
@@ -300,7 +338,8 @@ class TestEnergyAudit:
         assert_allclose(coarse.e_start, fine.e_start, rtol=1e-15)
 
     def test_compiled_dissipation_matches_reference(self, fast_loops):
-        # the audit's per-step dissipation value must agree across paths
+        # the audit's per-step dissipation value and drift record must agree
+        # across paths
         import dataclasses as dc
         from sphereflock import linear_kernel
         for kernel in (paper_kernel(), linear_kernel(2.0)):
@@ -312,3 +351,38 @@ class TestEnergyAudit:
             b = energy_audit(ens, slow, 1e-3, 0.05)
             assert abs(a.dissipated - b.dissipated) <= 1e-14
             assert abs(a.e_end - b.e_end) <= 1e-14
+            assert abs(a.max_step_radial - b.max_step_radial) <= 1e-15
+            assert abs(a.max_step_tangency - b.max_step_tangency) <= 1e-15
+
+    def test_fused_ledger_matches_step_loop(self, numpy_params):
+        # 400 paper steps against rk4_step with pairwise_dissipation at every state
+        sc = paper_scenario(1.0)
+        dt = 2.5e-4
+        ens = sc.ensemble
+        prev = pairwise_dissipation(ens, numpy_params)
+        total = 0.0
+        for _ in range(400):
+            ens = rk4_step(ens, dt, numpy_params).ensemble
+            cur = pairwise_dissipation(ens, numpy_params)
+            total += 0.5 * (prev + cur) * dt
+            prev = cur
+        e_start, e_end = energy(sc.ensemble, 1.0)[0], energy(ens, 1.0)[0]
+        audit = energy_audit(sc.ensemble, numpy_params, dt, 400 * dt)
+        assert audit.e_start == e_start and audit.e_end == e_end
+        assert abs(audit.dissipated - total) <= 1e-12
+        assert abs(audit.slack - (e_end + total - e_start)) <= 1e-12
+
+    def test_drift_record_matches_simulate(self, numpy_params):
+        sc = paper_scenario(1.0)
+        audit = energy_audit(sc.ensemble, numpy_params, 1e-3, 0.2)
+        traj = simulate(sc.ensemble, numpy_params, SimConfig(dt=1e-3, t_end=0.2,
+                                                              frame_stride=1))
+        assert audit.max_step_radial == traj.max_step_radial > 0.0
+        assert audit.max_step_tangency == traj.max_step_tangency > 0.0
+        assert audit.e_end == traj.final.diagnostics.e_total
+
+    def test_blow_up_raises_non_finite(self, numpy_params):
+        sc = paper_scenario(1.0)
+        with pytest.raises(NonFinite) as info, np.errstate(all="ignore"):
+            energy_audit(sc.ensemble, numpy_params, 2.0, 400.0)
+        assert info.value.time == 2.0
