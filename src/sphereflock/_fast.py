@@ -1,4 +1,4 @@
-"""Optional compiled stepping loop used by ``simulate``.
+"""Optional compiled stepping and dissipation loops for the integrator.
 
 The numpy implementations in ``dynamics``/``integrator`` stay the
 reference; this module only accelerates the fixed-step inner loop, and
@@ -133,8 +133,8 @@ if HAVE_NUMBA:
     def advance(X, V, dt, steps, sigma, code, p, project):
         """Advance `steps` RK4 steps in place.
 
-        Returns (status, steps_done, max_radial, max_tangency) where the
-        drift maxima are measured before each projection.  A nonzero
+        Returns (status, completed steps, max_radial, max_tangency) where
+        the drift maxima are measured before each projection.  A nonzero
         status encodes the antipodal pair 1 + k*n + i found mid-stage.
         """
         n = X.shape[0]

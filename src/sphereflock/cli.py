@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from dataclasses import replace
 
 from . import __version__
@@ -57,8 +58,10 @@ def _cmd_simulate(args) -> int:
 
     start = time.perf_counter()
     try:
-        trajectory = simulate(scenario.ensemble, scenario.params, scenario.sim,
-                              label=scenario.label)
+        # a blow-up is reported once, as NonFinite, not as numpy's warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            trajectory = simulate(scenario.ensemble, scenario.params, scenario.sim)
     except (AntipodalPair, NonFinite) as exc:
         if exc.partial_trajectory is not None and exc.partial_trajectory.frames:
             write_frames_csv(args.out, exc.partial_trajectory)

@@ -9,8 +9,10 @@ class AntipodalPair(SphereFlockError):
     """Two points are numerically antipodal, where the transport operator
     is singular and the model loses well-posedness.
 
-    When raised during time integration, ``time`` holds the failing time
-    and ``partial_trajectory`` the frames computed up to that point.
+    When raised during time integration (``simulate`` or
+    ``energy_audit``), ``time`` holds the start of the step that met the
+    pair; ``simulate`` also sets ``partial_trajectory`` to the frames
+    computed up to that point.
     """
 
     def __init__(self, message, pair=None, time=None, partial_trajectory=None):
@@ -32,7 +34,7 @@ class NonFinite(SphereFlockError):
 
     ``time`` holds the time of the last finite frame (for ``simulate``) or
     state (for ``energy_audit``), and ``partial_trajectory`` the frames
-    computed up to it.
+    ``simulate`` computed up to it.
     """
 
     def __init__(self, message, time=None, partial_trajectory=None):

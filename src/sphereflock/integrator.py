@@ -7,9 +7,13 @@ each step and the running maximum kept on the trajectory so the
 projection's magnitude stays auditable.  Fixed step only: the decay-rate
 diagnostics depend on uniform sampling.
 
-The inner loop dispatches to a compiled kernel (``_fast``) when numba is
-installed and the communication kernel has a closed-form fast code;
-otherwise a plain numpy loop with identical semantics runs.
+One stepping loop, ``_run``, serves both entry points: ``simulate``
+records frames between its chunks and ``energy_audit`` sums the
+trapezoid over the dissipation sums it yields.  Each chunk runs through a
+compiled kernel (``_fast``) when numba is installed and the communication
+kernel has a closed-form fast code; otherwise a plain numpy loop with
+identical semantics runs.  ``rk4_step`` always takes the numpy step, so a
+loop of it stays an independent replay of ``simulate``.
 """
 
 from __future__ import annotations
@@ -79,7 +83,6 @@ class Trajectory:
     config: SimConfig
     max_step_radial: float = 0.0
     max_step_tangency: float = 0.0
-    label: str = ""
 
     @property
     def times(self) -> np.ndarray:
@@ -142,39 +145,54 @@ def rk4_step(ensemble: Ensemble, dt: float, params: ModelParams,
     return StepResult(Ensemble(X, V, validate=project), radial, tangency)
 
 
-def _advance(X, V, dt, steps, params, project):
-    """Advance `steps` steps in place; returns pre-projection drift maxima.
+def _run(X, V, dt, n_steps, stride, params, project, rates=False):
+    """Advance X, V in place by n_steps, one chunk of `stride` steps at a time.
 
-    Raises AntipodalPair with ``steps_done`` set to the count of completed
-    steps within this call, and NonFinite if the state is not finite after
-    them (NaN and inf persist, so one check per call suffices).
+    After each chunk it yields (steps done, worst radial drift, worst
+    tangency drift, D): the drifts are the running pre-projection maxima, D
+    the dissipation sum at the state the chunk started from.  The numpy loop
+    takes the chunk's first k1 and D from one pair pass; the compiled loop
+    evaluates D only when ``rates`` is set, and yields None otherwise.
+
+    Raises AntipodalPair with ``time`` the start of the step that met the
+    pair, and NonFinite with ``time`` that of the chunk's start state if
+    the state is not finite after the chunk (NaN and inf persist, so one
+    check per chunk suffices).
     """
     kernel = params.kernel
-    if _fast.available(kernel):
-        status, done, max_r, max_t = _fast.advance(
-            X, V, dt, steps, params.sigma, kernel.fast_code, kernel.fast_param,
-            project)
-        if status != 0:
-            # status = 1 + k n + i; the i-outer loop meets a pair first at i < k
-            k, i = divmod(status - 1, X.shape[0])
-            exc = AntipodalPair.between(i, k)
-            exc.steps_done = done
-            raise exc
-    else:
-        max_r = max_t = 0.0
-        for s in range(steps):
-            try:
-                Xn, Vn, radial, tangency = _step(X, V, _rhs_arrays(X, V, params)[1], dt,
-                                                 params, project)
-            except AntipodalPair as exc:
-                exc.steps_done = s
-                raise
-            max_r, max_t = _worst(max_r, radial), _worst(max_t, tangency)
-            X[:] = Xn
-            V[:] = Vn
-    if not (np.isfinite(X).all() and np.isfinite(V).all()):
-        raise NonFinite(f"the state is not finite after {steps} steps of dt = {dt:g}")
-    return max_r, max_t
+    fast = _fast.available(kernel)
+    max_r = max_t = 0.0
+    done = 0
+    while done < n_steps:
+        steps = min(stride, n_steps - done)
+        s = 0
+        try:
+            if fast:
+                rate = (float(_fast.dissipation(X, V, kernel.fast_code, kernel.fast_param))
+                        if rates else None)
+                status, s, radial, tangency = _fast.advance(
+                    X, V, dt, steps, params.sigma, kernel.fast_code, kernel.fast_param,
+                    project)
+                if status != 0:
+                    # status = 1 + k n + i; the i-outer loop meets a pair first at i < k
+                    k, i = divmod(status - 1, X.shape[0])
+                    raise AntipodalPair.between(i, k)
+                max_r, max_t = _worst(max_r, radial), _worst(max_t, tangency)
+            else:
+                a1, rate = _rhs_and_dissipation(X, V, params)
+                for s in range(steps):
+                    if s:
+                        a1 = _rhs_arrays(X, V, params)[1]
+                    X[:], V[:], radial, tangency = _step(X, V, a1, dt, params, project)
+                    max_r, max_t = _worst(max_r, radial), _worst(max_t, tangency)
+        except AntipodalPair as exc:
+            exc.time = (done + s) * dt
+            raise
+        if not (np.isfinite(X).all() and np.isfinite(V).all()):
+            raise NonFinite(f"the state is not finite after {steps} steps of dt = {dt:g}",
+                            time=done * dt)
+        done += steps
+        yield done, max_r, max_t, rate
 
 
 @dataclass(frozen=True)
@@ -200,73 +218,33 @@ class EnergyAudit:
     max_step_tangency: float
 
 
-def _ledger_numpy(X, V, dt, n_steps, params):
-    """Yield (radial drift, tangency drift, D) for the start state and after
-    each projected step, advancing X, V in place.
-
-    One pair pass per state gives both D and the next step's stage-one
-    acceleration, so a step costs four pair passes.  The final state's D
-    comes from the independent ``pairwise_dissipation``.
-    """
-    a1, rate = _rhs_and_dissipation(X, V, params)
-    yield 0.0, 0.0, rate
-    for s in range(1, n_steps + 1):
-        Xn, Vn, radial, tangency = _step(X, V, a1, dt, params, True)
-        X[:] = Xn
-        V[:] = Vn
-        if s < n_steps:
-            a1, rate = _rhs_and_dissipation(X, V, params)
-        else:
-            rate = diagnostics.pairwise_dissipation(Ensemble(X, V, validate=False), params)
-        yield radial, tangency, rate
-
-
-def _ledger_fast(X, V, dt, n_steps, params):
-    """``_ledger_numpy`` through the compiled step and dissipation loops."""
-    kernel = params.kernel
-
-    def rate() -> float:
-        return float(_fast.dissipation(X, V, kernel.fast_code, kernel.fast_param))
-
-    yield 0.0, 0.0, rate()
-    for _ in range(n_steps):
-        yield *_advance(X, V, dt, 1, params, project=True), rate()
-
-
 def energy_audit(e0: Ensemble, params: ModelParams, dt: float, t_end: float) -> EnergyAudit:
     """Integrate with projection and per-step (stride-1) trapezoidal dissipation accounting.
 
-    Also records the worst pre-projection step drift.  Raises NonFinite,
-    with ``time`` the last state whose dissipation sum was finite, as soon
-    as the sum is not finite.
+    Also records the worst pre-projection step drift.  Each state's
+    dissipation sum comes from the stepping loop, the final state's from
+    the independent ``pairwise_dissipation``.  Aborts as ``simulate`` does,
+    with the same ``time``, but without a partial trajectory.
     """
     X = e0.positions.copy()
     V = e0.velocities.copy()
     e_start = diagnostics.energy(e0, params.sigma)[0]
-    n_steps = int(round(t_end / dt))
-    ledger = _ledger_fast if _fast.available(params.kernel) else _ledger_numpy
-    steps = ledger(X, V, dt, n_steps, params)
-    prev = next(steps)[2]
-    total = max_r = max_t = t_finite = 0.0
-    try:
-        for s, (radial, tangency, cur) in enumerate(steps, 1):
-            if not math.isfinite(cur):
-                raise NonFinite(f"the dissipation sum is {cur} at t = {s * dt:g}")
-            total += 0.5 * (prev + cur) * dt
-            prev = cur
-            max_r, max_t = _worst(max_r, radial), _worst(max_t, tangency)
-            t_finite = s * dt
-    except NonFinite as exc:
-        exc.time = t_finite
-        raise
+    max_r = max_t = 0.0
+    rates = []
+    for _, max_r, max_t, rate in _run(X, V, dt, int(round(t_end / dt)), 1, params,
+                                      True, rates=True):
+        rates.append(rate)
+    rates.append(diagnostics.pairwise_dissipation(Ensemble(X, V, validate=False), params))
+    total = 0.0
+    for prev, cur in zip(rates, rates[1:]):
+        total += 0.5 * (prev + cur) * dt
     e_end = diagnostics.energy(Ensemble(X, V), params.sigma)[0]
     return EnergyAudit(e_start=e_start, e_end=e_end, dissipated=total,
                        slack=e_end + total - e_start, dt=dt, t_end=t_end,
                        max_step_radial=max_r, max_step_tangency=max_t)
 
 
-def simulate(e0: Ensemble, params: ModelParams, config: SimConfig,
-             label: str = "") -> Trajectory:
+def simulate(e0: Ensemble, params: ModelParams, config: SimConfig) -> Trajectory:
     """Integrate from e0 to t_end, recording a frame every frame_stride steps.
 
     Deterministic for fixed inputs.  An antipodal configuration aborts the
@@ -276,7 +254,7 @@ def simulate(e0: Ensemble, params: ModelParams, config: SimConfig,
     """
     n_steps = int(round(config.t_end / config.dt))
     frames: list[Frame] = []
-    traj = Trajectory(frames, params, config, label=label)
+    traj = Trajectory(frames, params, config)
 
     X = e0.positions.copy()
     V = e0.velocities.copy()
@@ -291,19 +269,12 @@ def simulate(e0: Ensemble, params: ModelParams, config: SimConfig,
 
     record(0)
     stride = config.frame_stride
-    chunks, remainder = divmod(n_steps, stride)
-    step = 0
-    for chunk_steps in [stride] * chunks + ([remainder] if remainder else []):
-        try:
-            max_r, max_t = _advance(X, V, config.dt, chunk_steps, params,
-                                    config.projection)
-        except (AntipodalPair, NonFinite) as exc:
-            exc.time = (step + getattr(exc, "steps_done", 0)) * config.dt
-            exc.partial_trajectory = traj
-            raise
-        traj.max_step_radial = _worst(traj.max_step_radial, max_r)
-        traj.max_step_tangency = _worst(traj.max_step_tangency, max_t)
-        step += chunk_steps
-        if step % stride == 0:
-            record(step)
+    try:
+        for step, traj.max_step_radial, traj.max_step_tangency, _ in _run(
+                X, V, config.dt, n_steps, stride, params, config.projection):
+            if step % stride == 0:
+                record(step)
+    except (AntipodalPair, NonFinite) as exc:
+        exc.partial_trajectory = traj
+        raise
     return traj

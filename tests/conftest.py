@@ -23,10 +23,10 @@ def sigma1_params():
 def sigma1_traj():
     """Benchmark sigma = 1 run: t_end 80, dt 1e-3, frames every 0.01."""
     sc = paper_scenario(1.0, sim=SimConfig(dt=1e-3, t_end=80.0, frame_stride=10))
-    return simulate(sc.ensemble, sc.params, sc.sim, label=sc.label)
+    return simulate(sc.ensemble, sc.params, sc.sim)
 
 
 @pytest.fixture(scope="session")
 def sigma5_traj():
     sc = paper_scenario(5.0, sim=SimConfig(dt=1e-3, t_end=80.0, frame_stride=10))
-    return simulate(sc.ensemble, sc.params, sc.sim, label=sc.label)
+    return simulate(sc.ensemble, sc.params, sc.sim)

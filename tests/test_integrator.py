@@ -55,6 +55,24 @@ def fast_loops(monkeypatch):
     return loops
 
 
+def count_pair_passes(monkeypatch, fail_on=None):
+    """Record each call of ``dynamics._pair_pass``; the ``fail_on``-th call
+    raises AntipodalPair between agents 0 and 1 instead."""
+    from sphereflock import dynamics
+
+    inner = dynamics._pair_pass
+    calls = []
+
+    def counted(X, V, params):
+        calls.append(None)
+        if len(calls) == fail_on:
+            raise AntipodalPair.between(0, 1)
+        return inner(X, V, params)
+
+    monkeypatch.setattr(dynamics, "_pair_pass", counted)
+    return calls
+
+
 def great_circle_ensemble():
     return Ensemble([[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
 
@@ -212,6 +230,32 @@ class TestSimulate:
             simulate(ens, params, SimConfig(dt=1e-3, t_end=1.0))
         assert info.value.time == 0.0
         assert len(info.value.partial_trajectory.frames) == 1
+
+    @pytest.mark.parametrize("failing_call, time, frame_times",
+                             [(29, 0.007, [0.0, 0.005]), (41, 0.01, [0.0, 0.005, 0.01])])
+    def test_abort_time_mid_run(self, numpy_params, monkeypatch, failing_call, time,
+                                frame_times):
+        # four pair passes a step: call 29 is step 7's first stage, call 41
+        # step 10's, whose start is also a frame at stride 5
+        calls = count_pair_passes(monkeypatch, fail_on=failing_call)
+        sc = paper_scenario(1.0)
+        with pytest.raises(AntipodalPair) as info:
+            simulate(sc.ensemble, numpy_params, SimConfig(dt=1e-3, t_end=0.1, frame_stride=5))
+        assert info.value.time == time and info.value.pair == (0, 1)
+        assert list(info.value.partial_trajectory.times) == frame_times
+        calls.clear()
+        with pytest.raises(AntipodalPair) as info:
+            energy_audit(sc.ensemble, numpy_params, 1e-3, 0.1)
+        assert info.value.time == time and info.value.pair == (0, 1)
+
+    def test_four_pair_passes_per_step(self, numpy_params, monkeypatch):
+        calls = count_pair_passes(monkeypatch)
+        sc = paper_scenario(1.0)
+        simulate(sc.ensemble, numpy_params, SimConfig(dt=1e-3, t_end=0.037, frame_stride=5))
+        assert len(calls) == 4 * 37
+        calls.clear()
+        energy_audit(sc.ensemble, numpy_params, 1e-3, 0.037)
+        assert len(calls) == 4 * 37
 
     @pytest.mark.parametrize("dt, projection", [(2.0, True), (5.0, False)])
     def test_blow_up_raises_non_finite(self, params, dt, projection):
