@@ -20,10 +20,10 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .dynamics import (Ensemble, ModelParams, _dots_and_rates, _pair_dot, constraint_violation,
-                       rhs)
+from .dynamics import (Ensemble, ModelParams, _pair_dot, _pair_tables, _rates,
+                       constraint_violation, rhs)
 from .errors import InsufficientSamples, NonPositiveValue
-from .geometry import _transport_components, antipodal_mask
+from .geometry import _transport_components
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,11 @@ def _energies(V: np.ndarray, xsq: np.ndarray, sigma: float) -> tuple[float, floa
     return ek + ec, ek, ec
 
 
-def _gap_fields(ensemble: Ensemble, sigma: float) -> dict[str, float]:
-    """The frame fields read off one set of pair gap tables, by field name."""
+def _gap_fields(ensemble: Ensemble, sigma: float, xsq=None) -> dict[str, float]:
+    """The frame fields read off one set of pair gap tables (x1 = xsq if given), by name."""
     X, V = ensemble.positions, ensemble.velocities
-    x1, x2, x3 = _pair_dot(X, X), _pair_dot(V, X), _pair_dot(V, V)
+    x1 = _pair_dot(X, X) if xsq is None else xsq
+    x2, x3 = _pair_dot(V, X), _pair_dot(V, V)
     e, ek, ec = _energies(V, x1, sigma)
     return dict(e_total=e, e_kinetic=ek, e_config=ec, d_x=float(np.sqrt(x1.max())),
                 d_v=float(np.sqrt(x3.max())), v_max=float(np.sqrt((V * V).sum(axis=1).max())),
@@ -93,24 +94,24 @@ class FlockingMetrics:
     degenerate: bool
 
 
-def flocking_metrics(ensemble: Ensemble) -> FlockingMetrics:
+def flocking_metrics(ensemble: Ensemble, tables=None) -> FlockingMetrics:
     """max_{i,j} |x_i+x_j| |R_{x_j->x_i} v_j - v_i| and min_{i,j} |x_i+x_j|."""
     X, V = ensemble.positions, ensemble.velocities
-    dots = X @ X.T
-    bad = antipodal_mask(X, dots)
-    prod = np.sqrt(_misalignment(X, V, dots))
+    tables = _pair_tables(X, V) if tables is None else tables
+    prod = np.sqrt(_misalignment(X, V, tables))
     margin = np.sqrt(sum(np.add.outer(x, x) ** 2 for x in X.T))
     prod *= margin  # margin is pair-symmetric
-    prod[bad] = 0.0
-    return FlockingMetrics(float(prod.max()), float(margin.min()), bool(bad.any()))
+    prod[tables.bad] = 0.0
+    return FlockingMetrics(float(prod.max()), float(margin.min()), bool(tables.bad.any()))
 
 
-def _misalignment(X: np.ndarray, V: np.ndarray, dots: np.ndarray) -> np.ndarray:
+def _misalignment(X: np.ndarray, V: np.ndarray, tables) -> np.ndarray:
     """|R_{x_k -> x_i} v_k - v_i|^2 as an (n, n) table indexed [k, i]."""
     out = 0.0
-    for a, Ta in enumerate(_transport_components(X, V, dots)):
-        mis = Ta - V[:, a]
-        out += mis * mis
+    for a, Ta in enumerate(_transport_components(X, V, tables.dots, (tables.c, tables.w))):
+        Ta -= V[:, a]
+        Ta *= Ta
+        out += Ta
     return out
 
 
@@ -122,8 +123,9 @@ def max_pair_functional(ensemble: Ensemble) -> float:
 def pairwise_dissipation(ensemble: Ensemble, params: ModelParams) -> float:
     """sum_{i,j} (psi_ij / N^2) |R_{x_j -> x_i} v_j - v_i|^2."""
     X, V = ensemble.positions, ensemble.velocities
-    dots, psim = _dots_and_rates(X, params.kernel)
-    return float((psim * _misalignment(X, V, dots)).sum()) / (ensemble.n * ensemble.n)
+    tables = _pair_tables(X, V)
+    psim = _rates(tables, params.kernel)
+    return float((psim * _misalignment(X, V, tables)).sum()) / (ensemble.n * ensemble.n)
 
 
 def energy_rate(ensemble: Ensemble, params: ModelParams) -> float:
@@ -141,12 +143,14 @@ def dissipation_residual(ensemble: Ensemble, params: ModelParams) -> float:
     return abs(energy_rate(ensemble, params) + pairwise_dissipation(ensemble, params))
 
 
-def make_frame(t: float, ensemble: Ensemble, params: ModelParams) -> DiagnosticsFrame:
-    """Every frame field from one set of gap tables and one misalignment table."""
-    metrics = flocking_metrics(ensemble)
+def make_frame(t: float, ensemble: Ensemble, params: ModelParams, tables=None) -> DiagnosticsFrame:
+    """Every frame field from one set of gap tables and one misalignment table;
+    ``tables`` are the state's ``dynamics._pair_tables`` if already built."""
+    tables = _pair_tables(ensemble.positions, ensemble.velocities) if tables is None else tables
+    metrics = flocking_metrics(ensemble, tables)
     radial, tangency = constraint_violation(ensemble.positions, ensemble.velocities)
     return DiagnosticsFrame(
-        t=t, **_gap_fields(ensemble, params.sigma),
+        t=t, **_gap_fields(ensemble, params.sigma, tables.xsq),
         flock_align=metrics.flock_align, antipode_margin=metrics.antipode_margin,
         drift_radial=radial, drift_tangency=tangency,
     )

@@ -25,6 +25,7 @@ so their agreement is a genuine whole-formula cross-check.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -37,6 +38,8 @@ from .kernels import Kernel
 # so that long projected runs stay admissible).
 RADIAL_TOL = 1e-9
 TANGENCY_TOL = 1e-8
+
+_PairTables = namedtuple("_PairTables", "dots bad xsq c w")  # built by _pair_tables
 
 
 @dataclass(frozen=True)
@@ -105,17 +108,25 @@ def _pair_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     out = 0.0
     for a, b in zip(A.T, B.T):
         d = np.subtract.outer(a, a)
-        out += d * (d if A is B else np.subtract.outer(b, b))
+        d *= d if A is B else np.subtract.outer(b, b)
+        out += d
     return out
 
 
-def _dots_and_rates(X: np.ndarray, kernel: Kernel):
-    """(n, n) tables <x_k, x_i> and psi(|x_i - x_k|); raises AntipodalPair."""
+def _pair_tables(X: np.ndarray, V: np.ndarray) -> _PairTables:
+    """The (n, n) tables dots = <x_k, x_i>, bad = antipodal mask, xsq = |x_k - x_i|^2,
+    and c, w of ``_cross_weights``: built once per recorded state, for its frame and
+    the next step's k1.  The mask is not raised on, so a frame can record the state."""
     dots = X @ X.T
-    bad = antipodal_mask(X, dots)
-    if bad.any():
-        raise AntipodalPair.between(*np.argwhere(bad)[0])
-    return dots, kernel.psi(np.minimum(np.sqrt(_pair_dot(X, X)), 2.0))
+    c, w = _cross_weights(X, V, dots)
+    return _PairTables(dots, antipodal_mask(X, dots), _pair_dot(X, X), c, w)
+
+
+def _rates(tables: _PairTables, kernel: Kernel) -> np.ndarray:
+    """psi(|x_i - x_k|) from a state's pair tables; raises AntipodalPair on their mask."""
+    if tables.bad.any():
+        raise AntipodalPair.between(*np.argwhere(tables.bad)[0])
+    return kernel.psi(np.minimum(np.sqrt(tables.xsq), 2.0))
 
 
 # _LEVI[3 b + c, a] = epsilon_abc, so the row-wise cross product G x X is
@@ -124,7 +135,7 @@ _LEVI = np.array([[0, 0, 0], [0, 0, 1], [0, -1, 0], [0, 0, -1], [0, 0, 0], [1, 0
                   [0, 1, 0], [-1, 0, 0], [0, 0, 0]], dtype=float)
 
 
-def _pair_pass(X: np.ndarray, V: np.ndarray, params: ModelParams):
+def _pair_pass(X: np.ndarray, V: np.ndarray, params: ModelParams, tables=None):
     """One pass over the pair tables at a state: (dv/dt, S, r, vsq).
 
     S_i = sum_k psi_ik T[k,i] is the coupling sum of the four-term transport
@@ -133,10 +144,11 @@ def _pair_pass(X: np.ndarray, V: np.ndarray, params: ModelParams):
     (n, n) tables and matmuls; no (n, n, 3) table is built.
     """
     n = X.shape[0]
-    dots, psim = _dots_and_rates(X, params.kernel)
+    tables = _pair_tables(X, V) if tables is None else tables
+    dots, psim = tables.dots, _rates(tables, params.kernel)
     xv = (X * V).sum(axis=1)
     S = (psim * dots) @ V + (psim @ xv)[:, None] * X - (psim * (X @ V.T)) @ X
-    G = (psim * _cross_weights(X, V, dots)[1]).T @ X
+    G = (psim * tables.w).T @ X
     S += (G[:, :, None] * X[:, None, :]).reshape(n, 9) @ _LEVI
     r = psim.sum(axis=1)
     coupling = (S - r[:, None] * V) / n
@@ -151,7 +163,7 @@ def _rhs_arrays(X: np.ndarray, V: np.ndarray, params: ModelParams):
     return V.copy(), _pair_pass(X, V, params)[0]
 
 
-def _rhs_and_dissipation(X: np.ndarray, V: np.ndarray, params: ModelParams):
+def _rhs_and_dissipation(X: np.ndarray, V: np.ndarray, params: ModelParams, tables=None):
     """(dv, D) from one pair pass: the acceleration and the dissipation sum.
 
     R is orthogonal, so |R v_k - v_i|^2 = |v_k|^2 + |v_i|^2 - 2 <R v_k, v_i>
@@ -162,7 +174,7 @@ def _rhs_and_dissipation(X: np.ndarray, V: np.ndarray, params: ModelParams):
     is absolute, of order eps sum_i r_i |v_i|^2 / n^2, not relative to D.
     """
     n = X.shape[0]
-    dV, S, r, vsq = _pair_pass(X, V, params)
+    dV, S, r, vsq = _pair_pass(X, V, params, tables)
     return dV, 2.0 * (float(r @ vsq) - float((S * V).sum())) / (n * n)
 
 
@@ -239,10 +251,11 @@ def inhomogeneous_table(ensemble: Ensemble, params: ModelParams) -> np.ndarray:
     n = ensemble.n
     sigma = params.sigma
     psi0 = params.kernel.psi0
-    dots, psim = _dots_and_rates(X, params.kernel)
-    T = _transport_table(X, V, dots)
+    tables = _pair_tables(X, V)
+    dots, psim = tables.dots, _rates(tables, params.kernel)
+    T = _transport_table(X, V, dots, (tables.c, tables.w))
 
-    x1 = pair_functional_table(ensemble)[:, :, 0]
+    x1 = tables.xsq
     vsq = (V * V).sum(axis=1)
     # G[p, q] = sum_k <T[k,p], x_q>;  H[p, q] = sum_k <T[k,p], v_q>
     Tsum = np.einsum("kpa->pa", T)

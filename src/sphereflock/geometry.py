@@ -180,7 +180,7 @@ def pairwise_transport(positions, vectors, antipodal: str = "raise"):
     return T
 
 
-def _transport_table(X: np.ndarray, V: np.ndarray, dots: np.ndarray) -> np.ndarray:
+def _transport_table(X: np.ndarray, V: np.ndarray, dots: np.ndarray, cw=None) -> np.ndarray:
     """Batched evaluation of the four-term transport formula.
 
     T[k, i] = <x_k,x_i> v_k + <x_k,v_k> x_i - <x_i,v_k> x_k
@@ -191,18 +191,22 @@ def _transport_table(X: np.ndarray, V: np.ndarray, dots: np.ndarray) -> np.ndarr
     limit).  np.cross is avoided: it dominates the cost at small n.
     """
     T = np.empty(dots.shape + (3,))
-    for a, Ta in enumerate(_transport_components(X, V, dots)):
+    for a, Ta in enumerate(_transport_components(X, V, dots, cw)):
         T[:, :, a] = Ta
     return T
 
 
-def _transport_components(X: np.ndarray, V: np.ndarray, dots: np.ndarray):
+def _transport_components(X: np.ndarray, V: np.ndarray, dots: np.ndarray, cw=None):
     """Yield the (n, n) tables T[:, :, a] of ``_transport_table`` for a = 0, 1, 2."""
-    c, w = _cross_weights(X, V, dots)
+    c, w = _cross_weights(X, V, dots) if cw is None else cw
     xv = (X * V).sum(axis=1)
     vx = V @ X.T
     for a in range(3):
-        yield dots * V[:, a, None] + np.multiply.outer(xv, X[:, a]) - vx * X[:, a, None] + w * c[a]
+        Ta = dots * V[:, a, None]
+        Ta += np.multiply.outer(xv, X[:, a])
+        Ta -= vx * X[:, a, None]
+        Ta += w * c[a]
+        yield Ta
 
 
 def _cross_weights(X: np.ndarray, V: np.ndarray, dots: np.ndarray):

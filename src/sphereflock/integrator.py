@@ -9,11 +9,13 @@ diagnostics depend on uniform sampling.
 
 One stepping loop, ``_run``, serves both entry points: ``simulate``
 records frames between its chunks and ``energy_audit`` sums the
-trapezoid over the dissipation sums it yields.  Each chunk runs through a
-compiled kernel (``_fast``) when numba is installed and the communication
-kernel has a closed-form fast code; otherwise a plain numpy loop with
-identical semantics runs.  ``rk4_step`` always takes the numpy step, so a
-loop of it stays an independent replay of ``simulate``.
+trapezoid over the dissipation sums it yields.  A chunk-boundary state's
+pair tables are built once, for its frame and the next chunk's first RK4
+stage.  Each chunk runs through a compiled kernel (``_fast``) when numba is
+installed and the communication kernel has a closed-form fast code;
+otherwise a plain numpy loop with identical semantics runs.  ``rk4_step``
+always takes the numpy step, so a loop of it stays an independent replay
+of ``simulate``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fast, diagnostics
-from .dynamics import (Ensemble, ModelParams, _rhs_and_dissipation, _rhs_arrays,
+from .dynamics import (Ensemble, ModelParams, _pair_tables, _rhs_and_dissipation, _rhs_arrays,
                        constraint_violation)
 from .errors import AntipodalPair, NonFinite
 from .geometry import project_state
@@ -102,9 +104,11 @@ def _worst(a: float, b: float) -> float:
     return b if b > a or b != b else a
 
 
-def _rk4_raw(X, V, a1, dt, params):
-    """Reference numpy RK4 step for the second-order system (dx = v, dv = a),
-    given the stage-one acceleration a1 at (X, V)."""
+def _step(X, V, a1, dt, params, project):
+    """The numpy step from (X, V) with acceleration a1 there: classical RK4
+    for the second-order system (dx = v, dv = a), then the drift (radial,
+    tangency) of its result, then optionally the projection back onto the
+    sphere and tangent planes."""
     half = 0.5 * dt
     v2 = V + half * a1
     _, a2 = _rhs_arrays(X + half * V, v2, params)
@@ -115,14 +119,6 @@ def _rk4_raw(X, V, a1, dt, params):
     sixth = dt / 6.0
     Xn = X + sixth * (V + 2.0 * (v2 + v3) + v4)
     Vn = V + sixth * (a1 + 2.0 * (a2 + a3) + a4)
-    return Xn, Vn
-
-
-def _step(X, V, a1, dt, params, project):
-    """The numpy step from (X, V) with acceleration a1 there: RK4, then the
-    drift (radial, tangency) of its result, then optionally the projection
-    back onto the sphere and tangent planes."""
-    Xn, Vn = _rk4_raw(X, V, a1, dt, params)
     radial, tangency = constraint_violation(Xn, Vn)
     if project:
         Xn, Vn = project_state(Xn, Vn)
@@ -138,21 +134,23 @@ def rk4_step(ensemble: Ensemble, dt: float, params: ModelParams,
     to the tangent spaces; without it the result is returned unvalidated.
     The drift measured beforehand is returned either way.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    SimConfig(dt=dt)  # the one rule for a step: finite and positive
     X, V = ensemble.positions, ensemble.velocities
     X, V, radial, tangency = _step(X, V, _rhs_arrays(X, V, params)[1], dt, params, project)
     return StepResult(Ensemble(X, V, validate=project), radial, tangency)
 
 
-def _run(X, V, dt, n_steps, stride, params, project, rates=False):
+def _run(X, V, dt, n_steps, stride, params, project, rates=False, tables=None):
     """Advance X, V in place by n_steps, one chunk of `stride` steps at a time.
 
     After each chunk it yields (steps done, worst radial drift, worst
-    tangency drift, D): the drifts are the running pre-projection maxima, D
-    the dissipation sum at the state the chunk started from.  The numpy loop
-    takes the chunk's first k1 and D from one pair pass; the compiled loop
-    evaluates D only when ``rates`` is set, and yields None otherwise.
+    tangency drift, D, tables): the drifts are the running pre-projection
+    maxima, D the dissipation sum at the chunk's start state, from the pair
+    pass of its first k1 (over ``tables``, that state's ``_pair_tables``, if
+    given); the compiled loop evaluates D only if ``rates`` is set, else None.
+    The numpy loop builds the end state's tables for the next chunk's k1 and
+    yields them (else None); the caller drops them before resuming, so no set
+    outlives its k1.
 
     Raises AntipodalPair with ``time`` the start of the step that met the
     pair, and NonFinite with ``time`` that of the chunk's start state if
@@ -168,6 +166,7 @@ def _run(X, V, dt, n_steps, stride, params, project, rates=False):
         s = 0
         try:
             if fast:
+                tables = None  # the compiled loop builds its own
                 rate = (float(_fast.dissipation(X, V, kernel.fast_code, kernel.fast_param))
                         if rates else None)
                 status, s, radial, tangency = _fast.advance(
@@ -179,7 +178,8 @@ def _run(X, V, dt, n_steps, stride, params, project, rates=False):
                     raise AntipodalPair.between(i, k)
                 max_r, max_t = _worst(max_r, radial), _worst(max_t, tangency)
             else:
-                a1, rate = _rhs_and_dissipation(X, V, params)
+                a1, rate = _rhs_and_dissipation(X, V, params, tables)
+                tables = None
                 for s in range(steps):
                     if s:
                         a1 = _rhs_arrays(X, V, params)[1]
@@ -192,7 +192,8 @@ def _run(X, V, dt, n_steps, stride, params, project, rates=False):
             raise NonFinite(f"the state is not finite after {steps} steps of dt = {dt:g}",
                             time=done * dt)
         done += steps
-        yield done, max_r, max_t, rate
+        tables = _pair_tables(X, V) if not fast and done < n_steps else None
+        yield done, max_r, max_t, rate, tables
 
 
 @dataclass(frozen=True)
@@ -226,14 +227,15 @@ def energy_audit(e0: Ensemble, params: ModelParams, dt: float, t_end: float) -> 
     the independent ``pairwise_dissipation``.  Aborts as ``simulate`` does,
     with the same ``time``, but without a partial trajectory.
     """
-    X = e0.positions.copy()
-    V = e0.velocities.copy()
+    SimConfig(dt=dt, t_end=t_end)  # the same rule on dt and t_end as simulate's
+    X, V = e0.positions.copy(), e0.velocities.copy()
     e_start = diagnostics.energy(e0, params.sigma)[0]
     max_r = max_t = 0.0
     rates = []
-    for _, max_r, max_t, rate in _run(X, V, dt, int(round(t_end / dt)), 1, params,
-                                      True, rates=True):
+    for _, max_r, max_t, rate, tables in _run(X, V, dt, int(round(t_end / dt)), 1, params,
+                                              True, rates=True):
         rates.append(rate)
+        del tables  # before the run builds the next set
     rates.append(diagnostics.pairwise_dissipation(Ensemble(X, V, validate=False), params))
     total = 0.0
     for prev, cur in zip(rates, rates[1:]):
@@ -256,24 +258,26 @@ def simulate(e0: Ensemble, params: ModelParams, config: SimConfig) -> Trajectory
     frames: list[Frame] = []
     traj = Trajectory(frames, params, config)
 
-    X = e0.positions.copy()
-    V = e0.velocities.copy()
+    X, V = e0.positions.copy(), e0.velocities.copy()
     e0.check()
 
-    def record(step: int) -> None:
+    def record(step: int, tables) -> None:
         # Without projection the state drifts off the constraint manifold by
         # design; only projected runs promise frames meeting the invariants.
         ens = Ensemble(X, V, validate=config.projection)
         frames.append(Frame(step * config.dt, ens,
-                            diagnostics.make_frame(step * config.dt, ens, params)))
+                            diagnostics.make_frame(step * config.dt, ens, params, tables)))
 
-    record(0)
-    stride = config.frame_stride
+    tables = _pair_tables(X, V)
+    record(0, tables)
+    run = _run(X, V, config.dt, n_steps, config.frame_stride, params, config.projection,
+               tables=tables)
+    del tables  # the run drops them after their k1
     try:
-        for step, traj.max_step_radial, traj.max_step_tangency, _ in _run(
-                X, V, config.dt, n_steps, stride, params, config.projection):
-            if step % stride == 0:
-                record(step)
+        for step, traj.max_step_radial, traj.max_step_tangency, _, tables in run:
+            if step % config.frame_stride == 0:
+                record(step, tables)  # make_frame builds the tables if None
+            del tables  # before the run builds the next set
     except (AntipodalPair, NonFinite) as exc:
         exc.partial_trajectory = traj
         raise

@@ -14,7 +14,7 @@ from sphereflock import (Ensemble, InsufficientSamples, ModelParams,
                          paper_scenario, random_scenario, rhs, simulate,
                          velocity_bound_check)
 from sphereflock.diagnostics import make_frame
-from sphereflock.integrator import _rk4_raw
+from sphereflock.integrator import _step
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -82,8 +82,9 @@ class TestDissipationIdentity:
         for _ in range(10):
             ens = random_ensemble(rng, 5)
             a1 = rhs(ens, params)[1]
-            fwd_x, fwd_v = _rk4_raw(ens.positions, ens.velocities, a1, dt, params)
-            back_x, back_v = _rk4_raw(ens.positions, ens.velocities, a1, -dt, params)
+            # the unprojected step is the raw RK4 step
+            fwd_x, fwd_v = _step(ens.positions, ens.velocities, a1, dt, params, False)[:2]
+            back_x, back_v = _step(ens.positions, ens.velocities, a1, -dt, params, False)[:2]
             e_fwd = energy(Ensemble(fwd_x, fwd_v, validate=False), params.sigma)[0]
             e_back = energy(Ensemble(back_x, back_v, validate=False), params.sigma)[0]
             fd = (e_fwd - e_back) / (2.0 * dt)

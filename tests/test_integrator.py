@@ -11,7 +11,8 @@ from numpy.testing import assert_allclose
 from helpers import random_ensemble
 from sphereflock import (ANTIPODAL_TOL, AntipodalPair, Ensemble, ModelParams, NonFinite,
                          SimConfig, energy, pairwise_dissipation, paper_kernel,
-                         paper_scenario, rhs, rk4_step, simulate)
+                         paper_scenario, random_scenario, rhs, rk4_step, simulate)
+from sphereflock.diagnostics import make_frame
 from sphereflock.dynamics import constraint_violation
 from sphereflock.integrator import energy_audit
 
@@ -63,11 +64,11 @@ def count_pair_passes(monkeypatch, fail_on=None):
     inner = dynamics._pair_pass
     calls = []
 
-    def counted(X, V, params):
+    def counted(*args):
         calls.append(None)
         if len(calls) == fail_on:
             raise AntipodalPair.between(0, 1)
-        return inner(X, V, params)
+        return inner(*args)
 
     monkeypatch.setattr(dynamics, "_pair_pass", counted)
     return calls
@@ -120,6 +121,13 @@ class TestRk4Step:
     def test_rejects_nonpositive_dt(self, params):
         with pytest.raises(ValueError):
             rk4_step(great_circle_ensemble(), 0.0, params)
+
+    @pytest.mark.parametrize("dt, project", [(-1e-3, True), (float("nan"), False),
+                                             (float("nan"), True), (float("inf"), False)])
+    def test_rejects_nonsensical_dt(self, params, dt, project):
+        # the step rule of SimConfig: dt finite and positive
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            rk4_step(great_circle_ensemble(), dt, params, project=project)
 
     def test_config_rejects_nan_dt(self):
         with pytest.raises(ValueError):
@@ -289,6 +297,85 @@ class TestSimulate:
         assert np.isnan(audit.max_step_radial) and np.isnan(audit.max_step_tangency)
 
 
+def assert_frames_rebuild(traj, params):
+    """Every recorded frame, built from the tables the run shared with its
+    next step, equals the frame built from scratch, byte for byte."""
+    for frame in traj.frames:
+        fresh = make_frame(frame.time, frame.ensemble, params)
+        assert (np.array(frame.diagnostics.as_row()).tobytes()
+                == np.array(fresh.as_row()).tobytes())
+
+
+class TestSharedPairTables:
+    @pytest.mark.parametrize("projection", [True, False])
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("n", [2, 6, 40])
+    def test_frames_equal_frames_from_scratch(self, numpy_params, n, stride, projection):
+        # 8 steps: at stride 3 the last two form a trailing partial stride
+        ens = random_ensemble(np.random.default_rng(n), n, speed=0.5)
+        sim = SimConfig(dt=1e-3, t_end=8e-3, frame_stride=stride, projection=projection)
+        traj = simulate(ens, numpy_params, sim)
+        assert len(traj.frames) == 8 // stride + 1
+        assert_frames_rebuild(traj, numpy_params)
+
+    def test_abort_at_start_keeps_masked_frame(self, params):
+        ens = random_ensemble(np.random.default_rng(3), 6)
+        X = ens.positions.copy()
+        X[4] = -X[1]
+        with pytest.raises(AntipodalPair) as info:
+            simulate(Ensemble.projected(X, ens.velocities), params,
+                     SimConfig(dt=1e-3, t_end=0.01))
+        assert info.value.time == 0.0 and info.value.pair == (1, 4)
+        traj = info.value.partial_trajectory
+        assert len(traj.frames) == 1
+        assert traj.final.diagnostics.antipode_margin <= ANTIPODAL_TOL
+        assert_frames_rebuild(traj, params)
+
+    def test_abort_mid_run_keeps_masked_frame(self, monkeypatch):
+        # Two agents sliding apart along the equator towards antipodes.  With
+        # the antipodal tolerance widened to the pair's gap at t = 0.005, that
+        # frame is the first masked state (the RK stages before it are not),
+        # so it is recorded from the run's tables and the next k1 aborts.  The
+        # compiled loop is withheld: it fixes the tolerances when compiled.
+        from sphereflock import geometry
+
+        params = ModelParams(dataclasses.replace(paper_kernel(), fast_code=-1), 0.0)
+        a = 1.2
+        ens = Ensemble([[np.cos(a), np.sin(a), 0.0], [np.cos(a), -np.sin(a), 0.0]],
+                       5.0 * np.array([[-np.sin(a), np.cos(a), 0.0],
+                                       [-np.sin(a), -np.cos(a), 0.0]]))
+        sim = SimConfig(dt=1e-3, t_end=0.01, frame_stride=1)
+        gap = simulate(ens, params, sim).frames[5].diagnostics.antipode_margin
+        monkeypatch.setattr(geometry, "ANTIPODAL_TOL", gap * (1.0 + 1e-12))
+        monkeypatch.setattr(geometry, "_OPPOSITE_DOT", 1.0)  # screen every pair exactly
+        with pytest.raises(AntipodalPair) as info:
+            simulate(ens, params, sim)
+        assert info.value.time == 0.005 and info.value.pair == (0, 1)
+        traj = info.value.partial_trajectory
+        assert list(traj.times) == [0.0, 0.001, 0.002, 0.003, 0.004, 0.005]
+        align = traj.series("flock_align")
+        assert align[-1] <= 1e-12 < 6.0 <= align[-2]  # the pair's alignment is masked
+        assert traj.final.diagnostics.antipode_margin == gap
+        assert_frames_rebuild(traj, params)
+
+    def test_one_table_set_live(self, numpy_params):
+        # A state's tables serve its frame and the next k1, then are dropped.
+        # Holding one set past its k1 (two sets live) lifts the peak above
+        # 14 tables of 8 n^2 bytes; the disciplined loop peaks near 12.5.
+        import tracemalloc
+
+        n = 128
+        sim = SimConfig(dt=1e-3, t_end=3e-3, frame_stride=1)
+        sc = random_scenario(0, n, 0.5, 0.1, numpy_params, sim=sim)
+        tracemalloc.start()
+        try:
+            simulate(sc.ensemble, numpy_params, sim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13 * 8 * n * n
+
+
 def test_simulate_works_without_numba(tmp_path):
     """The import guard must leave a working numpy loop when numba is absent."""
     import os
@@ -430,3 +517,11 @@ class TestEnergyAudit:
         with pytest.raises(NonFinite) as info, np.errstate(all="ignore"):
             energy_audit(sc.ensemble, numpy_params, 2.0, 400.0)
         assert info.value.time == 2.0
+
+    @pytest.mark.parametrize("dt, t_end", [(0.0, 0.1), (-1e-3, 0.1), (float("nan"), 0.1),
+                                           (1e-3, -0.01), (1e-3, float("inf")),
+                                           (1e-3, float("nan"))])
+    def test_rejects_nonsensical_steps(self, params, dt, t_end):
+        # the rule of SimConfig: dt finite and positive, t_end finite and nonnegative
+        with pytest.raises(ValueError, match="must be finite"):
+            energy_audit(paper_scenario(1.0).ensemble, params, dt, t_end)
