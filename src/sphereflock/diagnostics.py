@@ -23,7 +23,7 @@ import numpy as np
 from .dynamics import (Ensemble, ModelParams, _pair_dot, _pair_tables, _rates,
                        constraint_violation, rhs)
 from .errors import InsufficientSamples, NonPositiveValue
-from .geometry import _transport_components
+from .geometry import _cross_tables, _transport_components, antipodal_mask
 
 
 @dataclass(frozen=True)
@@ -98,17 +98,19 @@ def flocking_metrics(ensemble: Ensemble, tables=None) -> FlockingMetrics:
     """max_{i,j} |x_i+x_j| |R_{x_j->x_i} v_j - v_i| and min_{i,j} |x_i+x_j|."""
     X, V = ensemble.positions, ensemble.velocities
     tables = _pair_tables(X, V) if tables is None else tables
-    prod = np.sqrt(_misalignment(X, V, tables))
+    prod = np.sqrt(_misalignment(X, V, tables.dots, (_cross_tables(X), tables.w)))
     margin = np.sqrt(sum(np.add.outer(x, x) ** 2 for x in X.T))
     prod *= margin  # margin is pair-symmetric
     prod[tables.bad] = 0.0
     return FlockingMetrics(float(prod.max()), float(margin.min()), bool(tables.bad.any()))
 
 
-def _misalignment(X: np.ndarray, V: np.ndarray, tables) -> np.ndarray:
-    """|R_{x_k -> x_i} v_k - v_i|^2 as an (n, n) table indexed [k, i]."""
+def _misalignment(X: np.ndarray, V: np.ndarray, dots: np.ndarray, cw=None) -> np.ndarray:
+    """|R_{x_k -> x_i} v_k - v_i|^2 as an (n, n) table indexed [k, i], from the
+    componentwise transport; cw = (cross tables, weights) as
+    ``_transport_components`` takes them, built there if None."""
     out = 0.0
-    for a, Ta in enumerate(_transport_components(X, V, tables.dots, (tables.c, tables.w))):
+    for a, Ta in enumerate(_transport_components(X, V, dots, cw)):
         Ta -= V[:, a]
         Ta *= Ta
         out += Ta
@@ -121,11 +123,14 @@ def max_pair_functional(ensemble: Ensemble) -> float:
 
 
 def pairwise_dissipation(ensemble: Ensemble, params: ModelParams) -> float:
-    """sum_{i,j} (psi_ij / N^2) |R_{x_j -> x_i} v_j - v_i|^2."""
+    """sum_{i,j} (psi_ij / N^2) |R_{x_j -> x_i} v_j - v_i|^2.
+
+    Builds its own tables and geometry's cross weights, sharing nothing with
+    the rhs pair pass, so it stays an independent check of the fused D."""
     X, V = ensemble.positions, ensemble.velocities
-    tables = _pair_tables(X, V)
-    psim = _rates(tables, params.kernel)
-    return float((psim * _misalignment(X, V, tables)).sum()) / (ensemble.n * ensemble.n)
+    dots = X @ X.T
+    psim = _rates(antipodal_mask(X, dots), _pair_dot(X, X), params.kernel)
+    return float((psim * _misalignment(X, V, dots)).sum()) / (ensemble.n * ensemble.n)
 
 
 def energy_rate(ensemble: Ensemble, params: ModelParams) -> float:

@@ -11,6 +11,21 @@ The centripetal term is the Lagrange multiplier keeping positions on the
 sphere and velocities tangent; the k = i summand vanishes under the
 coincident-limit convention R = I.
 
+The coupling sum runs as one pass over (n, n) tables (``_pair_pass``),
+with no cross table x_k x x_i.  Two vector identities, exact for any
+vectors and so also at the off-sphere RK stages, stand in for them:
+
+    |x_k x x_i|^2 = |x_k|^2 |x_i - x_k|^2 - <x_k, x_i - x_k>^2,
+    <x_k x x_i, v_k> = <v_k x x_k, x_i>,
+
+the first from the squared-distance and dot tables (about eps relative
+for close pairs, where the cross form is eps / |x_i - x_k|; near the
+antipode it cancels, so the pairs the antipodal pre-screen picks out take
+the exact cross product), the second one matmul.  By BAC-CAB the
+<x_k,x_i> v_k - <x_i,v_k> x_k terms of the transport sum to
+x_i x sum_k psi_ik (v_k x x_k).  The frame diagnostics and
+``pairwise_dissipation`` keep the componentwise transport of ``geometry``.
+
 For every pair (i, j) the triple
 
     X = (|x_i - x_j|^2, <v_i - v_j, x_i - x_j>, |v_i - v_j|^2)
@@ -30,8 +45,9 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
+from . import geometry
 from .errors import AntipodalPair, InvalidEnsemble
-from .geometry import _cross_weights, _transport_table, antipodal_mask, project_state
+from .geometry import _CROSS_GUARD, _transport_table, antipodal_mask, project_state
 from .kernels import Kernel
 
 # Ensemble state invariants (looser than construction-time projection noise
@@ -39,7 +55,7 @@ from .kernels import Kernel
 RADIAL_TOL = 1e-9
 TANGENCY_TOL = 1e-8
 
-_PairTables = namedtuple("_PairTables", "dots bad xsq c w")  # built by _pair_tables
+_PairTables = namedtuple("_PairTables", "dots bad xsq w m")  # built by _pair_tables
 
 
 @dataclass(frozen=True)
@@ -113,43 +129,77 @@ def _pair_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_tables(X: np.ndarray, V: np.ndarray) -> _PairTables:
-    """The (n, n) tables dots = <x_k, x_i>, bad = antipodal mask, xsq = |x_k - x_i|^2,
-    and c, w of ``_cross_weights``: built once per recorded state, for its frame and
-    the next step's k1.  The mask is not raised on, so a frame can record the state."""
-    dots = X @ X.T
-    c, w = _cross_weights(X, V, dots)
-    return _PairTables(dots, antipodal_mask(X, dots), _pair_dot(X, X), c, w)
-
-
-def _rates(tables: _PairTables, kernel: Kernel) -> np.ndarray:
-    """psi(|x_i - x_k|) from a state's pair tables; raises AntipodalPair on their mask."""
-    if tables.bad.any():
-        raise AntipodalPair.between(*np.argwhere(tables.bad)[0])
-    return kernel.psi(np.minimum(np.sqrt(tables.xsq), 2.0))
-
-
 # _LEVI[3 b + c, a] = epsilon_abc, so the row-wise cross product G x X is
 # (G[:, :, None] * X[:, None, :]).reshape(n, 9) @ _LEVI, cheaper than np.cross.
 _LEVI = np.array([[0, 0, 0], [0, 0, 1], [0, -1, 0], [0, 0, -1], [0, 0, 0], [1, 0, 0],
                   [0, 1, 0], [-1, 0, 0], [0, 0, 0]], dtype=float)
 
 
+def _pair_tables(X: np.ndarray, V: np.ndarray) -> _PairTables:
+    """A state's pair tables, indexed [k, i]: dots = <x_k, x_i>, bad = the antipodal
+    mask, xsq = |x_i - x_k|^2, the rank-one transport weight w, and the rows
+    m_k = v_k x x_k.  Built once per recorded state, for its frame and the next
+    step's k1; the mask is not raised on, so a frame can record the state.
+
+    w = (1 - <x_k,x_i>) <x_k x x_i, v_k> / |x_k x x_i|^2 (0 at or below
+    _CROSS_GUARD) is formed without cross tables, by two identities exact
+    for any vectors, so also at the off-sphere RK stages:
+
+    - |x_k x x_i|^2 = |x_k|^2 |x_i - x_k|^2 - <x_k, x_i - x_k>^2, from xsq and
+      dots - |x_k|^2.  For close pairs it is accurate to about eps relative
+      (the cross form: eps / |x_i - x_k|); the diagonal gives 0, so w = 0.
+      It cancels near the antipode, so pairs the antipodal pre-screen picks
+      out (dots < _OPPOSITE_DOT) take it from their exact cross product;
+    - <x_k x x_i, v_k> = <m_k, x_i>, one matmul M X^T.
+    """
+    n = X.shape[0]
+    dots = X @ X.T
+    xsq = _pair_dot(X, X)
+    sq = dots.diagonal()[:, None]  # |x_k|^2
+    p = dots - sq
+    p *= p
+    nsq = xsq * sq
+    nsq -= p
+    del p
+    bad = dots < geometry._OPPOSITE_DOT  # antipodal_mask's pre-screen, read as it reads it
+    if bad.any():
+        k, i = np.nonzero(bad)
+        c = np.cross(X[k], X[i])
+        nsq[k, i] = (c * c).sum(axis=1)
+        bad = antipodal_mask(X, dots)
+    m = (V[:, :, None] * X[:, None, :]).reshape(n, 9) @ _LEVI
+    w = 1.0 - dots
+    w *= m @ X.T
+    w /= np.where(nsq > _CROSS_GUARD, nsq, np.inf)  # w = 0 at or below the guard
+    return _PairTables(dots, bad, xsq, w, m)
+
+
+def _rates(bad: np.ndarray, xsq: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """psi(|x_i - x_k|) from the tables xsq = |x_i - x_k|^2 and the antipodal
+    mask ``bad``; raises AntipodalPair on the mask."""
+    if bad.any():
+        raise AntipodalPair.between(*np.argwhere(bad)[0])
+    return kernel.psi(np.minimum(np.sqrt(xsq), 2.0))
+
+
 def _pair_pass(X: np.ndarray, V: np.ndarray, params: ModelParams, tables=None):
     """One pass over the pair tables at a state: (dv/dt, S, r, vsq).
 
     S_i = sum_k psi_ik T[k,i] is the coupling sum of the four-term transport
-    T[k,i] = d_ki v_k + <x_k,v_k> x_i - <v_k,x_i> x_k + w_ki (x_k x x_i),
-    r_i = sum_k psi_ik and vsq_i = |v_i|^2.  S contracts term by term into
-    (n, n) tables and matmuls; no (n, n, 3) table is built.
+    T[k,i] = <x_k,x_i> v_k + <x_k,v_k> x_i - <v_k,x_i> x_k + w_ki (x_k x x_i),
+    r_i = sum_k psi_ik and vsq_i = |v_i|^2.  By BAC-CAB the first and third
+    terms are x_i x m_k, m_k = v_k x x_k, so with G = (psi w)^T X
+    S_i = (G_i - (psi M)_i) x x_i + (psi <x, v>)_i x_i:
+    (n, n) tables and matmuls, and no (n, n, 3) or cross table.
     """
     n = X.shape[0]
     tables = _pair_tables(X, V) if tables is None else tables
-    dots, psim = tables.dots, _rates(tables, params.kernel)
+    dots, psim = tables.dots, _rates(tables.bad, tables.xsq, params.kernel)
     xv = (X * V).sum(axis=1)
-    S = (psim * dots) @ V + (psim @ xv)[:, None] * X - (psim * (X @ V.T)) @ X
     G = (psim * tables.w).T @ X
-    S += (G[:, :, None] * X[:, None, :]).reshape(n, 9) @ _LEVI
+    G -= psim @ tables.m
+    S = (G[:, :, None] * X[:, None, :]).reshape(n, 9) @ _LEVI
+    S += (psim @ xv)[:, None] * X
     r = psim.sum(axis=1)
     coupling = (S - r[:, None] * V) / n
     bonding = (params.sigma / n) * (X.sum(axis=0)[None, :] - dots.sum(axis=1)[:, None] * X)
@@ -251,11 +301,11 @@ def inhomogeneous_table(ensemble: Ensemble, params: ModelParams) -> np.ndarray:
     n = ensemble.n
     sigma = params.sigma
     psi0 = params.kernel.psi0
-    tables = _pair_tables(X, V)
-    dots, psim = tables.dots, _rates(tables, params.kernel)
-    T = _transport_table(X, V, dots, (tables.c, tables.w))
+    dots = X @ X.T
+    x1 = _pair_dot(X, X)
+    psim = _rates(antipodal_mask(X, dots), x1, params.kernel)
+    T = _transport_table(X, V, dots)
 
-    x1 = tables.xsq
     vsq = (V * V).sum(axis=1)
     # G[p, q] = sum_k <T[k,p], x_q>;  H[p, q] = sum_k <T[k,p], v_q>
     Tsum = np.einsum("kpa->pa", T)

@@ -180,7 +180,7 @@ def pairwise_transport(positions, vectors, antipodal: str = "raise"):
     return T
 
 
-def _transport_table(X: np.ndarray, V: np.ndarray, dots: np.ndarray, cw=None) -> np.ndarray:
+def _transport_table(X: np.ndarray, V: np.ndarray, dots: np.ndarray) -> np.ndarray:
     """Batched evaluation of the four-term transport formula.
 
     T[k, i] = <x_k,x_i> v_k + <x_k,v_k> x_i - <x_i,v_k> x_k
@@ -191,7 +191,7 @@ def _transport_table(X: np.ndarray, V: np.ndarray, dots: np.ndarray, cw=None) ->
     limit).  np.cross is avoided: it dominates the cost at small n.
     """
     T = np.empty(dots.shape + (3,))
-    for a, Ta in enumerate(_transport_components(X, V, dots, cw)):
+    for a, Ta in enumerate(_transport_components(X, V, dots)):
         T[:, :, a] = Ta
     return T
 
@@ -209,16 +209,21 @@ def _transport_components(X: np.ndarray, V: np.ndarray, dots: np.ndarray, cw=Non
         yield Ta
 
 
+def _cross_tables(X: np.ndarray):
+    """The cross tables c[a][k, i] = (x_k x x_i)_a for a = 0, 1, 2."""
+    x0, x1, x2 = X.T
+    return (np.multiply.outer(x1, x2) - np.multiply.outer(x2, x1),
+            np.multiply.outer(x2, x0) - np.multiply.outer(x0, x2),
+            np.multiply.outer(x0, x1) - np.multiply.outer(x1, x0))
+
+
 def _cross_weights(X: np.ndarray, V: np.ndarray, dots: np.ndarray):
-    """Cross tables c[a][k, i] = (x_k x x_i)_a and the rank-one weight w[k, i].
+    """Cross tables c = ``_cross_tables(X)`` and the rank-one weight w[k, i].
 
     w = (1 - <x_k,x_i>) <c_ki, v_k> / |c_ki|^2, zero below the guard, so that
     T[k, i] = <x_k,x_i> v_k + <x_k,v_k> x_i - <x_i,v_k> x_k + w c_ki.
     """
-    x0, x1, x2 = X.T
-    c = (np.multiply.outer(x1, x2) - np.multiply.outer(x2, x1),
-         np.multiply.outer(x2, x0) - np.multiply.outer(x0, x2),
-         np.multiply.outer(x0, x1) - np.multiply.outer(x1, x0))
+    c = _cross_tables(X)
     nsq = c[0] * c[0] + c[1] * c[1] + c[2] * c[2]
     cv = c[0] * V[:, 0, None] + c[1] * V[:, 1, None] + c[2] * V[:, 2, None]
     ok = nsq > _CROSS_GUARD

@@ -21,12 +21,13 @@ of ``simulate``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _fast, diagnostics
-from .dynamics import (Ensemble, ModelParams, _pair_tables, _rhs_and_dissipation, _rhs_arrays,
+from . import _fast, diagnostics, dynamics
+from .dynamics import (Ensemble, ModelParams, _pair_tables, _rhs_and_dissipation,
                        constraint_violation)
 from .errors import AntipodalPair, NonFinite
 from .geometry import project_state
@@ -51,8 +52,9 @@ class SimConfig:
             raise ValueError("dt must be finite and positive")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise ValueError("t_end must be finite and nonnegative")
-        if self.frame_stride < 1:
-            raise ValueError("frame_stride must be at least 1")
+        stride = self.frame_stride
+        if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
+            raise ValueError(f"frame_stride must be an integer of at least 1, got {stride!r}")
 
 
 @dataclass(frozen=True)
@@ -111,11 +113,11 @@ def _step(X, V, a1, dt, params, project):
     sphere and tangent planes."""
     half = 0.5 * dt
     v2 = V + half * a1
-    _, a2 = _rhs_arrays(X + half * V, v2, params)
+    a2 = dynamics._pair_pass(X + half * V, v2, params)[0]
     v3 = V + half * a2
-    _, a3 = _rhs_arrays(X + half * v2, v3, params)
+    a3 = dynamics._pair_pass(X + half * v2, v3, params)[0]
     v4 = V + dt * a3
-    _, a4 = _rhs_arrays(X + dt * v3, v4, params)
+    a4 = dynamics._pair_pass(X + dt * v3, v4, params)[0]
     sixth = dt / 6.0
     Xn = X + sixth * (V + 2.0 * (v2 + v3) + v4)
     Vn = V + sixth * (a1 + 2.0 * (a2 + a3) + a4)
@@ -136,7 +138,8 @@ def rk4_step(ensemble: Ensemble, dt: float, params: ModelParams,
     """
     SimConfig(dt=dt)  # the one rule for a step: finite and positive
     X, V = ensemble.positions, ensemble.velocities
-    X, V, radial, tangency = _step(X, V, _rhs_arrays(X, V, params)[1], dt, params, project)
+    X, V, radial, tangency = _step(X, V, dynamics._pair_pass(X, V, params)[0], dt, params,
+                                   project)
     return StepResult(Ensemble(X, V, validate=project), radial, tangency)
 
 
@@ -182,7 +185,7 @@ def _run(X, V, dt, n_steps, stride, params, project, rates=False, tables=None):
                 tables = None
                 for s in range(steps):
                     if s:
-                        a1 = _rhs_arrays(X, V, params)[1]
+                        a1 = dynamics._pair_pass(X, V, params)[0]
                     X[:], V[:], radial, tangency = _step(X, V, a1, dt, params, project)
                     max_r, max_t = _worst(max_r, radial), _worst(max_t, tangency)
         except AntipodalPair as exc:

@@ -9,9 +9,10 @@ from sphereflock import (AntipodalPair, Ensemble, InvalidEnsemble, ModelParams,
                          pair_functional, pairwise_dissipation, paper_kernel,
                          paper_scenario, pairwise_transport, project_to_sphere,
                          project_to_tangent, rhs, spectral_abscissa)
-from sphereflock.dynamics import (_rhs_and_dissipation, _rhs_arrays, inhomogeneous_table,
-                                  pair_derivative_table, pair_functional_table)
-from sphereflock.geometry import _CROSS_GUARD
+from sphereflock.dynamics import (_pair_tables, _rhs_and_dissipation, _rhs_arrays,
+                                  inhomogeneous_table, pair_derivative_table,
+                                  pair_functional_table)
+from sphereflock.geometry import _CROSS_GUARD, _OPPOSITE_DOT, _cross_weights
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -157,8 +158,31 @@ def near_coincident_ensemble(rng, n):
     return Ensemble(X, V)
 
 
+def close_and_opposite_ensemble(rng, n, close, gap):
+    """A random tangent state (n >= 4) whose agents 0 and 1 lie ``close`` apart
+    and whose agents 2 and 3 lie ``gap`` from antipodal, |x_2 + x_3| = gap."""
+    ens = random_ensemble(rng, n)
+    X = ens.positions.copy()
+    for j, sign, dist in ((1, 1.0, close), (3, -1.0, gap)):
+        u = np.cross(X[j - 1], random_unit(rng)[0])
+        u /= np.linalg.norm(u)
+        theta = 2.0 * np.arcsin(0.5 * dist)
+        X[j] = sign * (np.cos(theta) * X[j - 1] + np.sin(theta) * u)
+    return Ensemble.projected(X, ens.velocities)
+
+
+def cancelled_size(ens, p):
+    """K = 2 sum_i r_i |v_i|^2 / n^2, the size of the two sums the fused D subtracts."""
+    X, V = ens.positions, ens.velocities
+    rates = p.kernel.psi(np.minimum(np.linalg.norm(X[:, None] - X[None], axis=-1), 2.0))
+    return 2.0 * float(rates.sum(axis=1) @ (V * V).sum(axis=1)) / ens.n**2
+
+
 STATES = st.tuples(st.sampled_from([1, 2, 6, 40]), st.integers(0, 2**32 - 1),
                    st.sampled_from([0.01, 0.3, 1.0]))
+# seed, n, log10 of the close pair's distance, log10 of the other pair's gap to antipodal
+CLOSE_AND_OPPOSITE = (st.integers(0, 2**32 - 1), st.sampled_from([4, 6, 40]),
+                      st.floats(-13.0, -3.0), st.floats(-7.0, -1.0))
 
 
 class TestRhsProperties:
@@ -235,10 +259,44 @@ class TestFusedDissipation:
         # The error is absolute: D is the difference of two sums of size
         # K = 2 sum_i r_i |v_i|^2 / n^2, and D <= 2 K.  At n = 1 and unit
         # speed K ~ 40 and |D - oracle| reaches 5.7e-14 = 1.8 eps K, with D = 0.
-        X, V = ens.positions, ens.velocities
-        rates = p.kernel.psi(np.minimum(np.linalg.norm(X[:, None] - X[None], axis=-1), 2.0))
-        K = 2.0 * float(rates.sum(axis=1) @ (V * V).sum(axis=1)) / n**2
+        K = cancelled_size(ens, p)
         assert abs(D - dissipation_oracle(ens, p)) <= 1e-14 * max(1.0, K)
+
+
+class TestCloseAndOppositePairs:
+    """The squared cross norm |x_k x x_i|^2 = |x_k|^2 |x_i - x_k|^2 - <x_k, x_i - x_k>^2
+    at its two hard ends: a close pair, and a pair near the antipode, where the
+    pre-screened pairs take the exact cross product instead."""
+
+    @settings(max_examples=24)
+    @given(*CLOSE_AND_OPPOSITE)
+    def test_rhs_and_fused_dissipation_match_oracles(self, seed, n, close, gap):
+        ens = close_and_opposite_ensemble(np.random.default_rng(seed), n, 10.0**close,
+                                          10.0**gap)
+        X, V = ens.positions, ens.velocities
+        assert X[2] @ X[3] < _OPPOSITE_DOT  # inside the antipodal pre-screen
+        p = ModelParams(paper_kernel(), 1.0)
+        assert_allclose(_rhs_arrays(X, V, p)[1], rhs_oracle(ens, p)[1], rtol=0, atol=1e-12)
+        _, D = _rhs_and_dissipation(X, V, p)
+        assert abs(D - dissipation_oracle(ens, p)) <= 1e-14 * max(1.0, cancelled_size(ens, p))
+
+    @settings(max_examples=24)
+    @given(*CLOSE_AND_OPPOSITE)
+    def test_weights_match_cross_form(self, seed, n, close, gap):
+        # psi vanishes at the antipode, so the rhs barely sees a near-antipodal
+        # weight, but frames read it unweighted.  The rank-one terms w c agree
+        # with geometry's cross form to rounding, which 1/|x_k + x_i| amplifies
+        # in both; the squared norm taken from the identity there, not from the
+        # exact cross product, puts the ratio near 1e-8 at a gap of 1e-7.
+        ens = close_and_opposite_ensemble(np.random.default_rng(seed), n, 10.0**close,
+                                          10.0**gap)
+        X, V = ens.positions, ens.velocities
+        tables = _pair_tables(X, V)
+        c, w = _cross_weights(X, V, tables.dots)
+        err = np.sqrt(c[0] ** 2 + c[1] ** 2 + c[2] ** 2) * np.abs(tables.w - w)
+        margin = np.sqrt(sum(np.add.outer(x, x) ** 2 for x in X.T))
+        speed = np.linalg.norm(V, axis=1)[:, None]
+        assert (err <= 1e-13 * speed * (1.0 + 1.0 / margin)).all()
 
 
 class TestPairFunctional:

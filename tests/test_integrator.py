@@ -133,6 +133,16 @@ class TestRk4Step:
         with pytest.raises(ValueError):
             SimConfig(dt=float("nan"))
 
+    @pytest.mark.parametrize("stride", [2.0, 1.5, True, False, 0, -3, float("nan"),
+                                        float("inf"), "2"])
+    def test_config_rejects_non_integral_stride(self, stride):
+        with pytest.raises(ValueError, match="frame_stride must be an integer of at least 1"):
+            SimConfig(frame_stride=stride)
+
+    def test_config_takes_numpy_integer_stride(self, params):
+        sim = SimConfig(dt=1e-3, t_end=0.004, frame_stride=np.int64(2))
+        assert len(simulate(great_circle_ensemble(), params, sim).frames) == 3
+
 
 class TestGreatCircle:
     def test_closed_form_solution(self, params):
