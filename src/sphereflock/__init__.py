@@ -11,14 +11,11 @@ __version__ = "0.1.0"
 
 from .admissibility import (AdmissibilityReport, Thresholds, aggregate_constant,
                             check_initial, solve_x_m, thresholds, x_m_residual)
-from .diagnostics import (DiagnosticsFrame, FlockingMetrics, RateFit,
-                          VelocityBoundReport, diameters, dissipation_residual,
-                          energy, energy_rate, fit_decay_rate, flocking_metrics,
-                          max_pair_functional, pairwise_dissipation,
-                          velocity_bound_check)
-from .dynamics import (Ensemble, ModelParams, coefficient_matrix,
-                       inhomogeneous_table, inhomogeneous_term, lagrange_multiplier,
-                       pair_derivative_table, pair_functional, pair_functional_table,
+from .diagnostics import (DiagnosticsFrame, RateFit, VelocityBoundReport, diameters,
+                          dissipation_residual, energy, energy_rate, fit_decay_rate,
+                          pairwise_dissipation, velocity_bound_check)
+from .dynamics import (Ensemble, ModelParams, coefficient_matrix, inhomogeneous_table,
+                       lagrange_multiplier, pair_derivative_table, pair_functional_table,
                        rhs, spectral_abscissa)
 from .errors import (AntipodalPair, ConfigError, InsufficientSamples,
                      InvalidEnsemble, NonFinite, NonPositiveValue, NoRoot, NotTangent,

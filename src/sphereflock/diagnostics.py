@@ -1,4 +1,4 @@
-"""Energy, dissipation, diameters, alignment metrics, and rate fitting.
+"""Energy, dissipation, diameters, frame diagnostics, and rate fitting.
 
 The energy of a state is E = E_K + E_C with
 
@@ -81,30 +81,6 @@ def diameters(ensemble: Ensemble) -> tuple[float, float, float]:
     return gaps["d_x"], gaps["d_v"], gaps["v_max"]
 
 
-@dataclass(frozen=True)
-class FlockingMetrics:
-    """Velocity-alignment product and antipodal margin.
-
-    ``degenerate`` flags pairs inside the antipodal tolerance, whose
-    alignment factor |x_i + x_j| ~ 0 makes the product 0 by convention.
-    """
-
-    flock_align: float
-    antipode_margin: float
-    degenerate: bool
-
-
-def flocking_metrics(ensemble: Ensemble, tables=None) -> FlockingMetrics:
-    """max_{i,j} |x_i+x_j| |R_{x_j->x_i} v_j - v_i| and min_{i,j} |x_i+x_j|."""
-    X, V = ensemble.positions, ensemble.velocities
-    tables = _pair_tables(X, V) if tables is None else tables
-    prod = np.sqrt(_misalignment(X, V, tables.dots, (_cross_tables(X), tables.w)))
-    margin = np.sqrt(sum(np.add.outer(x, x) ** 2 for x in X.T))
-    prod *= margin  # margin is pair-symmetric
-    prod[tables.bad] = 0.0
-    return FlockingMetrics(float(prod.max()), float(margin.min()), bool(tables.bad.any()))
-
-
 def _misalignment(X: np.ndarray, V: np.ndarray, dots: np.ndarray, cw=None) -> np.ndarray:
     """|R_{x_k -> x_i} v_k - v_i|^2 as an (n, n) table indexed [k, i], from the
     componentwise transport; cw = (cross tables, weights) as
@@ -115,11 +91,6 @@ def _misalignment(X: np.ndarray, V: np.ndarray, dots: np.ndarray, cw=None) -> np
         Ta *= Ta
         out += Ta
     return out
-
-
-def max_pair_functional(ensemble: Ensemble) -> float:
-    """max over pairs of the Euclidean norm of (X1, X2, X3)."""
-    return _gap_fields(ensemble, 0.0)["x_max"]
 
 
 def pairwise_dissipation(ensemble: Ensemble, params: ModelParams) -> float:
@@ -150,15 +121,23 @@ def dissipation_residual(ensemble: Ensemble, params: ModelParams) -> float:
 
 def make_frame(t: float, ensemble: Ensemble, params: ModelParams, tables=None) -> DiagnosticsFrame:
     """Every frame field from one set of gap tables and one misalignment table;
-    ``tables`` are the state's ``dynamics._pair_tables`` if already built."""
-    tables = _pair_tables(ensemble.positions, ensemble.velocities) if tables is None else tables
-    metrics = flocking_metrics(ensemble, tables)
-    radial, tangency = constraint_violation(ensemble.positions, ensemble.velocities)
-    return DiagnosticsFrame(
-        t=t, **_gap_fields(ensemble, params.sigma, tables.xsq),
-        flock_align=metrics.flock_align, antipode_margin=metrics.antipode_margin,
-        drift_radial=radial, drift_tangency=tangency,
-    )
+    ``tables`` are the state's ``dynamics._pair_tables`` if already built.
+
+    flock_align = max_{i,j} |x_i + x_j| |R_{x_j -> x_i} v_j - v_i|, 0 by convention
+    for pairs inside the antipodal tolerance, and antipode_margin = min_{i,j} |x_i + x_j|.
+    """
+    X, V = ensemble.positions, ensemble.velocities
+    tables = _pair_tables(X, V) if tables is None else tables
+    prod = np.sqrt(_misalignment(X, V, tables.dots, (_cross_tables(X), tables.w)))
+    margin = np.sqrt(sum(np.add.outer(x, x) ** 2 for x in X.T))
+    prod *= margin  # margin is pair-symmetric
+    prod[tables.bad] = 0.0
+    align, closest = float(prod.max()), float(margin.min())
+    del prod, margin  # before _gap_fields builds its tables
+    radial, tangency = constraint_violation(X, V)
+    return DiagnosticsFrame(t=t, **_gap_fields(ensemble, params.sigma, tables.xsq),
+                            flock_align=align, antipode_margin=closest,
+                            drift_radial=radial, drift_tangency=tangency)
 
 
 @dataclass(frozen=True)
@@ -192,10 +171,10 @@ def velocity_bound_check(trajectory, psi_m: float) -> VelocityBoundReport:
     ek = trajectory.series("e_kinetic")
     dx2 = trajectory.series("d_x") ** 2
 
-    if psi_m <= 0.0:
+    if not psi_m > 0.0:  # NaN-safe guards: a NaN floor is vacuous too
         return VelocityBoundReport(float("nan"), True, psi_m)
     psi_floor = float(np.min(params.kernel.psi(np.minimum(trajectory.series("d_x"), 2.0))))
-    if psi_m > psi_floor + 1e-12:
+    if not psi_m <= psi_floor + 1e-12:
         return VelocityBoundReport(float("nan"), True, psi_m)
 
     decay = np.exp(-0.5 * psi_m * t)
@@ -224,7 +203,7 @@ class RateFit:
 def fit_decay_rate(times, values, window) -> RateFit:
     """Fit value ~ a exp(-rate t) by least squares on log(value) over window.
 
-    Requires at least 10 samples inside the window, all strictly positive.
+    Requires at least 10 samples inside the window, all finite and strictly positive.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -233,8 +212,8 @@ def fit_decay_rate(times, values, window) -> RateFit:
     if int(mask.sum()) < 10:
         raise InsufficientSamples(f"{int(mask.sum())} samples in window [{lo}, {hi}], need 10")
     tw, vw = t[mask], v[mask]
-    if np.any(vw <= 0.0):
-        raise NonPositiveValue("log fit requires strictly positive values")
+    if not (np.isfinite(vw).all() and (vw > 0.0).all()):
+        raise NonPositiveValue("log fit requires finite, strictly positive values")
     logv = np.log(vw)
     slope, intercept = np.polyfit(tw, logv, 1)
     ss_tot = float(((logv - logv.mean()) ** 2).sum())

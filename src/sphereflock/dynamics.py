@@ -208,11 +208,6 @@ def _pair_pass(X: np.ndarray, V: np.ndarray, params: ModelParams, tables=None):
     return dV, S, r, vsq
 
 
-def _rhs_arrays(X: np.ndarray, V: np.ndarray, params: ModelParams):
-    """Hot-path right-hand side (dx, dv) on raw (n, 3) arrays."""
-    return V.copy(), _pair_pass(X, V, params)[0]
-
-
 def _rhs_and_dissipation(X: np.ndarray, V: np.ndarray, params: ModelParams, tables=None):
     """(dv, D) from one pair pass: the acceleration and the dissipation sum.
 
@@ -235,7 +230,8 @@ def rhs(ensemble: Ensemble, params: ModelParams) -> tuple[np.ndarray, np.ndarray
     Raises AntipodalPair at singular configurations rather than
     regularizing, since silent regularization would mask blowup.
     """
-    return _rhs_arrays(ensemble.positions, ensemble.velocities, params)
+    X, V = ensemble.positions, ensemble.velocities
+    return V.copy(), _pair_pass(X, V, params)[0]
 
 
 def lagrange_multiplier(ensemble: Ensemble, i: int, params: ModelParams) -> float:
@@ -254,14 +250,6 @@ def pair_functional_table(ensemble: Ensemble) -> np.ndarray:
     """All pair triples (X1, X2, X3) as an (n, n, 3) array."""
     X, V = ensemble.positions, ensemble.velocities
     return np.stack([_pair_dot(X, X), _pair_dot(V, X), _pair_dot(V, V)], axis=-1)
-
-
-def pair_functional(ensemble: Ensemble, i: int, j: int) -> np.ndarray:
-    """(|x_i-x_j|^2, <v_i-v_j, x_i-x_j>, |v_i-v_j|^2) for one pair."""
-    X, V = ensemble.positions, ensemble.velocities
-    xd = X[i] - X[j]
-    vd = V[i] - V[j]
-    return np.array([xd @ xd, vd @ xd, vd @ vd])
 
 
 def coefficient_matrix(psi0: float, sigma: float) -> np.ndarray:
@@ -340,11 +328,6 @@ def inhomogeneous_table(ensemble: Ensemble, params: ModelParams) -> np.ndarray:
     out[:, :, 1] = f2
     out[:, :, 2] = f3
     return out
-
-
-def inhomogeneous_term(ensemble: Ensemble, i: int, j: int, params: ModelParams) -> np.ndarray:
-    """F^{ij} = (0, F2, F3) for one pair."""
-    return inhomogeneous_table(ensemble, params)[i, j]
 
 
 def pair_derivative_table(ensemble: Ensemble, params: ModelParams) -> np.ndarray:

@@ -106,6 +106,8 @@ def rotation_matrix(z1, z2) -> np.ndarray:
     COINCIDENT_TOL and raises AntipodalPair when |z1 + z2| <= ANTIPODAL_TOL.
     Between the cutoffs the rank-one term uses the normalized cross product
     guarded by its norm.  The transpose equals ``rotation_matrix(z2, z1)``.
+    Near the antipode the result is accurate only to about 1e-16 / |z1 + z2|
+    (1e-10 at |z1 + z2| = 1e-6, 1e-13 at 1e-3), as is any identity checked on it.
     """
     a = np.asarray(z1, dtype=float)
     b = np.asarray(z2, dtype=float)

@@ -143,17 +143,17 @@ def rk4_step(ensemble: Ensemble, dt: float, params: ModelParams,
     return StepResult(Ensemble(X, V, validate=project), radial, tangency)
 
 
-def _run(X, V, dt, n_steps, stride, params, project, rates=False, tables=None):
+def _run(X, V, dt, n_steps, stride, params, project, rates=None):
     """Advance X, V in place by n_steps, one chunk of `stride` steps at a time.
 
-    After each chunk it yields (steps done, worst radial drift, worst
-    tangency drift, D, tables): the drifts are the running pre-projection
-    maxima, D the dissipation sum at the chunk's start state, from the pair
-    pass of its first k1 (over ``tables``, that state's ``_pair_tables``, if
-    given); the compiled loop evaluates D only if ``rates`` is set, else None.
-    The numpy loop builds the end state's tables for the next chunk's k1 and
-    yields them (else None); the caller drops them before resuming, so no set
-    outlives its k1.
+    Yields (steps done, worst radial drift, worst tangency drift, tables) for
+    the state at `steps done`, the initial state first: the drifts are the
+    running pre-projection maxima, tables that state's ``_pair_tables`` on the
+    numpy loop, built once for its frame and the next chunk's k1 (None on the
+    compiled loop, which builds its own); the caller drops them before
+    resuming, so no set outlives its k1.  If ``rates`` is a list, each chunk
+    appends the dissipation sum D at its start state, on the numpy loop from
+    the pair pass of its first k1.
 
     Raises AntipodalPair with ``time`` the start of the step that met the
     pair, and NonFinite with ``time`` that of the chunk's start state if
@@ -164,14 +164,18 @@ def _run(X, V, dt, n_steps, stride, params, project, rates=False, tables=None):
     fast = _fast.available(kernel)
     max_r = max_t = 0.0
     done = 0
-    while done < n_steps:
+    while True:
+        tables = None if fast else _pair_tables(X, V)
+        yield done, max_r, max_t, tables
+        if done == n_steps:
+            return
         steps = min(stride, n_steps - done)
         s = 0
         try:
             if fast:
-                tables = None  # the compiled loop builds its own
-                rate = (float(_fast.dissipation(X, V, kernel.fast_code, kernel.fast_param))
-                        if rates else None)
+                if rates is not None:
+                    rates.append(float(_fast.dissipation(X, V, kernel.fast_code,
+                                                         kernel.fast_param)))
                 status, s, radial, tangency = _fast.advance(
                     X, V, dt, steps, params.sigma, kernel.fast_code, kernel.fast_param,
                     project)
@@ -183,6 +187,8 @@ def _run(X, V, dt, n_steps, stride, params, project, rates=False, tables=None):
             else:
                 a1, rate = _rhs_and_dissipation(X, V, params, tables)
                 tables = None
+                if rates is not None:
+                    rates.append(rate)
                 for s in range(steps):
                     if s:
                         a1 = dynamics._pair_pass(X, V, params)[0]
@@ -195,8 +201,6 @@ def _run(X, V, dt, n_steps, stride, params, project, rates=False, tables=None):
             raise NonFinite(f"the state is not finite after {steps} steps of dt = {dt:g}",
                             time=done * dt)
         done += steps
-        tables = _pair_tables(X, V) if not fast and done < n_steps else None
-        yield done, max_r, max_t, rate, tables
 
 
 @dataclass(frozen=True)
@@ -233,11 +237,9 @@ def energy_audit(e0: Ensemble, params: ModelParams, dt: float, t_end: float) -> 
     SimConfig(dt=dt, t_end=t_end)  # the same rule on dt and t_end as simulate's
     X, V = e0.positions.copy(), e0.velocities.copy()
     e_start = diagnostics.energy(e0, params.sigma)[0]
-    max_r = max_t = 0.0
     rates = []
-    for _, max_r, max_t, rate, tables in _run(X, V, dt, int(round(t_end / dt)), 1, params,
-                                              True, rates=True):
-        rates.append(rate)
+    for _, max_r, max_t, tables in _run(X, V, dt, int(round(t_end / dt)), 1, params, True,
+                                        rates):
         del tables  # before the run builds the next set
     rates.append(diagnostics.pairwise_dissipation(Ensemble(X, V, validate=False), params))
     total = 0.0
@@ -271,13 +273,9 @@ def simulate(e0: Ensemble, params: ModelParams, config: SimConfig) -> Trajectory
         frames.append(Frame(step * config.dt, ens,
                             diagnostics.make_frame(step * config.dt, ens, params, tables)))
 
-    tables = _pair_tables(X, V)
-    record(0, tables)
-    run = _run(X, V, config.dt, n_steps, config.frame_stride, params, config.projection,
-               tables=tables)
-    del tables  # the run drops them after their k1
+    run = _run(X, V, config.dt, n_steps, config.frame_stride, params, config.projection)
     try:
-        for step, traj.max_step_radial, traj.max_step_tangency, _, tables in run:
+        for step, traj.max_step_radial, traj.max_step_tangency, tables in run:
             if step % config.frame_stride == 0:
                 record(step, tables)  # make_frame builds the tables if None
             del tables  # before the run builds the next set

@@ -118,6 +118,8 @@ def random_scenario(seed: int, n: int, pos_spread: float, vel_scale: float,
         raise ConfigError("need at least one agent")
     if not 0.0 <= pos_spread <= np.pi / 2:
         raise ConfigError("pos_spread must lie in [0, pi/2]")
+    if not np.isfinite(vel_scale):
+        raise ConfigError(f"vel_scale must be finite, got {vel_scale!r}")
     rng = np.random.default_rng(seed)
     center = project_to_sphere(rng.standard_normal(3))
     pole = np.array([0.0, 0.0, 1.0])

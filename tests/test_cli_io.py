@@ -85,6 +85,11 @@ class TestRandomScenario:
         with pytest.raises(ConfigError):
             random_scenario(0, 3, 3.0, 0.1, p)
 
+    @pytest.mark.parametrize("vel_scale", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_vel_scale(self, vel_scale):
+        with pytest.raises(ConfigError, match="vel_scale"):
+            random_scenario(0, 3, 0.1, vel_scale, ModelParams(paper_kernel(), 1.0))
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 VECTORS = st.tuples(FINITE, FINITE, FINITE)
@@ -238,6 +243,17 @@ class TestCli:
         assert code == 0
         refit = json.loads(capsys.readouterr().out)
         assert refit["rate"] == payload["fit"]["rate"]
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_fit_rate_rejects_non_finite_samples(self, tmp_path, capsys, bad):
+        rows = [[0.1 * k] + [math.exp(-0.1 * k)] * (len(CSV_COLUMNS) - 1) for k in range(20)]
+        rows[7][CSV_COLUMNS.index("D_x")] = bad
+        path = tmp_path / "frames.csv"
+        path.write_text("\n".join(",".join(map(str, r)) for r in [CSV_COLUMNS, *rows]) + "\n")
+        assert main(["fit-rate", "--csv", str(path), "--column", "D_x",
+                     "--window", "0", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "positive" in captured.err
 
     def test_check_sigma5_inadmissible(self, capsys):
         assert main(["check", "--preset", "paper-sigma5"]) == 0

@@ -6,13 +6,11 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import dissipation_oracle, frame_oracle, random_ensemble
-from sphereflock import (Ensemble, InsufficientSamples, ModelParams,
-                         NonPositiveValue, SimConfig, diameters,
-                         dissipation_residual, energy, energy_rate,
-                         fit_decay_rate, flocking_metrics, linear_kernel,
-                         max_pair_functional, pairwise_dissipation, paper_kernel,
-                         paper_scenario, random_scenario, rhs, simulate,
-                         velocity_bound_check)
+from sphereflock import (ANTIPODAL_TOL, Ensemble, InsufficientSamples, ModelParams,
+                         NonPositiveValue, SimConfig, diameters, dissipation_residual,
+                         energy, energy_rate, fit_decay_rate, linear_kernel,
+                         pairwise_dissipation, paper_kernel, paper_scenario,
+                         random_scenario, rhs, simulate, velocity_bound_check)
 from sphereflock.diagnostics import make_frame
 from sphereflock.integrator import _step
 
@@ -112,47 +110,38 @@ class TestDiameters:
 
 
 class TestFlockingMetrics:
-    def test_coincident_cluster(self):
+    """The alignment product and antipodal margin of ``make_frame``."""
+
+    def test_coincident_cluster(self, params):
         v = 0.2 * E2
-        m = flocking_metrics(Ensemble([E1, E1], [v, v]))
-        assert m.flock_align <= 1e-14
-        assert_allclose(m.antipode_margin, 2.0, rtol=1e-15)
-        assert not m.degenerate
+        frame = make_frame(0.0, Ensemble([E1, E1], [v, v]), params)
+        assert frame.flock_align <= 1e-14
+        assert_allclose(frame.antipode_margin, 2.0, rtol=1e-15)
 
-    def test_antipodal_pair_flagged(self):
-        m = flocking_metrics(Ensemble([E1, -E1], np.zeros((2, 3))))
-        assert m.antipode_margin == 0.0
-        assert m.degenerate
-        assert m.flock_align == 0.0  # degenerate pairs report 0 by convention
-
-    def test_permutation_invariance(self, params):
-        rng = np.random.default_rng(3)
-        ens = random_ensemble(rng, 6)
-        perm = rng.permutation(6)
-        swapped = Ensemble(ens.positions[perm], ens.velocities[perm])
-        a, b = flocking_metrics(ens), flocking_metrics(swapped)
-        assert_allclose([a.flock_align, a.antipode_margin],
-                        [b.flock_align, b.antipode_margin], rtol=1e-12)
-        assert_allclose(diameters(ens), diameters(swapped), rtol=1e-12)
-        assert_allclose(max_pair_functional(ens), max_pair_functional(swapped), rtol=1e-12)
-        assert_allclose(energy(ens, 1.0), energy(swapped, 1.0), rtol=1e-12)
+    def test_antipodal_pair_flagged(self, params):
+        frame = make_frame(0.0, Ensemble([E1, -E1], np.zeros((2, 3))), params)
+        assert frame.antipode_margin <= ANTIPODAL_TOL  # the pair is degenerate
+        assert frame.antipode_margin == 0.0
+        assert frame.flock_align == 0.0  # pairs inside the tolerance report 0 by convention
 
 
 class TestMaxPairFunctional:
-    def test_coincident_cluster(self):
-        v = 0.2 * E2
-        assert max_pair_functional(Ensemble([E1, E1], [v, v])) <= 1e-14
+    """``make_frame``'s x_max, the largest Euclidean norm of a pair triple (X1, X2, X3)."""
 
-    def test_antipodal_pair_at_rest(self):
-        assert_allclose(max_pair_functional(Ensemble([E1, -E1], np.zeros((2, 3)))),
+    def test_coincident_cluster(self, params):
+        v = 0.2 * E2
+        assert make_frame(0.0, Ensemble([E1, E1], [v, v]), params).x_max <= 1e-14
+
+    def test_antipodal_pair_at_rest(self, params):
+        assert_allclose(make_frame(0.0, Ensemble([E1, -E1], np.zeros((2, 3))), params).x_max,
                         4.0, rtol=1e-15)
 
-    def test_dominates_squared_diameters(self):
+    def test_dominates_squared_diameters(self, params):
         rng = np.random.default_rng(4)
         for _ in range(100):
             ens = random_ensemble(rng, int(rng.integers(2, 9)))
             d_x, d_v, _ = diameters(ens)
-            x_max = max_pair_functional(ens)
+            x_max = make_frame(0.0, ens, params).x_max
             assert x_max >= d_x**2 - 1e-12
             assert x_max >= d_v**2 - 1e-12
 
@@ -171,6 +160,12 @@ class TestVelocityBound:
         traj = simulate(sc.ensemble, sc.params, sc.sim)
         report = velocity_bound_check(traj, psi_m=2.0 * params.kernel.psi0)
         assert report.vacuous
+
+    @pytest.mark.parametrize("psi_m", [math.nan, math.inf])
+    def test_non_finite_floor_is_vacuous(self, psi_m):
+        sc = paper_scenario(1.0, sim=SimConfig(dt=1e-3, t_end=0.2, frame_stride=20))
+        report = velocity_bound_check(simulate(sc.ensemble, sc.params, sc.sim), psi_m=psi_m)
+        assert report.vacuous and math.isnan(report.worst_violation)
 
     def test_nonpositive_floor_is_vacuous(self, params):
         sc = paper_scenario(1.0, sim=SimConfig(dt=1e-3, t_end=0.2, frame_stride=20))
@@ -210,6 +205,17 @@ class TestFitDecayRate:
         v = np.exp(-t) - 0.5
         with pytest.raises(NonPositiveValue):
             fit_decay_rate(t, v, (0.0, 10.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        t = np.linspace(0.0, 10.0, 50)
+        v = np.exp(-t)
+        v[20] = bad
+        with pytest.raises(NonPositiveValue):
+            fit_decay_rate(t, v, (0.0, 10.0))
+        v[20] = 1.0  # outside the window a bad sample is ignored
+        v[45] = bad
+        assert fit_decay_rate(t, v, (0.0, 9.0)).n_samples == 45
 
     def test_rejects_sparse_windows(self):
         t = np.linspace(0.0, 10.0, 50)

@@ -5,13 +5,12 @@ from numpy.testing import assert_allclose
 
 from helpers import dissipation_oracle, random_ensemble, random_unit, rhs_oracle
 from sphereflock import (AntipodalPair, Ensemble, InvalidEnsemble, ModelParams,
-                         coefficient_matrix, inhomogeneous_term, lagrange_multiplier,
-                         pair_functional, pairwise_dissipation, paper_kernel,
-                         paper_scenario, pairwise_transport, project_to_sphere,
+                         coefficient_matrix, lagrange_multiplier, pairwise_dissipation,
+                         paper_kernel, paper_scenario, pairwise_transport, project_to_sphere,
                          project_to_tangent, rhs, spectral_abscissa)
-from sphereflock.dynamics import (_pair_tables, _rhs_and_dissipation, _rhs_arrays,
-                                  inhomogeneous_table, pair_derivative_table,
-                                  pair_functional_table)
+from sphereflock.diagnostics import make_frame
+from sphereflock.dynamics import (_pair_tables, _rhs_and_dissipation, inhomogeneous_table,
+                                  pair_derivative_table, pair_functional_table)
 from sphereflock.geometry import _CROSS_GUARD, _OPPOSITE_DOT, _cross_weights
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -255,7 +254,7 @@ class TestFusedDissipation:
         p = ModelParams(paper_kernel(), 1.0)
         dV, D = _rhs_and_dissipation(ens.positions, ens.velocities, p)
         # the same pass also yields the right-hand side, bit for bit
-        assert np.array_equal(dV, _rhs_arrays(ens.positions, ens.velocities, p)[1])
+        assert np.array_equal(dV, rhs(ens, p)[1])
         # The error is absolute: D is the difference of two sums of size
         # K = 2 sum_i r_i |v_i|^2 / n^2, and D <= 2 K.  At n = 1 and unit
         # speed K ~ 40 and |D - oracle| reaches 5.7e-14 = 1.8 eps K, with D = 0.
@@ -276,7 +275,7 @@ class TestCloseAndOppositePairs:
         X, V = ens.positions, ens.velocities
         assert X[2] @ X[3] < _OPPOSITE_DOT  # inside the antipodal pre-screen
         p = ModelParams(paper_kernel(), 1.0)
-        assert_allclose(_rhs_arrays(X, V, p)[1], rhs_oracle(ens, p)[1], rtol=0, atol=1e-12)
+        assert_allclose(rhs(ens, p)[1], rhs_oracle(ens, p)[1], rtol=0, atol=1e-12)
         _, D = _rhs_and_dissipation(X, V, p)
         assert abs(D - dissipation_oracle(ens, p)) <= 1e-14 * max(1.0, cancelled_size(ens, p))
 
@@ -299,27 +298,97 @@ class TestCloseAndOppositePairs:
         assert (err <= 1e-13 * speed * (1.0 + 1.0 / margin)).all()
 
 
+@st.composite
+def symmetry_cases(draw):
+    """A random state or a close-and-opposite one, a random orthogonal Q (from
+    the QR of a normal 3x3, a reflection exactly when drawn) and a random
+    relabelling of the agents."""
+    if draw(st.booleans()):
+        seed, n, close, gap = draw(st.tuples(*CLOSE_AND_OPPOSITE))
+        rng = np.random.default_rng(seed)
+        ens = close_and_opposite_ensemble(rng, n, 10.0**close, 10.0**gap)
+    else:
+        n, seed, speed = draw(STATES)
+        rng = np.random.default_rng(seed)
+        ens = random_ensemble(rng, n, speed)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    if (np.linalg.det(q) < 0.0) != draw(st.booleans()):
+        q[:, 0] *= -1.0
+    return ens, q, rng.permutation(n)
+
+
+class TestEquivariance:
+    """The model commutes with every orthogonal map and every relabelling: dv
+    rotates or permutes with the state and every frame field is unchanged, to
+    1e-13 relative to max(1, |value|) (measured on 3,000 such states: at most
+    1.1e-14 for dv, 4.3e-15 for the frame fields).  No second formula is needed."""
+
+    @staticmethod
+    def moved(ens, q, perm):
+        X, V = ens.positions, ens.velocities
+        return Ensemble(X @ q.T, V @ q.T), Ensemble(X[perm], V[perm])
+
+    def check_rhs(self, case, sigma, which):
+        ens, q, perm = case
+        p = ModelParams(paper_kernel(), sigma)
+        dv = rhs(ens, p)[1]
+        want = (dv @ q.T, dv[perm])[which]
+        got = rhs(self.moved(ens, q, perm)[which], p)[1]
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(dv).max())
+
+    def check_frame(self, case, sigma, which):
+        ens, q, perm = case
+        p = ModelParams(paper_kernel(), sigma)
+        want = np.array(make_frame(0.5, ens, p).as_row())
+        got = np.array(make_frame(0.5, self.moved(ens, q, perm)[which], p).as_row())
+        assert (np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))).all()
+
+    @settings(max_examples=30)
+    @given(symmetry_cases(), st.sampled_from([0.0, 1.0, 5.0]))
+    def test_rhs_rotates(self, case, sigma):
+        self.check_rhs(case, sigma, 0)
+
+    @settings(max_examples=30)
+    @given(symmetry_cases(), st.sampled_from([0.0, 1.0, 5.0]))
+    def test_rhs_permutes(self, case, sigma):
+        self.check_rhs(case, sigma, 1)
+
+    @settings(max_examples=30)
+    @given(symmetry_cases(), st.sampled_from([0.0, 1.0, 5.0]))
+    def test_frame_rotation_invariant(self, case, sigma):
+        self.check_frame(case, sigma, 0)
+
+    @settings(max_examples=30)
+    @given(symmetry_cases(), st.sampled_from([0.0, 1.0, 5.0]))
+    def test_frame_relabelling_invariant(self, case, sigma):
+        self.check_frame(case, sigma, 1)
+
+
 class TestPairFunctional:
+    """Entries of ``pair_functional_table``: (|x_i-x_j|^2, <v_i-v_j, x_i-x_j>, |v_i-v_j|^2)."""
+
     def test_same_index_is_zero(self, params):
         ens = random_ensemble(np.random.default_rng(1), 4)
-        assert_allclose(pair_functional(ens, 2, 2), np.zeros(3), atol=0)
+        assert_allclose(pair_functional_table(ens)[2, 2], np.zeros(3), atol=0)
 
     def test_orthogonal_pair_equal_velocities(self):
         v = 0.3 * E3
         ens = Ensemble([E1, E2], [v, v])
-        assert_allclose(pair_functional(ens, 0, 1), [2.0, 0.0, 0.0], atol=1e-15)
+        assert_allclose(pair_functional_table(ens)[0, 1], [2.0, 0.0, 0.0], atol=1e-15)
 
     def test_crossed_velocities(self):
         ens = Ensemble([E1, E2], [E2, E1])
-        assert_allclose(pair_functional(ens, 0, 1), [2.0, -2.0, 2.0], atol=1e-15)
+        assert_allclose(pair_functional_table(ens)[0, 1], [2.0, -2.0, 2.0], atol=1e-15)
 
     def test_table_matches_scalar_and_symmetry(self, params):
         ens = random_ensemble(np.random.default_rng(2), 5)
+        X, V = ens.positions, ens.velocities
         table = pair_functional_table(ens)
         assert np.abs(table - table.transpose(1, 0, 2)).max() == 0.0
         for i in range(5):
             for j in range(5):
-                assert_allclose(table[i, j], pair_functional(ens, i, j), atol=1e-15)
+                xd, vd = X[i] - X[j], V[i] - V[j]
+                assert_allclose(table[i, j], [xd @ xd, vd @ xd, vd @ vd], atol=1e-15)
 
 
 class TestCoefficientMatrix:
@@ -377,9 +446,11 @@ class TestSpectralAbscissa:
 
 
 class TestInhomogeneousTerm:
+    """Entries F^{ij} = (0, F2, F3) of ``inhomogeneous_table``."""
+
     def test_same_index_is_zero(self, params):
         ens = random_ensemble(np.random.default_rng(5), 4)
-        assert np.abs(inhomogeneous_term(ens, 1, 1, params)).max() <= 1e-13
+        assert np.abs(inhomogeneous_table(ens, params)[1, 1]).max() <= 1e-13
 
     def test_coincident_cluster_is_zero(self, params):
         v = 0.4 * E2

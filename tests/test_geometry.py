@@ -91,6 +91,29 @@ class TestRotationMatrix:
         assert np.abs(np.einsum("pij,pj->pi", rot, c) - c).max() <= 1e-12
         assert np.abs(rot.transpose(0, 2, 1) - back).max() <= 1e-12
 
+    def test_accuracy_near_antipode_scales_as_inverse_gap(self):
+        # The identities hold only to about 1e-16 / |z1 + z2|: ~1e-10 at a gap
+        # of 1e-6, so the 1e-12 suites above pass there only because uniform
+        # pairs rarely come that close.  Pin the scaling on pairs drawn at gaps
+        # from 1e-6 to 1e-2 (measured: worst product 9.7e-17).
+        rng = np.random.default_rng(11)
+        z1 = random_unit(rng, 2000)
+        u = np.cross(z1, random_unit(rng, 2000))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        theta = 2.0 * np.arcsin(0.5 * 10.0 ** rng.uniform(-6.0, -2.0, 2000))
+        z2 = -(np.cos(theta)[:, None] * z1 + np.sin(theta)[:, None] * u)
+        z2 /= np.linalg.norm(z2, axis=1, keepdims=True)
+        rot, back = rotation_matrix(z1, z2), rotation_matrix(z2, z1)
+        d = (z1 * z2).sum(axis=1)
+        c = np.cross(z1, z2)
+        residual = np.stack([
+            np.abs(np.einsum("pij,pik->pjk", rot, rot) - np.eye(3)).max(axis=(1, 2)),
+            np.abs(np.einsum("pij,pj->pi", rot, z1) - z2).max(axis=1),
+            np.abs(np.einsum("pij,pj->pi", rot, z2) - (2.0 * d[:, None] * z2 - z1)).max(axis=1),
+            np.abs(np.einsum("pij,pj->pi", rot, c) - c).max(axis=1),
+            np.abs(rot.transpose(0, 2, 1) - back).max(axis=(1, 2))]).max(axis=0)
+        assert (residual * np.linalg.norm(z1 + z2, axis=1)).max() <= 1e-15
+
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(4)
         z1 = random_unit(rng, 32)
