@@ -20,10 +20,10 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .dynamics import (Ensemble, ModelParams, _pair_dot, _pair_tables, _rates,
-                       constraint_violation, rhs)
+from .dynamics import (Ensemble, ModelParams, _built, _pair_dot, _rates, constraint_violation,
+                       rhs)
 from .errors import InsufficientSamples, NonPositiveValue
-from .geometry import _cross_tables, _transport_components, antipodal_mask
+from .geometry import _transport_components, antipodal_mask
 
 
 @dataclass(frozen=True)
@@ -59,15 +59,25 @@ def _energies(V: np.ndarray, xsq: np.ndarray, sigma: float) -> tuple[float, floa
     return ek + ec, ek, ec
 
 
-def _gap_fields(ensemble: Ensemble, sigma: float, xsq=None) -> dict[str, float]:
-    """The frame fields read off one set of pair gap tables (x1 = xsq if given), by name."""
+def _gap_fields(ensemble: Ensemble, sigma: float, xsq=None, bufs=(None,) * 3) -> dict[str, float]:
+    """The frame fields read off one set of pair gap tables (x1 = xsq if given), by
+    name; x2, x3 and x1^2 + x2^2 + x3^2 are written into the three tables ``bufs``
+    (fresh tables if None)."""
     X, V = ensemble.positions, ensemble.velocities
+    A, B, C = bufs
     x1 = _pair_dot(X, X) if xsq is None else xsq
-    x2, x3 = _pair_dot(V, X), _pair_dot(V, V)
     e, ek, ec = _energies(V, x1, sigma)
-    return dict(e_total=e, e_kinetic=ek, e_config=ec, d_x=float(np.sqrt(x1.max())),
-                d_v=float(np.sqrt(x3.max())), v_max=float(np.sqrt((V * V).sum(axis=1).max())),
-                x_max=float(np.sqrt((x1 * x1 + x2 * x2 + x3 * x3).max())))
+    x2 = _pair_dot(V, X, A, B, C)
+    x2 *= x2
+    sq = np.multiply(x1, x1, out=B)
+    sq += x2
+    x3 = _pair_dot(V, V, A, C)
+    d_v = float(np.sqrt(x3.max()))
+    x3 *= x3
+    sq += x3
+    return dict(e_total=e, e_kinetic=ek, e_config=ec, d_x=float(np.sqrt(x1.max())), d_v=d_v,
+                v_max=float(np.sqrt((V * V).sum(axis=1).max())),
+                x_max=float(np.sqrt(sq.max())))
 
 
 def energy(ensemble: Ensemble, sigma: float) -> tuple[float, float, float]:
@@ -81,15 +91,20 @@ def diameters(ensemble: Ensemble) -> tuple[float, float, float]:
     return gaps["d_x"], gaps["d_v"], gaps["v_max"]
 
 
-def _misalignment(X: np.ndarray, V: np.ndarray, dots: np.ndarray, cw=None) -> np.ndarray:
+def _misalignment(X: np.ndarray, V: np.ndarray, dots: np.ndarray, cw=None,
+                  bufs=(None,) * 4) -> np.ndarray:
     """|R_{x_k -> x_i} v_k - v_i|^2 as an (n, n) table indexed [k, i], from the
     componentwise transport; cw = (cross tables, weights) as
-    ``_transport_components`` takes them, built there if None."""
-    out = 0.0
-    for a, Ta in enumerate(_transport_components(X, V, dots, cw)):
+    ``_transport_components`` takes them, built there if None.  The table is
+    written into bufs[0], with bufs[1:] as scratch (fresh tables if None)."""
+    out, T, U, C = bufs
+    for a, Ta in enumerate(_transport_components(X, V, dots, cw, (out, T, T), (U, C))):
         Ta -= V[:, a]
         Ta *= Ta
-        out += Ta
+        if a:
+            out += Ta
+        else:
+            out = Ta
     return out
 
 
@@ -120,22 +135,28 @@ def dissipation_residual(ensemble: Ensemble, params: ModelParams) -> float:
 
 
 def make_frame(t: float, ensemble: Ensemble, params: ModelParams, tables=None) -> DiagnosticsFrame:
-    """Every frame field from one set of gap tables and one misalignment table;
-    ``tables`` are the state's ``dynamics._pair_tables`` if already built.
+    """Every frame field from one set of gap tables and one misalignment table.
+
+    ``tables`` are the state's ``dynamics._pair_tables`` if already built, else
+    an unbuilt set (or None) to build them on (``dynamics._built``).  The
+    frame's other tables go into the scratch of the tables' workspace, so
+    the tables themselves stay intact for the state's next pair pass.
 
     flock_align = max_{i,j} |x_i + x_j| |R_{x_j -> x_i} v_j - v_i|, 0 by convention
     for pairs inside the antipodal tolerance, and antipode_margin = min_{i,j} |x_i + x_j|.
     """
     X, V = ensemble.positions, ensemble.velocities
-    tables = _pair_tables(X, V) if tables is None else tables
-    prod = np.sqrt(_misalignment(X, V, tables.dots, (_cross_tables(X), tables.w)))
-    margin = np.sqrt(sum(np.add.outer(x, x) ** 2 for x in X.T))
+    tables = _built(X, V, tables)
+    bufs = tables.ws.scratch
+    prod = _misalignment(X, V, tables.dots, ((None,) * 3, tables.w), bufs)
+    np.sqrt(prod, out=prod)
+    margin = _pair_dot(X, X, bufs[1], bufs[2], op=np.add)
+    np.sqrt(margin, out=margin)
     prod *= margin  # margin is pair-symmetric
     prod[tables.bad] = 0.0
     align, closest = float(prod.max()), float(margin.min())
-    del prod, margin  # before _gap_fields builds its tables
     radial, tangency = constraint_violation(X, V)
-    return DiagnosticsFrame(t=t, **_gap_fields(ensemble, params.sigma, tables.xsq),
+    return DiagnosticsFrame(t=t, **_gap_fields(ensemble, params.sigma, tables.xsq, bufs[:3]),
                             flock_align=align, antipode_margin=closest,
                             drift_radial=radial, drift_tangency=tangency)
 

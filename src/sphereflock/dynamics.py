@@ -26,6 +26,13 @@ the exact cross product), the second one matmul.  By BAC-CAB the
 x_i x sum_k psi_ik (v_k x x_k).  The frame diagnostics and
 ``pairwise_dissipation`` keep the componentwise transport of ``geometry``.
 
+The (n, n) tables live in a ``_Workspace``: ``_pair_tables`` writes a
+state's tables into its buffers and the pair pass takes its temporaries
+from them, so a stepping run (``integrator._run``) that owns one workspace
+allocates no (n, n) array but the kernel's own.  Tables built on a
+workspace are views into it, valid until it next builds a set; a call
+without one (public ``rhs``) builds a workspace for itself.
+
 For every pair (i, j) the triple
 
     X = (|x_i - x_j|^2, <v_i - v_j, x_i - x_j>, |v_i - v_j|^2)
@@ -55,7 +62,9 @@ from .kernels import Kernel
 RADIAL_TOL = 1e-9
 TANGENCY_TOL = 1e-8
 
-_PairTables = namedtuple("_PairTables", "dots bad xsq w m")  # built by _pair_tables
+# The pair tables of one state, built on the workspace ws by _pair_tables;
+# _PairTables(ws) alone is the unbuilt set, to be built on ws when needed.
+_PairTables = namedtuple("_PairTables", "ws dots bad xsq w m", defaults=(None,) * 5)
 
 
 @dataclass(frozen=True)
@@ -119,14 +128,30 @@ def constraint_violation(X: np.ndarray, V: np.ndarray) -> tuple[float, float]:
     return radial, tangency
 
 
-def _pair_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(n, n) table of <a_k - a_l, b_k - b_l>, built one component at a time."""
-    out = 0.0
+def _pair_dot(A: np.ndarray, B: np.ndarray, out=None, tmp=None, tmp2=None,
+              op=np.subtract) -> np.ndarray:
+    """(n, n) table of <a_k - a_l, b_k - b_l> (<a_k + a_l, b_k + b_l> with op
+    np.add), built one component at a time.  It is written into ``out`` with
+    ``tmp`` (and, when A is not B, ``tmp2``) as scratch; None buffers are fresh."""
+    table = None
     for a, b in zip(A.T, B.T):
-        d = np.subtract.outer(a, a)
-        d *= d if A is B else np.subtract.outer(b, b)
-        out += d
-    return out
+        d = op.outer(a, a, out=out if table is None else tmp)
+        d *= d if A is B else op.outer(b, b, out=tmp2)
+        if table is None:
+            table = d
+        else:
+            table += d
+    return table
+
+
+class _Workspace:
+    """The (n, n) buffers of one run: a state's pair tables (dots, xsq, w and
+    the masks bad and ok) and four scratch tables, ``scratch``.  The pair pass
+    uses two of the scratch tables, a frame all four."""
+
+    def __init__(self, n: int):
+        self.dots, self.xsq, self.w, *self.scratch = np.empty((7, n, n))
+        self.bad, self.ok = np.empty((2, n, n), dtype=bool)
 
 
 # _LEVI[3 b + c, a] = epsilon_abc, so the row-wise cross product G x X is
@@ -135,11 +160,12 @@ _LEVI = np.array([[0, 0, 0], [0, 0, 1], [0, -1, 0], [0, 0, -1], [0, 0, 0], [1, 0
                   [0, 1, 0], [-1, 0, 0], [0, 0, 0]], dtype=float)
 
 
-def _pair_tables(X: np.ndarray, V: np.ndarray) -> _PairTables:
+def _pair_tables(X: np.ndarray, V: np.ndarray, ws: _Workspace | None = None) -> _PairTables:
     """A state's pair tables, indexed [k, i]: dots = <x_k, x_i>, bad = the antipodal
     mask, xsq = |x_i - x_k|^2, the rank-one transport weight w, and the rows
     m_k = v_k x x_k.  Built once per recorded state, for its frame and the next
-    step's k1; the mask is not raised on, so a frame can record the state.
+    step's k1; the mask is not raised on, so a frame can record the state.  The
+    tables are written into the workspace ws (a fresh one if None).
 
     w = (1 - <x_k,x_i>) <x_k x x_i, v_k> / |x_k x x_i|^2 (0 at or below
     _CROSS_GUARD) is formed without cross tables, by two identities exact
@@ -153,33 +179,47 @@ def _pair_tables(X: np.ndarray, V: np.ndarray) -> _PairTables:
     - <x_k x x_i, v_k> = <m_k, x_i>, one matmul M X^T.
     """
     n = X.shape[0]
-    dots = X @ X.T
-    xsq = _pair_dot(X, X)
+    ws = _Workspace(n) if ws is None else ws
+    a, b = ws.scratch[:2]
+    dots = np.matmul(X, X.T, out=ws.dots)
+    xsq = _pair_dot(X, X, ws.xsq, a)
     sq = dots.diagonal()[:, None]  # |x_k|^2
-    p = dots - sq
+    p = np.subtract(dots, sq, out=a)
     p *= p
-    nsq = xsq * sq
+    nsq = np.multiply(xsq, sq, out=b)
     nsq -= p
-    del p
-    bad = dots < geometry._OPPOSITE_DOT  # antipodal_mask's pre-screen, read as it reads it
+    # antipodal_mask's pre-screen, read as it reads it
+    bad = np.less(dots, geometry._OPPOSITE_DOT, out=ws.bad)
     if bad.any():
         k, i = np.nonzero(bad)
         c = np.cross(X[k], X[i])
         nsq[k, i] = (c * c).sum(axis=1)
         bad = antipodal_mask(X, dots)
     m = (V[:, :, None] * X[:, None, :]).reshape(n, 9) @ _LEVI
-    w = 1.0 - dots
-    w *= m @ X.T
-    w /= np.where(nsq > _CROSS_GUARD, nsq, np.inf)  # w = 0 at or below the guard
-    return _PairTables(dots, bad, xsq, w, m)
+    w = np.subtract(1.0, dots, out=ws.w)
+    w *= np.matmul(m, X.T, out=a)
+    at_guard = np.logical_not(np.greater(nsq, _CROSS_GUARD, out=ws.ok), out=ws.ok)
+    np.copyto(nsq, np.inf, where=at_guard)  # w = 0 at or below the guard
+    w /= nsq
+    return _PairTables(ws, dots, bad, xsq, w, m)
 
 
-def _rates(bad: np.ndarray, xsq: np.ndarray, kernel: Kernel) -> np.ndarray:
+def _built(X: np.ndarray, V: np.ndarray, tables) -> _PairTables:
+    """``tables`` if built; else the pair tables of (X, V), built on the
+    workspace of the unbuilt ``tables`` (on a fresh one if None)."""
+    if tables is not None and tables.dots is not None:
+        return tables
+    return _pair_tables(X, V, None if tables is None else tables.ws)
+
+
+def _rates(bad: np.ndarray, xsq: np.ndarray, kernel: Kernel, out=None) -> np.ndarray:
     """psi(|x_i - x_k|) from the tables xsq = |x_i - x_k|^2 and the antipodal
-    mask ``bad``; raises AntipodalPair on the mask."""
+    mask ``bad``; raises AntipodalPair on the mask.  The distances are written
+    into ``out`` (a fresh table if None), the rates are the kernel's."""
     if bad.any():
         raise AntipodalPair.between(*np.argwhere(bad)[0])
-    return kernel.psi(np.minimum(np.sqrt(xsq), 2.0))
+    r = np.sqrt(xsq, out=out)
+    return kernel.psi(np.minimum(r, 2.0, out=r))
 
 
 def _pair_pass(X: np.ndarray, V: np.ndarray, params: ModelParams, tables=None):
@@ -191,12 +231,18 @@ def _pair_pass(X: np.ndarray, V: np.ndarray, params: ModelParams, tables=None):
     terms are x_i x m_k, m_k = v_k x x_k, so with G = (psi w)^T X
     S_i = (G_i - (psi M)_i) x x_i + (psi <x, v>)_i x_i:
     (n, n) tables and matmuls, and no (n, n, 3) or cross table.
+
+    ``tables`` are the state's ``_pair_tables``, or an unbuilt set (or None)
+    to build them on (see ``_built``); the pass's (n, n) temporaries are
+    the tables' workspace's, so only the returned (n, 3) and (n,) arrays are
+    its own.
     """
     n = X.shape[0]
-    tables = _pair_tables(X, V) if tables is None else tables
-    dots, psim = tables.dots, _rates(tables.bad, tables.xsq, params.kernel)
+    tables = _built(X, V, tables)
+    a, b = tables.ws.scratch[:2]
+    dots, psim = tables.dots, _rates(tables.bad, tables.xsq, params.kernel, a)
     xv = (X * V).sum(axis=1)
-    G = (psim * tables.w).T @ X
+    G = np.multiply(psim, tables.w, out=b).T @ X
     G -= psim @ tables.m
     S = (G[:, :, None] * X[:, None, :]).reshape(n, 9) @ _LEVI
     S += (psim @ xv)[:, None] * X

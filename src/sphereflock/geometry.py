@@ -198,34 +198,45 @@ def _transport_table(X: np.ndarray, V: np.ndarray, dots: np.ndarray) -> np.ndarr
     return T
 
 
-def _transport_components(X: np.ndarray, V: np.ndarray, dots: np.ndarray, cw=None):
-    """Yield the (n, n) tables T[:, :, a] of ``_transport_table`` for a = 0, 1, 2."""
+def _transport_components(X: np.ndarray, V: np.ndarray, dots: np.ndarray, cw=None,
+                          outs=(None,) * 3, tmp=(None, None)):
+    """Yield the (n, n) tables T[:, :, a] of ``_transport_table`` for a = 0, 1, 2.
+
+    cw = (cross tables, weights w) as ``_cross_weights`` returns them, built
+    there if None; a cross table given as None is formed when its component
+    needs it.  T[:, :, a] is written into outs[a], with the pair tmp as
+    scratch; None buffers are fresh tables.
+    """
     c, w = _cross_weights(X, V, dots) if cw is None else cw
     xv = (X * V).sum(axis=1)
-    vx = V @ X.T
-    for a in range(3):
-        Ta = dots * V[:, a, None]
-        Ta += np.multiply.outer(xv, X[:, a])
-        Ta -= vx * X[:, a, None]
-        Ta += w * c[a]
+    U, C = tmp
+    for a, Ta in enumerate(outs):
+        Ta = np.multiply(dots, V[:, a, None], out=Ta)
+        Ta += np.multiply.outer(xv, X[:, a], out=U)
+        vx = np.matmul(V, X.T, out=U)  # <v_k, x_i>
+        vx *= X[:, a, None]
+        Ta -= vx
+        ca = _cross_table(X, a, C, U) if c[a] is None else c[a]
+        Ta += np.multiply(w, ca, out=C)
         yield Ta
 
 
-def _cross_tables(X: np.ndarray):
-    """The cross tables c[a][k, i] = (x_k x x_i)_a for a = 0, 1, 2."""
-    x0, x1, x2 = X.T
-    return (np.multiply.outer(x1, x2) - np.multiply.outer(x2, x1),
-            np.multiply.outer(x2, x0) - np.multiply.outer(x0, x2),
-            np.multiply.outer(x0, x1) - np.multiply.outer(x1, x0))
+def _cross_table(X: np.ndarray, a: int, out=None, tmp=None) -> np.ndarray:
+    """The cross table c_a[k, i] = (x_k x x_i)_a, written into ``out`` with
+    ``tmp`` as scratch (fresh tables if None)."""
+    p, q = X[:, (a + 1) % 3], X[:, (a + 2) % 3]
+    c = np.multiply.outer(p, q, out=out)
+    c -= np.multiply.outer(q, p, out=tmp)
+    return c
 
 
 def _cross_weights(X: np.ndarray, V: np.ndarray, dots: np.ndarray):
-    """Cross tables c = ``_cross_tables(X)`` and the rank-one weight w[k, i].
+    """Cross tables c[a] = ``_cross_table(X, a)`` and the rank-one weight w[k, i].
 
     w = (1 - <x_k,x_i>) <c_ki, v_k> / |c_ki|^2, zero below the guard, so that
     T[k, i] = <x_k,x_i> v_k + <x_k,v_k> x_i - <x_i,v_k> x_k + w c_ki.
     """
-    c = _cross_tables(X)
+    c = [_cross_table(X, a) for a in range(3)]
     nsq = c[0] * c[0] + c[1] * c[1] + c[2] * c[2]
     cv = c[0] * V[:, 0, None] + c[1] * V[:, 1, None] + c[2] * V[:, 2, None]
     ok = nsq > _CROSS_GUARD

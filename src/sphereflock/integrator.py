@@ -11,7 +11,10 @@ One stepping loop, ``_run``, serves both entry points: ``simulate``
 records frames between its chunks and ``energy_audit`` sums the
 trapezoid over the dissipation sums it yields.  A chunk-boundary state's
 pair tables are built once, for its frame and the next chunk's first RK4
-stage.  Each chunk runs through a compiled kernel (``_fast``) when numba is
+stage.  A run owns one ``dynamics._Workspace``: every pair pass, RK4 stage
+and frame of the run writes its (n, n) tables into those buffers, so the
+tables ``_run`` yields are views into them, valid only until the run
+resumes.  Each chunk runs through a compiled kernel (``_fast``) when numba is
 installed and the communication kernel has a closed-form fast code;
 otherwise a plain numpy loop with identical semantics runs.  ``rk4_step``
 always takes the numpy step, so a loop of it stays an independent replay
@@ -27,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fast, diagnostics, dynamics
-from .dynamics import (Ensemble, ModelParams, _pair_tables, _rhs_and_dissipation,
-                       constraint_violation)
+from .dynamics import (Ensemble, ModelParams, _pair_tables, _PairTables, _rhs_and_dissipation,
+                       _Workspace, constraint_violation)
 from .errors import AntipodalPair, NonFinite
 from .geometry import project_state
 
@@ -106,18 +109,21 @@ def _worst(a: float, b: float) -> float:
     return b if b > a or b != b else a
 
 
-def _step(X, V, a1, dt, params, project):
+def _step(X, V, a1, dt, params, project, unbuilt=None):
     """The numpy step from (X, V) with acceleration a1 there: classical RK4
     for the second-order system (dx = v, dv = a), then the drift (radial,
     tangency) of its result, then optionally the projection back onto the
-    sphere and tangent planes."""
+    sphere and tangent planes.  Each stage's tables are built on the
+    workspace of ``unbuilt``, a ``_PairTables(ws)`` (a fresh one if None)."""
+    if unbuilt is None:
+        unbuilt = _PairTables(_Workspace(X.shape[0]))
     half = 0.5 * dt
     v2 = V + half * a1
-    a2 = dynamics._pair_pass(X + half * V, v2, params)[0]
+    a2 = dynamics._pair_pass(X + half * V, v2, params, unbuilt)[0]
     v3 = V + half * a2
-    a3 = dynamics._pair_pass(X + half * v2, v3, params)[0]
+    a3 = dynamics._pair_pass(X + half * v2, v3, params, unbuilt)[0]
     v4 = V + dt * a3
-    a4 = dynamics._pair_pass(X + dt * v3, v4, params)[0]
+    a4 = dynamics._pair_pass(X + dt * v3, v4, params, unbuilt)[0]
     sixth = dt / 6.0
     Xn = X + sixth * (V + 2.0 * (v2 + v3) + v4)
     Vn = V + sixth * (a1 + 2.0 * (a2 + a3) + a4)
@@ -138,8 +144,9 @@ def rk4_step(ensemble: Ensemble, dt: float, params: ModelParams,
     """
     SimConfig(dt=dt)  # the one rule for a step: finite and positive
     X, V = ensemble.positions, ensemble.velocities
-    X, V, radial, tangency = _step(X, V, dynamics._pair_pass(X, V, params)[0], dt, params,
-                                   project)
+    unbuilt = _PairTables(_Workspace(X.shape[0]))
+    X, V, radial, tangency = _step(X, V, dynamics._pair_pass(X, V, params, unbuilt)[0], dt,
+                                   params, project, unbuilt)
     return StepResult(Ensemble(X, V, validate=project), radial, tangency)
 
 
@@ -149,11 +156,14 @@ def _run(X, V, dt, n_steps, stride, params, project, rates=None):
     Yields (steps done, worst radial drift, worst tangency drift, tables) for
     the state at `steps done`, the initial state first: the drifts are the
     running pre-projection maxima, tables that state's ``_pair_tables`` on the
-    numpy loop, built once for its frame and the next chunk's k1 (None on the
-    compiled loop, which builds its own); the caller drops them before
-    resuming, so no set outlives its k1.  If ``rates`` is a list, each chunk
-    appends the dissipation sum D at its start state, on the numpy loop from
-    the pair pass of its first k1.
+    numpy loop, built once for its frame and the next chunk's k1.  The
+    compiled loop builds its own, and only a frame reads the final state's,
+    so there tables is the unbuilt set, which ``make_frame`` builds when it
+    is asked for a frame.  Every set lives in the run's one workspace: the
+    yielded tables are views into its buffers, valid only until the run
+    resumes.  If ``rates`` is a list, each chunk appends the dissipation sum
+    D at its start state, on the numpy loop from the pair pass of its first
+    k1.
 
     Raises AntipodalPair with ``time`` the start of the step that met the
     pair, and NonFinite with ``time`` that of the chunk's start state if
@@ -162,10 +172,11 @@ def _run(X, V, dt, n_steps, stride, params, project, rates=None):
     """
     kernel = params.kernel
     fast = _fast.available(kernel)
+    unbuilt = _PairTables(_Workspace(X.shape[0]))
     max_r = max_t = 0.0
     done = 0
     while True:
-        tables = None if fast else _pair_tables(X, V)
+        tables = unbuilt if fast or done == n_steps else _pair_tables(X, V, unbuilt.ws)
         yield done, max_r, max_t, tables
         if done == n_steps:
             return
@@ -186,13 +197,13 @@ def _run(X, V, dt, n_steps, stride, params, project, rates=None):
                 max_r, max_t = _worst(max_r, radial), _worst(max_t, tangency)
             else:
                 a1, rate = _rhs_and_dissipation(X, V, params, tables)
-                tables = None
                 if rates is not None:
                     rates.append(rate)
                 for s in range(steps):
                     if s:
-                        a1 = dynamics._pair_pass(X, V, params)[0]
-                    X[:], V[:], radial, tangency = _step(X, V, a1, dt, params, project)
+                        a1 = dynamics._pair_pass(X, V, params, unbuilt)[0]
+                    X[:], V[:], radial, tangency = _step(X, V, a1, dt, params, project,
+                                                         unbuilt)
                     max_r, max_t = _worst(max_r, radial), _worst(max_t, tangency)
         except AntipodalPair as exc:
             exc.time = (done + s) * dt
@@ -238,9 +249,9 @@ def energy_audit(e0: Ensemble, params: ModelParams, dt: float, t_end: float) -> 
     X, V = e0.positions.copy(), e0.velocities.copy()
     e_start = diagnostics.energy(e0, params.sigma)[0]
     rates = []
-    for _, max_r, max_t, tables in _run(X, V, dt, int(round(t_end / dt)), 1, params, True,
-                                        rates):
-        del tables  # before the run builds the next set
+    for _, max_r, max_t, _tables in _run(X, V, dt, int(round(t_end / dt)), 1, params, True,
+                                         rates):
+        pass
     rates.append(diagnostics.pairwise_dissipation(Ensemble(X, V, validate=False), params))
     total = 0.0
     for prev, cur in zip(rates, rates[1:]):
@@ -277,8 +288,7 @@ def simulate(e0: Ensemble, params: ModelParams, config: SimConfig) -> Trajectory
     try:
         for step, traj.max_step_radial, traj.max_step_tangency, tables in run:
             if step % config.frame_stride == 0:
-                record(step, tables)  # make_frame builds the tables if None
-            del tables  # before the run builds the next set
+                record(step, tables)  # make_frame builds the tables if unbuilt
     except (AntipodalPair, NonFinite) as exc:
         exc.partial_trajectory = traj
         raise

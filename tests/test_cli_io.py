@@ -244,6 +244,20 @@ class TestCli:
         refit = json.loads(capsys.readouterr().out)
         assert refit["rate"] == payload["fit"]["rate"]
 
+    def test_summary_runtime_record(self, tmp_path, capsys):
+        from sphereflock import _fast
+
+        summary = tmp_path / "summary.json"
+        assert main(["simulate", "--preset", "paper-sigma1", "--t-end", "0.05",
+                     "--out", str(tmp_path / "f.csv"), "--summary", str(summary)]) == 0
+        runtime = json.loads(summary.read_text())["runtime"]
+        assert set(runtime) == {"wall_time_s", "n_steps", "dt", "n_frames", "backend",
+                                "steps_per_s"}
+        assert runtime["n_steps"] == 50 and runtime["dt"] == 1e-3 and runtime["n_frames"] == 6
+        kernel = preset_scenario("paper-sigma1").params.kernel
+        assert runtime["backend"] == ("numba" if _fast.available(kernel) else "numpy")
+        assert runtime["steps_per_s"] == runtime["n_steps"] / runtime["wall_time_s"] > 0.0
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_fit_rate_rejects_non_finite_samples(self, tmp_path, capsys, bad):
         rows = [[0.1 * k] + [math.exp(-0.1 * k)] * (len(CSV_COLUMNS) - 1) for k in range(20)]

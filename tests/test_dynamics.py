@@ -9,8 +9,9 @@ from sphereflock import (AntipodalPair, Ensemble, InvalidEnsemble, ModelParams,
                          paper_kernel, paper_scenario, pairwise_transport, project_to_sphere,
                          project_to_tangent, rhs, spectral_abscissa)
 from sphereflock.diagnostics import make_frame
-from sphereflock.dynamics import (_pair_tables, _rhs_and_dissipation, inhomogeneous_table,
-                                  pair_derivative_table, pair_functional_table)
+from sphereflock.dynamics import (_pair_pass, _pair_tables, _PairTables, _rhs_and_dissipation,
+                                  _Workspace, inhomogeneous_table, pair_derivative_table,
+                                  pair_functional_table)
 from sphereflock.geometry import _CROSS_GUARD, _OPPOSITE_DOT, _cross_weights
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -362,6 +363,107 @@ class TestEquivariance:
     @given(symmetry_cases(), st.sampled_from([0.0, 1.0, 5.0]))
     def test_frame_relabelling_invariant(self, case, sigma):
         self.check_frame(case, sigma, 1)
+
+
+    def check_pass(self, case, sigma, which):
+        ens, q, perm = case
+        p = ModelParams(paper_kernel(), sigma)
+        dv, S, r, vsq = _pair_pass(ens.positions, ens.velocities, p)
+        want = ((dv @ q.T, S @ q.T, r, vsq), (dv[perm], S[perm], r[perm], vsq[perm]))[which]
+        moved = self.moved(ens, q, perm)[which]
+        got = _pair_pass(moved.positions, moved.velocities, p)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-13 * max(1.0, np.abs(w).max())
+
+    @settings(max_examples=30)
+    @given(symmetry_cases(), st.sampled_from([0.0, 1.0, 5.0]))
+    def test_pair_pass_rotates(self, case, sigma):
+        # dv and S rotate with the state; r and |v|^2 are unchanged
+        self.check_pass(case, sigma, 0)
+
+    @settings(max_examples=30)
+    @given(symmetry_cases(), st.sampled_from([0.0, 1.0, 5.0]))
+    def test_pair_pass_permutes(self, case, sigma):
+        self.check_pass(case, sigma, 1)
+
+    @settings(max_examples=30)
+    @given(symmetry_cases(), st.sampled_from([0.0, 1.0, 5.0]))
+    def test_fused_dissipation_invariant(self, case, sigma):
+        # D's rounding is absolute, of the size K of the two sums it subtracts
+        # (see TestFusedDissipation), so the bound is relative to max(1, K):
+        # on 3,000 such states the change was at most 9.6e-16 of it, while
+        # relative to max(1, |D|) it reached 1.7e-13.
+        ens, q, perm = case
+        p = ModelParams(paper_kernel(), sigma)
+        D = _rhs_and_dissipation(ens.positions, ens.velocities, p)[1]
+        for moved in self.moved(ens, q, perm):
+            got = _rhs_and_dissipation(moved.positions, moved.velocities, p)[1]
+            assert abs(got - D) <= 1e-13 * max(1.0, cancelled_size(ens, p))
+
+
+@st.composite
+def reuse_states(draw):
+    """A random state (n = 2, 6 or 40) or a close-and-opposite one, and a
+    random state of the same size."""
+    if draw(st.booleans()):
+        seed, n, close, gap = draw(st.tuples(*CLOSE_AND_OPPOSITE))
+        rng = np.random.default_rng(seed)
+        ens = close_and_opposite_ensemble(rng, n, 10.0**close, 10.0**gap)
+    else:
+        n, seed, speed = draw(STATES.filter(lambda state: state[0] > 1))
+        rng = np.random.default_rng(seed)
+        ens = random_ensemble(rng, n, speed)
+    return ens, random_ensemble(rng, n)
+
+
+class TestWorkspaceReuse:
+    """A workspace carries nothing from one state to the next: on a dirty
+    workspace the pair pass, the fused D and the frame are byte-equal to the
+    same call on a fresh workspace.  Each is run on two dirty workspaces,
+    one holding NaN in every table and True in both masks, one holding the
+    tables and frame scratch of another state, so that no leftover can
+    happen to match what a fresh workspace holds."""
+
+    @staticmethod
+    def dirty(other):
+        p = ModelParams(paper_kernel(), 1.0)
+        with_nan, with_other = _Workspace(other.n), _Workspace(other.n)
+        for table in (with_nan.dots, with_nan.xsq, with_nan.w, *with_nan.scratch):
+            table.fill(np.nan)
+        with_nan.bad.fill(True)
+        with_nan.ok.fill(True)
+        make_frame(0.0, other, p, _PairTables(with_other))
+        return _PairTables(with_nan), _PairTables(with_other)
+
+    @settings(max_examples=30)
+    @given(reuse_states())
+    def test_pair_pass(self, case):
+        ens, other = case
+        X, V, p = ens.positions, ens.velocities, ModelParams(paper_kernel(), 1.0)
+        want = _pair_pass(X, V, p)
+        for unbuilt in self.dirty(other):
+            for got, fresh in zip(_pair_pass(X, V, p, unbuilt), want):
+                assert got.tobytes() == fresh.tobytes()
+
+    @settings(max_examples=30)
+    @given(reuse_states())
+    def test_fused_dissipation(self, case):
+        ens, other = case
+        X, V, p = ens.positions, ens.velocities, ModelParams(paper_kernel(), 1.0)
+        want_dv, want_D = _rhs_and_dissipation(X, V, p)
+        for unbuilt in self.dirty(other):
+            dv, D = _rhs_and_dissipation(X, V, p, unbuilt)
+            assert dv.tobytes() == want_dv.tobytes()
+            assert np.float64(D).tobytes() == np.float64(want_D).tobytes()
+
+    @settings(max_examples=30)
+    @given(reuse_states())
+    def test_frame(self, case):
+        ens, other = case
+        p = ModelParams(paper_kernel(), 1.0)
+        want = np.array(make_frame(0.5, ens, p).as_row()).tobytes()
+        for unbuilt in self.dirty(other):
+            assert np.array(make_frame(0.5, ens, p, unbuilt).as_row()).tobytes() == want
 
 
 class TestPairFunctional:

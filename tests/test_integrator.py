@@ -319,7 +319,7 @@ def assert_frames_rebuild(traj, params):
 class TestSharedPairTables:
     @pytest.mark.parametrize("projection", [True, False])
     @pytest.mark.parametrize("stride", [1, 3])
-    @pytest.mark.parametrize("n", [2, 6, 40])
+    @pytest.mark.parametrize("n", [2, 6, 40, 128])
     def test_frames_equal_frames_from_scratch(self, numpy_params, n, stride, projection):
         # 8 steps: at stride 3 the last two form a trailing partial stride
         ens = random_ensemble(np.random.default_rng(n), n, speed=0.5)
@@ -384,6 +384,33 @@ class TestSharedPairTables:
         finally:
             tracemalloc.stop()
         assert peak <= 13 * 8 * n * n
+
+    def test_steady_step_and_frame_allocate_no_tables(self, numpy_params):
+        # On a warm workspace a step and a frame write their (n, n) tables into
+        # its buffers.  What they still allocate is the kernel's psi temporaries
+        # (two tables at a time; measured 2.2 tables for the step, 1.1 for the
+        # frame), numpy's fixed-size iterator buffers and (n, 3) arrays.
+        import tracemalloc
+
+        from sphereflock import integrator
+        from sphereflock.dynamics import _PairTables, _pair_pass, _pair_tables, _Workspace
+
+        n = 128
+        ens = random_scenario(0, n, 0.5, 0.1, numpy_params).ensemble
+        X, V = ens.positions, ens.velocities
+        unbuilt = _PairTables(_Workspace(n))
+        a1 = _pair_pass(X, V, numpy_params, unbuilt)[0]
+        for call in (lambda: integrator._step(X, V, a1, 1e-3, numpy_params, True, unbuilt),
+                     lambda: make_frame(0.0, ens, numpy_params, _pair_tables(X, V, unbuilt.ws))):
+            call()  # warm
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                call()
+                rise = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+            assert rise <= 3 * 8 * n * n
 
 
 def test_simulate_works_without_numba(tmp_path):
