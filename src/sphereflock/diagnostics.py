@@ -23,7 +23,7 @@ import numpy as np
 from .dynamics import (Ensemble, ModelParams, _built, _pair_dot, _rates, constraint_violation,
                        rhs)
 from .errors import InsufficientSamples, NonPositiveValue
-from .geometry import _transport_components, antipodal_mask
+from .geometry import _cross_weights, _transport_components, antipodal_mask
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,13 @@ def diameters(ensemble: Ensemble) -> tuple[float, float, float]:
     return gaps["d_x"], gaps["d_v"], gaps["v_max"]
 
 
-def _misalignment(X: np.ndarray, V: np.ndarray, dots: np.ndarray, cw=None,
+def _misalignment(X: np.ndarray, V: np.ndarray, dots: np.ndarray, w: np.ndarray,
                   bufs=(None,) * 4) -> np.ndarray:
     """|R_{x_k -> x_i} v_k - v_i|^2 as an (n, n) table indexed [k, i], from the
-    componentwise transport; cw = (cross tables, weights) as
-    ``_transport_components`` takes them, built there if None.  The table is
-    written into bufs[0], with bufs[1:] as scratch (fresh tables if None)."""
+    componentwise transport with rank-one weights w.  The table is written
+    into bufs[0], with bufs[1:] as scratch (fresh tables if None)."""
     out, T, U, C = bufs
-    for a, Ta in enumerate(_transport_components(X, V, dots, cw, (out, T, T), (U, C))):
+    for a, Ta in enumerate(_transport_components(X, V, dots, w, (out, T, T), (U, C))):
         Ta -= V[:, a]
         Ta *= Ta
         if a:
@@ -116,7 +115,8 @@ def pairwise_dissipation(ensemble: Ensemble, params: ModelParams) -> float:
     X, V = ensemble.positions, ensemble.velocities
     dots = X @ X.T
     psim = _rates(antipodal_mask(X, dots), _pair_dot(X, X), params.kernel)
-    return float((psim * _misalignment(X, V, dots)).sum()) / (ensemble.n * ensemble.n)
+    mis = _misalignment(X, V, dots, _cross_weights(X, V, dots))
+    return float((psim * mis).sum()) / (ensemble.n * ensemble.n)
 
 
 def energy_rate(ensemble: Ensemble, params: ModelParams) -> float:
@@ -138,22 +138,25 @@ def make_frame(t: float, ensemble: Ensemble, params: ModelParams, tables=None) -
     """Every frame field from one set of gap tables and one misalignment table.
 
     ``tables`` are the state's ``dynamics._pair_tables`` if already built, else
-    an unbuilt set (or None) to build them on (``dynamics._built``).  The
-    frame's other tables go into the scratch of the tables' workspace, so
-    the tables themselves stay intact for the state's next pair pass.
+    the unbuilt set, a bare ``dynamics._Workspace`` (or None for a fresh one),
+    to build them on (``dynamics._built``).  The frame's other tables go into
+    the scratch of the tables' workspace, so the tables themselves stay
+    intact for the state's next pair pass.
 
     flock_align = max_{i,j} |x_i + x_j| |R_{x_j -> x_i} v_j - v_i|, 0 by convention
-    for pairs inside the antipodal tolerance, and antipode_margin = min_{i,j} |x_i + x_j|.
+    for pairs inside the antipodal tolerance and for i = j (R = I, whatever the
+    transport's rounding), and antipode_margin = min_{i,j} |x_i + x_j|.
     """
     X, V = ensemble.positions, ensemble.velocities
     tables = _built(X, V, tables)
     bufs = tables.ws.scratch
-    prod = _misalignment(X, V, tables.dots, ((None,) * 3, tables.w), bufs)
+    prod = _misalignment(X, V, tables.dots, tables.w, bufs)
     np.sqrt(prod, out=prod)
     margin = _pair_dot(X, X, bufs[1], bufs[2], op=np.add)
     np.sqrt(margin, out=margin)
     prod *= margin  # margin is pair-symmetric
     prod[tables.bad] = 0.0
+    np.fill_diagonal(prod, 0.0)
     align, closest = float(prod.max()), float(margin.min())
     radial, tangency = constraint_violation(X, V)
     return DiagnosticsFrame(t=t, **_gap_fields(ensemble, params.sigma, tables.xsq, bufs[:3]),

@@ -29,9 +29,10 @@ x_i x sum_k psi_ik (v_k x x_k).  The frame diagnostics and
 The (n, n) tables live in a ``_Workspace``: ``_pair_tables`` writes a
 state's tables into its buffers and the pair pass takes its temporaries
 from them, so a stepping run (``integrator._run``) that owns one workspace
-allocates no (n, n) array but the kernel's own.  Tables built on a
-workspace are views into it, valid until it next builds a set; a call
-without one (public ``rhs``) builds a workspace for itself.
+allocates no (n, n) array but the kernel's own.  A bare workspace is the
+unbuilt set: a helper given one builds the state's tables on it.  Tables
+built on a workspace are views into it, valid until it next builds a set;
+a call without one (public ``rhs``) builds a workspace for itself.
 
 For every pair (i, j) the triple
 
@@ -54,7 +55,7 @@ import numpy as np
 
 from . import geometry
 from .errors import AntipodalPair, InvalidEnsemble
-from .geometry import _CROSS_GUARD, _transport_table, antipodal_mask, project_state
+from .geometry import _CROSS_GUARD, antipodal_mask, pairwise_transport, project_state
 from .kernels import Kernel
 
 # Ensemble state invariants (looser than construction-time projection noise
@@ -63,8 +64,8 @@ RADIAL_TOL = 1e-9
 TANGENCY_TOL = 1e-8
 
 # The pair tables of one state, built on the workspace ws by _pair_tables;
-# _PairTables(ws) alone is the unbuilt set, to be built on ws when needed.
-_PairTables = namedtuple("_PairTables", "ws dots bad xsq w m", defaults=(None,) * 5)
+# the bare workspace is the unbuilt set, to be built on when needed.
+_PairTables = namedtuple("_PairTables", "ws dots bad xsq w m")
 
 
 @dataclass(frozen=True)
@@ -205,11 +206,9 @@ def _pair_tables(X: np.ndarray, V: np.ndarray, ws: _Workspace | None = None) -> 
 
 
 def _built(X: np.ndarray, V: np.ndarray, tables) -> _PairTables:
-    """``tables`` if built; else the pair tables of (X, V), built on the
-    workspace of the unbuilt ``tables`` (on a fresh one if None)."""
-    if tables is not None and tables.dots is not None:
-        return tables
-    return _pair_tables(X, V, None if tables is None else tables.ws)
+    """``tables`` if built (a ``_PairTables``); else the pair tables of (X, V),
+    built on ``tables``, the unbuilt set: a ``_Workspace`` (a fresh one if None)."""
+    return tables if isinstance(tables, _PairTables) else _pair_tables(X, V, tables)
 
 
 def _rates(bad: np.ndarray, xsq: np.ndarray, kernel: Kernel, out=None) -> np.ndarray:
@@ -232,10 +231,10 @@ def _pair_pass(X: np.ndarray, V: np.ndarray, params: ModelParams, tables=None):
     S_i = (G_i - (psi M)_i) x x_i + (psi <x, v>)_i x_i:
     (n, n) tables and matmuls, and no (n, n, 3) or cross table.
 
-    ``tables`` are the state's ``_pair_tables``, or an unbuilt set (or None)
-    to build them on (see ``_built``); the pass's (n, n) temporaries are
-    the tables' workspace's, so only the returned (n, 3) and (n,) arrays are
-    its own.
+    ``tables`` are the state's ``_pair_tables``, or the unbuilt set, a bare
+    ``_Workspace`` (or None), to build them on (see ``_built``); the pass's
+    (n, n) temporaries are the tables' workspace's, so only the returned
+    (n, 3) and (n,) arrays are its own.
     """
     n = X.shape[0]
     tables = _built(X, V, tables)
@@ -338,7 +337,7 @@ def inhomogeneous_table(ensemble: Ensemble, params: ModelParams) -> np.ndarray:
     dots = X @ X.T
     x1 = _pair_dot(X, X)
     psim = _rates(antipodal_mask(X, dots), x1, params.kernel)
-    T = _transport_table(X, V, dots)
+    T = pairwise_transport(X, V)
 
     vsq = (V * V).sum(axis=1)
     # G[p, q] = sum_k <T[k,p], x_q>;  H[p, q] = sum_k <T[k,p], v_q>

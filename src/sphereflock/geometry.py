@@ -175,39 +175,21 @@ def pairwise_transport(positions, vectors, antipodal: str = "raise"):
     bad = antipodal_mask(X, dots)
     if antipodal == "raise" and bad.any():
         raise AntipodalPair.between(*np.argwhere(bad)[0])
-    T = _transport_table(X, V, dots)
+    T = np.stack(tuple(_transport_components(X, V, dots, _cross_weights(X, V, dots))), axis=-1)
     if antipodal == "zero":
         T[bad] = 0.0
         return T, bad
     return T
 
 
-def _transport_table(X: np.ndarray, V: np.ndarray, dots: np.ndarray) -> np.ndarray:
-    """Batched evaluation of the four-term transport formula.
-
-    T[k, i] = <x_k,x_i> v_k + <x_k,v_k> x_i - <x_i,v_k> x_k
-              + (1 - <x_k,x_i>) <u,v_k> u,   u = (x_k x x_i)/|x_k x x_i|.
-
-    Callers are responsible for antipodal screening; pairs with a cross
-    product below the guard get the rank-one term dropped (coincident
-    limit).  np.cross is avoided: it dominates the cost at small n.
-    """
-    T = np.empty(dots.shape + (3,))
-    for a, Ta in enumerate(_transport_components(X, V, dots)):
-        T[:, :, a] = Ta
-    return T
-
-
-def _transport_components(X: np.ndarray, V: np.ndarray, dots: np.ndarray, cw=None,
+def _transport_components(X: np.ndarray, V: np.ndarray, dots: np.ndarray, w: np.ndarray,
                           outs=(None,) * 3, tmp=(None, None)):
-    """Yield the (n, n) tables T[:, :, a] of ``_transport_table`` for a = 0, 1, 2.
-
-    cw = (cross tables, weights w) as ``_cross_weights`` returns them, built
-    there if None; a cross table given as None is formed when its component
-    needs it.  T[:, :, a] is written into outs[a], with the pair tmp as
-    scratch; None buffers are fresh tables.
-    """
-    c, w = _cross_weights(X, V, dots) if cw is None else cw
+    """Yield the (n, n) tables T[:, :, a] of the four-term transport, a = 0, 1, 2,
+    T[k, i] = <x_k,x_i> v_k + <x_k,v_k> x_i - <x_i,v_k> x_k + w[k, i] (x_k x x_i),
+    with w the weights of ``_cross_weights``.  Callers are responsible for
+    antipodal screening.  T[:, :, a] is written into outs[a], with the pair
+    tmp as scratch (fresh tables if None); np.cross is avoided, as it
+    dominates the cost at small n."""
     xv = (X * V).sum(axis=1)
     U, C = tmp
     for a, Ta in enumerate(outs):
@@ -216,8 +198,7 @@ def _transport_components(X: np.ndarray, V: np.ndarray, dots: np.ndarray, cw=Non
         vx = np.matmul(V, X.T, out=U)  # <v_k, x_i>
         vx *= X[:, a, None]
         Ta -= vx
-        ca = _cross_table(X, a, C, U) if c[a] is None else c[a]
-        Ta += np.multiply(w, ca, out=C)
+        Ta += np.multiply(w, _cross_table(X, a, C, U), out=C)
         yield Ta
 
 
@@ -230,14 +211,16 @@ def _cross_table(X: np.ndarray, a: int, out=None, tmp=None) -> np.ndarray:
     return c
 
 
-def _cross_weights(X: np.ndarray, V: np.ndarray, dots: np.ndarray):
-    """Cross tables c[a] = ``_cross_table(X, a)`` and the rank-one weight w[k, i].
-
-    w = (1 - <x_k,x_i>) <c_ki, v_k> / |c_ki|^2, zero below the guard, so that
-    T[k, i] = <x_k,x_i> v_k + <x_k,v_k> x_i - <x_i,v_k> x_k + w c_ki.
-    """
-    c = [_cross_table(X, a) for a in range(3)]
-    nsq = c[0] * c[0] + c[1] * c[1] + c[2] * c[2]
-    cv = c[0] * V[:, 0, None] + c[1] * V[:, 1, None] + c[2] * V[:, 2, None]
+def _cross_weights(X: np.ndarray, V: np.ndarray, dots: np.ndarray) -> np.ndarray:
+    """The rank-one weight w[k, i] = (1 - <x_k,x_i>) <c_ki, v_k> / |c_ki|^2 of the
+    cross product c_ki = x_k x x_i, zero below the guard, so that
+    T[k, i] = <x_k,x_i> v_k + <x_k,v_k> x_i - <x_i,v_k> x_k + w c_ki.  The cross
+    tables ``_cross_table(X, a)`` are formed one at a time."""
+    c = _cross_table(X, 0)
+    nsq, cv = c * c, c * V[:, 0, None]
+    for a in (1, 2):
+        c = _cross_table(X, a)
+        nsq += c * c
+        cv += c * V[:, a, None]
     ok = nsq > _CROSS_GUARD
-    return c, np.where(ok, (1.0 - dots) * cv / np.where(ok, nsq, 1.0), 0.0)
+    return np.where(ok, (1.0 - dots) * cv / np.where(ok, nsq, 1.0), 0.0)

@@ -12,13 +12,13 @@ records frames between its chunks and ``energy_audit`` sums the
 trapezoid over the dissipation sums it yields.  A chunk-boundary state's
 pair tables are built once, for its frame and the next chunk's first RK4
 stage.  A run owns one ``dynamics._Workspace``: every pair pass, RK4 stage
-and frame of the run writes its (n, n) tables into those buffers, so the
-tables ``_run`` yields are views into them, valid only until the run
-resumes.  Each chunk runs through a compiled kernel (``_fast``) when numba is
-installed and the communication kernel has a closed-form fast code;
-otherwise a plain numpy loop with identical semantics runs.  ``rk4_step``
-always takes the numpy step, so a loop of it stays an independent replay
-of ``simulate``.
+and frame of the run is handed the bare workspace, the unbuilt set, and
+writes its (n, n) tables into its buffers, so the tables ``_run`` yields
+are views into them, valid only until the run resumes.  Each chunk runs
+through a compiled kernel (``_fast``) when numba is installed and the
+communication kernel has a closed-form fast code; otherwise a plain numpy
+loop with identical semantics runs.  ``rk4_step`` always takes the numpy
+step, so a loop of it stays an independent replay of ``simulate``.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fast, diagnostics, dynamics
-from .dynamics import (Ensemble, ModelParams, _pair_tables, _PairTables, _rhs_and_dissipation,
-                       _Workspace, constraint_violation)
+from .dynamics import (Ensemble, ModelParams, _pair_tables, _rhs_and_dissipation, _Workspace,
+                       constraint_violation)
 from .errors import AntipodalPair, NonFinite
 from .geometry import project_state
 
@@ -53,8 +53,9 @@ class SimConfig:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError("dt must be finite and positive")
-        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
-            raise ValueError("t_end must be finite and nonnegative")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0.0
+                and math.isfinite(self.t_end / self.dt)):
+            raise ValueError("t_end must be finite and nonnegative, with t_end / dt finite")
         stride = self.frame_stride
         if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
             raise ValueError(f"frame_stride must be an integer of at least 1, got {stride!r}")
@@ -109,21 +110,19 @@ def _worst(a: float, b: float) -> float:
     return b if b > a or b != b else a
 
 
-def _step(X, V, a1, dt, params, project, unbuilt=None):
+def _step(X, V, a1, dt, params, project, ws=None):
     """The numpy step from (X, V) with acceleration a1 there: classical RK4
     for the second-order system (dx = v, dv = a), then the drift (radial,
     tangency) of its result, then optionally the projection back onto the
     sphere and tangent planes.  Each stage's tables are built on the
-    workspace of ``unbuilt``, a ``_PairTables(ws)`` (a fresh one if None)."""
-    if unbuilt is None:
-        unbuilt = _PairTables(_Workspace(X.shape[0]))
+    workspace ws (on a fresh one if None)."""
     half = 0.5 * dt
     v2 = V + half * a1
-    a2 = dynamics._pair_pass(X + half * V, v2, params, unbuilt)[0]
+    a2 = dynamics._pair_pass(X + half * V, v2, params, ws)[0]
     v3 = V + half * a2
-    a3 = dynamics._pair_pass(X + half * v2, v3, params, unbuilt)[0]
+    a3 = dynamics._pair_pass(X + half * v2, v3, params, ws)[0]
     v4 = V + dt * a3
-    a4 = dynamics._pair_pass(X + dt * v3, v4, params, unbuilt)[0]
+    a4 = dynamics._pair_pass(X + dt * v3, v4, params, ws)[0]
     sixth = dt / 6.0
     Xn = X + sixth * (V + 2.0 * (v2 + v3) + v4)
     Vn = V + sixth * (a1 + 2.0 * (a2 + a3) + a4)
@@ -144,9 +143,9 @@ def rk4_step(ensemble: Ensemble, dt: float, params: ModelParams,
     """
     SimConfig(dt=dt)  # the one rule for a step: finite and positive
     X, V = ensemble.positions, ensemble.velocities
-    unbuilt = _PairTables(_Workspace(X.shape[0]))
-    X, V, radial, tangency = _step(X, V, dynamics._pair_pass(X, V, params, unbuilt)[0], dt,
-                                   params, project, unbuilt)
+    ws = _Workspace(X.shape[0])
+    X, V, radial, tangency = _step(X, V, dynamics._pair_pass(X, V, params, ws)[0], dt,
+                                   params, project, ws)
     return StepResult(Ensemble(X, V, validate=project), radial, tangency)
 
 
@@ -158,12 +157,12 @@ def _run(X, V, dt, n_steps, stride, params, project, rates=None):
     running pre-projection maxima, tables that state's ``_pair_tables`` on the
     numpy loop, built once for its frame and the next chunk's k1.  The
     compiled loop builds its own, and only a frame reads the final state's,
-    so there tables is the unbuilt set, which ``make_frame`` builds when it
-    is asked for a frame.  Every set lives in the run's one workspace: the
-    yielded tables are views into its buffers, valid only until the run
-    resumes.  If ``rates`` is a list, each chunk appends the dissipation sum
-    D at its start state, on the numpy loop from the pair pass of its first
-    k1.
+    so there tables is the unbuilt set, the run's bare workspace, which
+    ``make_frame`` builds on when it is asked for a frame.  Every set lives
+    in the run's one workspace: the yielded tables are views into its
+    buffers, valid only until the run resumes.  If ``rates`` is a list,
+    each chunk appends the dissipation sum D at its start state, on the
+    numpy loop from the pair pass of its first k1.
 
     Raises AntipodalPair with ``time`` the start of the step that met the
     pair, and NonFinite with ``time`` that of the chunk's start state if
@@ -172,11 +171,11 @@ def _run(X, V, dt, n_steps, stride, params, project, rates=None):
     """
     kernel = params.kernel
     fast = _fast.available(kernel)
-    unbuilt = _PairTables(_Workspace(X.shape[0]))
+    ws = _Workspace(X.shape[0])
     max_r = max_t = 0.0
     done = 0
     while True:
-        tables = unbuilt if fast or done == n_steps else _pair_tables(X, V, unbuilt.ws)
+        tables = ws if fast or done == n_steps else _pair_tables(X, V, ws)
         yield done, max_r, max_t, tables
         if done == n_steps:
             return
@@ -201,9 +200,8 @@ def _run(X, V, dt, n_steps, stride, params, project, rates=None):
                     rates.append(rate)
                 for s in range(steps):
                     if s:
-                        a1 = dynamics._pair_pass(X, V, params, unbuilt)[0]
-                    X[:], V[:], radial, tangency = _step(X, V, a1, dt, params, project,
-                                                         unbuilt)
+                        a1 = dynamics._pair_pass(X, V, params, ws)[0]
+                    X[:], V[:], radial, tangency = _step(X, V, a1, dt, params, project, ws)
                     max_r, max_t = _worst(max_r, radial), _worst(max_t, tangency)
         except AntipodalPair as exc:
             exc.time = (done + s) * dt
@@ -277,18 +275,14 @@ def simulate(e0: Ensemble, params: ModelParams, config: SimConfig) -> Trajectory
     X, V = e0.positions.copy(), e0.velocities.copy()
     e0.check()
 
-    def record(step: int, tables) -> None:
-        # Without projection the state drifts off the constraint manifold by
-        # design; only projected runs promise frames meeting the invariants.
-        ens = Ensemble(X, V, validate=config.projection)
-        frames.append(Frame(step * config.dt, ens,
-                            diagnostics.make_frame(step * config.dt, ens, params, tables)))
-
     run = _run(X, V, config.dt, n_steps, config.frame_stride, params, config.projection)
     try:
         for step, traj.max_step_radial, traj.max_step_tangency, tables in run:
             if step % config.frame_stride == 0:
-                record(step, tables)  # make_frame builds the tables if unbuilt
+                # Without projection the state drifts off the constraint manifold by
+                # design; only projected runs promise frames meeting the invariants.
+                ens, t = Ensemble(X, V, validate=config.projection), step * config.dt
+                frames.append(Frame(t, ens, diagnostics.make_frame(t, ens, params, tables)))
     except (AntipodalPair, NonFinite) as exc:
         exc.partial_trajectory = traj
         raise

@@ -9,6 +9,7 @@ be an upper bound, never an underestimate.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -49,7 +50,7 @@ class Kernel:
 def eval_psi(kernel: Kernel, r):
     """Evaluate the kernel at chord distance(s) r in [0, 2]."""
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 2.0 + _DOMAIN_SLACK):
+    if not np.all((arr >= 0.0) & (arr <= 2.0 + _DOMAIN_SLACK)):  # NaN fails too
         raise OutOfRange("kernel argument outside [0, 2]")
     out = kernel.psi(np.minimum(arr, 2.0))
     return float(out) if np.isscalar(r) or arr.ndim == 0 else out
@@ -89,8 +90,8 @@ def paper_kernel() -> Kernel:
 
 def linear_kernel(scale: float = 1.0) -> Kernel:
     """psi(r) = scale * (2 - r); psi0 = 2*scale, c1_norm = 3*scale."""
-    if scale <= 0:
-        raise OutOfRange("linear kernel scale must be positive")
+    if not (math.isfinite(scale) and scale > 0):
+        raise OutOfRange(f"linear kernel scale must be finite and positive, got {scale!r}")
     return Kernel(
         name="linear",
         psi=lambda r: scale * (2.0 - r),
@@ -112,6 +113,9 @@ REGISTRY: dict[str, Callable[..., Kernel]] = {
 def kernel_from_name(name: str, *params) -> Kernel:
     if name not in REGISTRY:
         raise OutOfRange(f"unknown kernel {name!r}; registered: {sorted(REGISTRY)}")
+    most = len(inspect.signature(REGISTRY[name]).parameters)
+    if len(params) > most:
+        raise OutOfRange(f"kernel {name!r} takes at most {most} parameter(s), got {len(params)}")
     return REGISTRY[name](*params)
 
 

@@ -47,9 +47,11 @@ def frame_oracle(t, ensemble, params):
     The frame diagnostics as first written (energy, diameters, flocking
     metrics and the pair-functional maximum each building their own
     difference and transport tables), kept as the reference for the
-    contracted production path.
+    contracted production path.  The transport is ``transport_oracle``'s,
+    pair by pair, and the antipodal pairs are those with
+    |x_i + x_j| <= ANTIPODAL_TOL, so no table code is shared with it.
     """
-    from sphereflock import pairwise_transport
+    from sphereflock import ANTIPODAL_TOL
     from sphereflock.dynamics import constraint_violation
 
     X, V = ensemble.positions, ensemble.velocities
@@ -64,9 +66,16 @@ def frame_oracle(t, ensemble, params):
     d_v = float(np.sqrt((vd * vd).sum(axis=-1).max()))
     v_max = float(np.sqrt((V * V).sum(axis=1).max()))
 
-    T, bad = pairwise_transport(X, V, antipodal="zero")
     sums = X[:, None, :] + X[None, :, :]
     margin = np.sqrt((sums * sums).sum(axis=-1))
+    bad = margin <= ANTIPODAL_TOL
+    T = np.zeros((n, n, 3))  # T[j, i] = R_{x_j -> x_i} v_j, zero on antipodal pairs
+    for j in range(n):
+        for i in range(n):
+            if i == j:
+                T[j, i] = V[j]  # coincident-limit convention: identity transport
+            elif not bad[j, i]:
+                T[j, i] = transport_oracle(X[j], X[i], V[j])
     mis = T - V[None, :, :]  # mis[j, i] = R_{x_j -> x_i} v_j - v_i
     misnorm = np.sqrt((mis * mis).sum(axis=-1))
     prod = margin * misnorm  # margin is pair-symmetric

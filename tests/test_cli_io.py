@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from sphereflock import (ConfigError, SimConfig, check_initial, paper_scenario,
@@ -106,9 +106,11 @@ def run_configs(draw):
         vel_scale=draw(FINITE), seed=draw(st.integers(0, 2**63)), label=draw(LABELS),
         positions=tuple(draw(VECTORS) for _ in range(rows)),
         velocities=tuple(draw(VECTORS) for _ in range(rows)))
-    sim = SimConfig(dt=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
-                    t_end=draw(st.floats(min_value=0.0, allow_infinity=False)),
-                    projection=draw(st.booleans()), frame_stride=draw(st.integers(1, 10**6)))
+    dt = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    t_end = draw(st.floats(min_value=0.0, allow_infinity=False))
+    assume(math.isfinite(t_end / dt))  # SimConfig rejects a step count that overflows
+    sim = SimConfig(dt=dt, t_end=t_end, projection=draw(st.booleans()),
+                    frame_stride=draw(st.integers(1, 10**6)))
     return RunConfig(kernel_name=draw(st.sampled_from(["paper", "linear"])),
                      kernel_params=tuple(draw(st.lists(FINITE, max_size=2))),
                      sigma=draw(FINITE), sim=sim, scenario=scenario)
@@ -304,6 +306,26 @@ class TestCli:
         assert main(["simulate", "--config", str(bad),
                      "--out", str(tmp_path / "o.csv"),
                      "--summary", str(tmp_path / "s.json")]) == 2
+
+    @pytest.mark.parametrize("kernel", ["name = paper\nparams = 2.0",
+                                        "name = linear\nparams = 1.0 2.0",
+                                        "name = linear\nparams = nan"])
+    def test_bad_kernel_parameters_are_config_errors(self, tmp_path, capsys, kernel):
+        # a parameter count the kernel does not take, or a non-finite scale
+        path = tmp_path / "kernel.ini"
+        path.write_text(f"[kernel]\n{kernel}\n")
+        for args in (["simulate", "--out", str(tmp_path / "o.csv"),
+                      "--summary", str(tmp_path / "s.json")], ["check"]):
+            assert main([*args, "--config", str(path)]) == 2
+            assert "config error: " in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_overflowing_step_count_is_a_config_error(self, tmp_path, capsys):
+        code = main(["simulate", "--preset", "paper-sigma1", "--dt", "1e-300",
+                     "--t-end", "1e300", "--out", str(tmp_path / "o.csv"),
+                     "--summary", str(tmp_path / "s.json")])
+        assert code == 2
+        assert "config error: " in capsys.readouterr().err
 
     def test_antipodal_abort_exit_code(self, tmp_path, capsys):
         cfg = RunConfig(scenario=ScenarioSpec(

@@ -4,15 +4,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import dissipation_oracle, random_ensemble, random_unit, rhs_oracle
-from sphereflock import (AntipodalPair, Ensemble, InvalidEnsemble, ModelParams,
-                         coefficient_matrix, lagrange_multiplier, pairwise_dissipation,
-                         paper_kernel, paper_scenario, pairwise_transport, project_to_sphere,
-                         project_to_tangent, rhs, spectral_abscissa)
+from sphereflock import (AntipodalPair, Ensemble, InvalidEnsemble, ModelParams, SimConfig,
+                         check_initial, coefficient_matrix, lagrange_multiplier,
+                         pairwise_dissipation, paper_kernel, paper_scenario, pairwise_transport,
+                         project_to_sphere, project_to_tangent, rhs, simulate,
+                         spectral_abscissa)
 from sphereflock.diagnostics import make_frame
-from sphereflock.dynamics import (_pair_pass, _pair_tables, _PairTables, _rhs_and_dissipation,
-                                  _Workspace, inhomogeneous_table, pair_derivative_table,
+from sphereflock.dynamics import (_pair_pass, _pair_tables, _rhs_and_dissipation, _Workspace,
+                                  inhomogeneous_table, pair_derivative_table,
                                   pair_functional_table)
-from sphereflock.geometry import _CROSS_GUARD, _OPPOSITE_DOT, _cross_weights
+from sphereflock.geometry import _CROSS_GUARD, _OPPOSITE_DOT, _cross_table, _cross_weights
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -292,7 +293,8 @@ class TestCloseAndOppositePairs:
                                           10.0**gap)
         X, V = ens.positions, ens.velocities
         tables = _pair_tables(X, V)
-        c, w = _cross_weights(X, V, tables.dots)
+        c = [_cross_table(X, a) for a in range(3)]
+        w = _cross_weights(X, V, tables.dots)
         err = np.sqrt(c[0] ** 2 + c[1] ** 2 + c[2] ** 2) * np.abs(tables.w - w)
         margin = np.sqrt(sum(np.add.outer(x, x) ** 2 for x in X.T))
         speed = np.linalg.norm(V, axis=1)[:, None]
@@ -400,6 +402,50 @@ class TestEquivariance:
             got = _rhs_and_dissipation(moved.positions, moved.velocities, p)[1]
             assert abs(got - D) <= 1e-13 * max(1.0, cancelled_size(ens, p))
 
+    @settings(max_examples=30)
+    @given(symmetry_cases())
+    def test_pairwise_dissipation_invariant(self, case):
+        # a sum of nonnegative terms, so its rounding is relative to D itself:
+        # on 2,100 such states the change was at most 4.8e-15 of max(1, D)
+        ens, q, perm = case
+        p = ModelParams(paper_kernel(), 1.0)
+        D = pairwise_dissipation(ens, p)
+        for moved in self.moved(ens, q, perm):
+            assert abs(pairwise_dissipation(moved, p) - D) <= 1e-13 * max(1.0, D)
+
+    @settings(max_examples=30)
+    @given(symmetry_cases(), st.sampled_from([1.0, 5.0]))
+    def test_admissibility_invariant(self, case, sigma):
+        # the thresholds depend on the kernel and sigma alone; the initial
+        # values moved by at most 1.4e-15 of max(1, |value|) on 2,100 states
+        ens, q, perm = case
+        p = ModelParams(paper_kernel(), sigma)
+        want = check_initial(ens, p)
+        for moved in self.moved(ens, q, perm):
+            got = check_initial(moved, p)
+            assert got.thresholds == want.thresholds and got.bound_x == want.bound_x
+            assert ((got.verdict_v, got.verdict_e, got.verdict_x)
+                    == (want.verdict_v, want.verdict_e, want.verdict_x))
+            for name in ("v_initial", "e_initial", "x_initial"):
+                value = getattr(want, name)
+                assert abs(getattr(got, name) - value) <= 1e-13 * max(1.0, abs(value))
+
+    @settings(max_examples=15)
+    @given(symmetry_cases(), st.sampled_from([0.0, 1.0, 5.0]))
+    def test_short_run_invariant(self, case, sigma):
+        # 200 steps with a frame every 20: every frame field of the moved run
+        # within 2.5e-13 of max(1, |value|), ten times the worst of 2,100
+        # such states (2.5e-14); a 5,000-step run stayed within 1.1e-13
+        ens, q, perm = case
+        p, sim = ModelParams(paper_kernel(), sigma), SimConfig(dt=1e-3, t_end=0.2, frame_stride=20)
+
+        def frames(state):
+            return np.array([f.diagnostics.as_row() for f in simulate(state, p, sim).frames])
+
+        want = frames(ens)
+        for moved in self.moved(ens, q, perm):
+            assert (np.abs(frames(moved) - want) <= 2.5e-13 * np.maximum(1.0, np.abs(want))).all()
+
 
 @st.composite
 def reuse_states(draw):
@@ -432,8 +478,8 @@ class TestWorkspaceReuse:
             table.fill(np.nan)
         with_nan.bad.fill(True)
         with_nan.ok.fill(True)
-        make_frame(0.0, other, p, _PairTables(with_other))
-        return _PairTables(with_nan), _PairTables(with_other)
+        make_frame(0.0, other, p, with_other)
+        return with_nan, with_other
 
     @settings(max_examples=30)
     @given(reuse_states())

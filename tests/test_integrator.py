@@ -133,6 +133,11 @@ class TestRk4Step:
         with pytest.raises(ValueError):
             SimConfig(dt=float("nan"))
 
+    def test_config_rejects_non_finite_step_count(self):
+        # both finite, but t_end / dt overflows, so no step count exists
+        with pytest.raises(ValueError, match="t_end / dt finite"):
+            SimConfig(dt=1e-300, t_end=1e300)
+
     @pytest.mark.parametrize("stride", [2.0, 1.5, True, False, 0, -3, float("nan"),
                                         float("inf"), "2"])
     def test_config_rejects_non_integral_stride(self, stride):
@@ -393,15 +398,15 @@ class TestSharedPairTables:
         import tracemalloc
 
         from sphereflock import integrator
-        from sphereflock.dynamics import _PairTables, _pair_pass, _pair_tables, _Workspace
+        from sphereflock.dynamics import _pair_pass, _pair_tables, _Workspace
 
         n = 128
         ens = random_scenario(0, n, 0.5, 0.1, numpy_params).ensemble
         X, V = ens.positions, ens.velocities
-        unbuilt = _PairTables(_Workspace(n))
-        a1 = _pair_pass(X, V, numpy_params, unbuilt)[0]
-        for call in (lambda: integrator._step(X, V, a1, 1e-3, numpy_params, True, unbuilt),
-                     lambda: make_frame(0.0, ens, numpy_params, _pair_tables(X, V, unbuilt.ws))):
+        ws = _Workspace(n)
+        a1 = _pair_pass(X, V, numpy_params, ws)[0]
+        for call in (lambda: integrator._step(X, V, a1, 1e-3, numpy_params, True, ws),
+                     lambda: make_frame(0.0, ens, numpy_params, _pair_tables(X, V, ws))):
             call()  # warm
             tracemalloc.start()
             try:

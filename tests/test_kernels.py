@@ -57,6 +57,11 @@ class TestEvalPsi:
         # rounding slack just past 2 is clamped, not rejected
         assert eval_psi(k, 2.0 + 1e-13) == 0.0
 
+    def test_nan_is_outside_the_domain(self):
+        for r in (float("nan"), np.array([0.5, np.nan])):
+            with pytest.raises(OutOfRange):
+                eval_psi(paper_kernel(), r)
+
     def test_array_input(self):
         out = eval_psi(paper_kernel(), np.array([0.0, 2.0]))
         assert out.shape == (2,)
@@ -104,3 +109,17 @@ def test_make_kernel_numeric_c1_norm_is_safe_upper_bound():
 def test_kernel_from_name_unknown():
     with pytest.raises(OutOfRange):
         kernel_from_name("nope")
+
+
+def test_kernel_from_name_parameter_count():
+    with pytest.raises(OutOfRange, match="kernel 'paper' takes at most 0 parameter"):
+        kernel_from_name("paper", 2.0)
+    with pytest.raises(OutOfRange, match="kernel 'linear' takes at most 1 parameter"):
+        kernel_from_name("linear", 1.0, 2.0)
+    assert kernel_from_name("linear", 2.0).psi0 == 4.0
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_linear_kernel_scale_must_be_finite_and_positive(scale):
+    with pytest.raises(OutOfRange, match="finite and positive"):
+        linear_kernel(scale)

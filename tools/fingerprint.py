@@ -1,0 +1,161 @@
+"""Print one sha256 per output family of sphereflock, to check that a change
+leaves every output byte-identical.
+
+Run it against each checkout's sources and diff the two listings:
+
+    PYTHONPATH=src python3 tools/fingerprint.py > after.txt
+    PYTHONPATH=../parent/src python3 tools/fingerprint.py > before.txt
+    diff before.txt after.txt
+
+It calls only the public API and ``diagnostics.make_frame``, so the same
+script fingerprints an older checkout.  Floats are hashed by their bytes:
+two outputs hash alike only if every bit (the sign of a zero included) is
+the same.  It takes a few seconds on one core.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import math
+import sys
+import warnings
+
+import numpy as np
+
+import sphereflock as sf
+from sphereflock.diagnostics import make_frame
+
+N_STATES = 200
+
+
+def _feed(h, obj) -> None:
+    """Add obj to the hash h: arrays by dtype, shape and bytes, floats by
+    their bytes, containers and dataclasses item by item."""
+    if isinstance(obj, np.ndarray):
+        h.update(f"{obj.dtype}{obj.shape}".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif isinstance(obj, (bool, np.bool_, int, str)):
+        h.update(repr(obj).encode())
+    elif isinstance(obj, (float, np.floating)):
+        h.update(np.float64(obj).tobytes())
+    elif isinstance(obj, dict):
+        for key in sorted(obj):
+            _feed(h, key)
+            _feed(h, obj[key])
+    elif dataclasses.is_dataclass(obj):
+        _feed(h, {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
+    elif isinstance(obj, (tuple, list)):
+        h.update(b"(")
+        for item in obj:
+            _feed(h, item)
+        h.update(b")")
+    elif isinstance(obj, sf.Ensemble):
+        _feed(h, (obj.positions, obj.velocities))
+    else:
+        raise TypeError(f"cannot fingerprint {type(obj).__name__}")
+
+
+def _outcome(call):
+    """call()'s result, or the name of the library error it raised."""
+    try:
+        return call()
+    except sf.SphereFlockError as exc:
+        return type(exc).__name__
+
+
+def _trajectory(traj):
+    return ([f.diagnostics.as_row() for f in traj.frames], traj.times,
+            traj.final.ensemble, traj.max_step_radial, traj.max_step_tangency)
+
+
+def _paper():
+    sc = sf.paper_scenario(1.0)
+    projected = sf.simulate(sc.ensemble, sc.params, sf.SimConfig(dt=1e-3, t_end=1.0))
+    free = sf.simulate(sc.ensemble, sc.params,
+                       sf.SimConfig(dt=1e-3, t_end=0.205, projection=False))
+    return _trajectory(projected), _trajectory(free)
+
+
+def _seed_sweep():
+    params = sf.ModelParams(sf.paper_kernel(), 1.0)
+    sim = sf.SimConfig(dt=1e-3, t_end=0.05, frame_stride=10)
+    out = []
+    for seed in range(20):
+        sc = sf.random_scenario(seed, 6, math.pi / 64, 0.01, params, sim=sim)
+        out.append((sf.check_initial(sc.ensemble, params).as_dict(),
+                    _trajectory(sf.simulate(sc.ensemble, params, sim))))
+    return out
+
+
+def _crowd():
+    params = sf.ModelParams(sf.paper_kernel(), 1.0)
+    sim = sf.SimConfig(dt=1e-3, t_end=7e-3, frame_stride=1)
+    return [_trajectory(sf.simulate(sc.ensemble, params, sim))
+            for sc in (sf.random_scenario(seed, 256, 0.5, 0.1, params, sim=sim)
+                       for seed in (0, 1000))]
+
+
+def _energy_ledger():
+    sc = sf.paper_scenario(1.0)
+    return sf.integrator.energy_audit(sc.ensemble, sc.params, dt=2.5e-4, t_end=0.2)
+
+
+def _random_state(rng, k):
+    """State k of the random family: sizes 1 to 40, some with an antipodal
+    pair, a coincident pair or agents at rest."""
+    n = (1, 2, 3, 6, 17, 40)[k % 6]
+    X = rng.standard_normal((n, 3))
+    V = rng.standard_normal((n, 3)) * rng.choice([0.01, 0.3, 1.0])
+    if n > 1 and k % 5 == 1:
+        X[-1] = -X[0]
+    if n > 1 and k % 5 == 2:
+        X[-1] = X[0]
+    if k % 7 == 3:
+        V[: n // 2 + 1] = 0.0
+    return sf.Ensemble.projected(X, V)
+
+
+def _random_states():
+    rng = np.random.default_rng(20240101)
+    kernels = (sf.paper_kernel(), sf.linear_kernel(1.5))
+    families = {name: [] for name in ("pairwise_transport", "pairwise_transport_zero",
+                                      "pairwise_dissipation", "inhomogeneous_table",
+                                      "make_frame", "diameters", "energy", "rk4_step")}
+    for k in range(N_STATES):
+        ens = _random_state(rng, k)
+        p = sf.ModelParams(kernels[k % 2], (0.0, 1.0, 5.0)[k % 3])
+        X, V = ens.positions, ens.velocities
+        for name, call in (
+                ("pairwise_transport", lambda: sf.pairwise_transport(X, V)),
+                ("pairwise_transport_zero", lambda: sf.pairwise_transport(X, V, "zero")),
+                ("pairwise_dissipation", lambda: sf.pairwise_dissipation(ens, p)),
+                ("inhomogeneous_table", lambda: sf.inhomogeneous_table(ens, p)),
+                ("make_frame", lambda: make_frame(0.5, ens, p).as_row()),
+                ("diameters", lambda: sf.diameters(ens)),
+                ("energy", lambda: sf.energy(ens, p.sigma)),
+                ("rk4_step", lambda: [sf.rk4_step(ens, 1e-3, p, project)
+                                      for project in (True, False)])):
+            families[name].append(_outcome(call))
+    return families
+
+
+def main() -> int:
+    print(f"# sphereflock from {sf.__file__}", file=sys.stderr)
+    families = {"paper_scenario": _paper, "seed_sweep": _seed_sweep, "crowd_256": _crowd,
+                "energy_audit": _energy_ledger}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for name, build in families.items():
+            h = hashlib.sha256()
+            _feed(h, build())
+            print(f"{name} {h.hexdigest()}")
+        for name, outputs in _random_states().items():
+            h = hashlib.sha256()
+            _feed(h, outputs)
+            print(f"random.{name} {h.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
