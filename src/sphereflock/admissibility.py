@@ -75,12 +75,12 @@ def solve_x_m(kernel: Kernel, sigma: float, mu: float, c: float) -> float:
     lo, hi = 0.0, 2.0
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent doubles
+            break
         if h(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-17 * hi:
-            break
     s = 0.5 * (lo + hi)
     return s * s
 

@@ -8,11 +8,10 @@ Subcommands: simulate, check, fit-rate, verify, preset.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import __version__, _fast
 from .admissibility import check_initial
@@ -20,8 +19,8 @@ from .config import load_config, save_config
 from .diagnostics import fit_decay_rate
 from .errors import AntipodalPair, ConfigError, NonFinite, SphereFlockError
 from .integrator import simulate
-from .output import (_json_default, build_summary, fit_dict, read_frames_csv,
-                     write_frames_csv, write_json, write_state_csv)
+from .output import (build_summary, json_text, read_frames_csv, write_frames_csv, write_json,
+                     write_state_csv)
 from .scenarios import PRESETS, build_scenario, preset_config
 from .verify import run_all
 
@@ -81,7 +80,7 @@ def _cmd_simulate(args) -> int:
     if args.full_state:
         write_state_csv(str(args.out) + ".state.csv", trajectory)
 
-    n_steps = int(round(scenario.sim.t_end / scenario.sim.dt))
+    n_steps = scenario.sim.n_steps
     summary = build_summary(
         scenario.label, trajectory, fit,
         report.as_dict() if report is not None else None,
@@ -108,23 +107,21 @@ def _cmd_check(args) -> int:
         raise ConfigError("the admissibility condition is defined for sigma > 0")
     report = check_initial(scenario.ensemble, scenario.params)
     payload = {"label": scenario.label, **report.as_dict()}
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+        write_json(args.out, payload)
+    print(json_text(payload))
     return EXIT_OK
 
 
 def _cmd_fit_rate(args) -> int:
     columns = read_frames_csv(args.csv)
-    if args.column not in columns:
-        raise ConfigError(f"column {args.column!r} not in CSV (have {list(columns)})")
+    for name in ("t", args.column):
+        if name not in columns:
+            raise ConfigError(f"column {name!r} not in CSV (have {list(columns)})")
     t = columns["t"]
     window = tuple(args.window) if args.window else (t[-1] / 8.0, t[-1])
     fit = fit_decay_rate(t, columns[args.column], window)
-    print(json.dumps({"column": args.column, **fit_dict(fit)},
-                     indent=2, sort_keys=True, default=_json_default))
+    print(json_text({"column": args.column, **asdict(fit)}))
     return EXIT_OK
 
 

@@ -60,6 +60,11 @@ class SimConfig:
         if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
             raise ValueError(f"frame_stride must be an integer of at least 1, got {stride!r}")
 
+    @property
+    def n_steps(self) -> int:
+        """Steps of size dt to t_end, rounded to the nearest whole step."""
+        return int(round(self.t_end / self.dt))
+
 
 @dataclass(frozen=True)
 class StepResult:
@@ -240,15 +245,15 @@ def energy_audit(e0: Ensemble, params: ModelParams, dt: float, t_end: float) -> 
 
     Also records the worst pre-projection step drift.  Each state's
     dissipation sum comes from the stepping loop, the final state's from
-    the independent ``pairwise_dissipation``.  Aborts as ``simulate`` does,
-    with the same ``time``, but without a partial trajectory.
+    the independent ``pairwise_dissipation``.  Checks e0 and aborts as
+    ``simulate`` does, with the same ``time``, but without a partial trajectory.
     """
-    SimConfig(dt=dt, t_end=t_end)  # the same rule on dt and t_end as simulate's
+    n_steps = SimConfig(dt=dt, t_end=t_end).n_steps  # simulate's rule on dt and t_end
+    e0.check()
     X, V = e0.positions.copy(), e0.velocities.copy()
     e_start = diagnostics.energy(e0, params.sigma)[0]
     rates = []
-    for _, max_r, max_t, _tables in _run(X, V, dt, int(round(t_end / dt)), 1, params, True,
-                                         rates):
+    for _, max_r, max_t, _tables in _run(X, V, dt, n_steps, 1, params, True, rates):
         pass
     rates.append(diagnostics.pairwise_dissipation(Ensemble(X, V, validate=False), params))
     total = 0.0
@@ -268,14 +273,13 @@ def simulate(e0: Ensemble, params: ModelParams, config: SimConfig) -> Trajectory
     trajectory recorded so far.  A state that stops being finite aborts it
     the same way with NonFinite, whose time is that of the last frame.
     """
-    n_steps = int(round(config.t_end / config.dt))
     frames: list[Frame] = []
     traj = Trajectory(frames, params, config)
 
     X, V = e0.positions.copy(), e0.velocities.copy()
     e0.check()
 
-    run = _run(X, V, config.dt, n_steps, config.frame_stride, params, config.projection)
+    run = _run(X, V, config.dt, config.n_steps, config.frame_stride, params, config.projection)
     try:
         for step, traj.max_step_radial, traj.max_step_tangency, tables in run:
             if step % config.frame_stride == 0:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -100,6 +101,32 @@ class TestPairCeiling:
             grid = np.linspace(1e-12, 4.0, 10_000)
             h = np.sqrt(grid) - coef * k.psi(np.sqrt(grid))
             assert int((np.diff(np.sign(h)) != 0).sum()) == 1
+
+    def test_bisection_stops_at_adjacent_doubles(self):
+        # the bracket stops shrinking after about 67 halvings; the result is
+        # the bits of a loop that runs all 200
+        for kernel in (paper_kernel(), linear_kernel(1.5)):
+            for sigma in (0.5, 1.0, 5.0):
+                mu = spectral_abscissa(kernel.psi0, sigma)
+                c = aggregate_constant(kernel, sigma)
+                calls = []
+
+                def counting_psi(r, psi=kernel.psi):
+                    calls.append(r)
+                    return psi(r)
+
+                x_m = solve_x_m(dataclasses.replace(kernel, psi=counting_psi), sigma, mu, c)
+                assert 0 < len(calls) < 100
+                coef = _xm_coefficient(sigma, mu, c)
+                lo, hi = 0.0, 2.0
+                for _ in range(200):
+                    mid = 0.5 * (lo + hi)
+                    if mid - coef * float(kernel.psi(mid)) < 0.0:
+                        lo = mid
+                    else:
+                        hi = mid
+                s = 0.5 * (lo + hi)
+                assert x_m == s * s
 
     def test_degenerate_kernel_has_no_root(self):
         flat = make_kernel("flat", lambda r: np.zeros_like(np.asarray(r, float)),

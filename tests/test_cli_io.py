@@ -155,12 +155,16 @@ class TestConfigRoundTrip:
         assert parse_config(old) == RunConfig(sim=SimConfig(dt=0.002, t_end=3.0))
 
     def test_malformed_config_raises(self):
-        with pytest.raises(ConfigError):
-            parse_config("[sim]\ndt = banana\n")
-        with pytest.raises(ConfigError):
-            parse_config("[scenario]\nkind = mystery\n")
-        with pytest.raises(ConfigError):
-            parse_config("[scenario]\nkind = explicit\nx1 = 1 0 0\n")
+        for text in ("[sim]\ndt = banana\n",
+                     "[scenario]\nkind = mystery\n",
+                     "[scenario]\nkind = explicit\nx1 = 1 0 0\n",
+                     "[sim]\nprojection = maybe\n",
+                     "dt = 0.001\n",  # no section header
+                     "[params]\nsigma = 1\n\n[params]\nsigma = 2\n",
+                     "[scenario]\nkind = explicit\n",  # no x<i>/v<i> rows
+                     "[scenario]\nkind = explicit\nx1 = 1 0\nv1 = 0 0 0\n"):
+            with pytest.raises(ConfigError):
+                parse_config(text)
 
     def test_velocity_projection_guard(self):
         cfg = RunConfig(scenario=ScenarioSpec(
@@ -276,6 +280,29 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["admissible"] is False
         assert payload["verdict_x"] is False
+
+    def test_check_out_file_is_what_it_prints(self, tmp_path, capsys):
+        path = tmp_path / "check.json"
+        assert main(["check", "--preset", "paper-sigma5", "--out", str(path)]) == 0
+        assert path.read_text() == capsys.readouterr().out
+        assert json.loads(path.read_text())["label"] == "paper-sigma5"
+
+    def test_fit_rate_input_errors(self, tmp_path, capsys):
+        rows = [[0.1 * k] + [math.exp(-0.1 * k)] * (len(CSV_COLUMNS) - 1) for k in range(20)]
+        good, short = tmp_path / "good.csv", tmp_path / "short.csv"
+        good.write_text("\n".join(",".join(map(str, r)) for r in [CSV_COLUMNS, *rows]) + "\n")
+        # every row one column short of its header
+        short.write_text("\n".join([",".join(CSV_COLUMNS),
+                                    *(",".join(map(str, r[:-1])) for r in rows)]) + "\n")
+        untimed = tmp_path / "untimed.csv"
+        untimed.write_text("D_x\n" + "\n".join(str(r[1]) for r in rows) + "\n")
+        for path, column, message in ((good, "NOPE", "column 'NOPE' not in CSV"),
+                                      (short, "D_x", "CSV width"),
+                                      (untimed, "D_x", "column 't' not in CSV")):
+            assert main(["fit-rate", "--csv", str(path), "--column", column]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("config error: ") and message in captured.err
 
     def test_preset_writes_usable_config(self, tmp_path, capsys):
         path = tmp_path / "cfg.ini"

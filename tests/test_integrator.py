@@ -9,8 +9,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import random_ensemble
-from sphereflock import (ANTIPODAL_TOL, AntipodalPair, Ensemble, ModelParams, NonFinite,
-                         SimConfig, energy, pairwise_dissipation, paper_kernel,
+from sphereflock import (ANTIPODAL_TOL, AntipodalPair, Ensemble, InvalidEnsemble, ModelParams,
+                         NonFinite, SimConfig, energy, pairwise_dissipation, paper_kernel,
                          paper_scenario, random_scenario, rhs, rk4_step, simulate)
 from sphereflock.diagnostics import make_frame
 from sphereflock.dynamics import constraint_violation
@@ -137,6 +137,12 @@ class TestRk4Step:
         # both finite, but t_end / dt overflows, so no step count exists
         with pytest.raises(ValueError, match="t_end / dt finite"):
             SimConfig(dt=1e-300, t_end=1e300)
+
+    def test_config_step_count(self):
+        # t_end / dt rounded to the nearest step: 0.3 / 1e-3 is 299.99999999999994
+        assert SimConfig(dt=1e-3, t_end=0.3).n_steps == 300
+        assert SimConfig(dt=0.3, t_end=1.0).n_steps == 3
+        assert SimConfig(dt=1e-3, t_end=0.0).n_steps == 0
 
     @pytest.mark.parametrize("stride", [2.0, 1.5, True, False, 0, -3, float("nan"),
                                         float("inf"), "2"])
@@ -559,6 +565,16 @@ class TestEnergyAudit:
         with pytest.raises(NonFinite) as info, np.errstate(all="ignore"):
             energy_audit(sc.ensemble, numpy_params, 2.0, 400.0)
         assert info.value.time == 2.0
+
+    def test_rejects_off_manifold_start(self, params):
+        # a state moved off the sphere after construction: the ledger would
+        # audit an energy inequality that need not hold there
+        ens = paper_scenario(1.0).ensemble
+        ens.positions[0] *= 1.01
+        with pytest.raises(InvalidEnsemble):
+            simulate(ens, params, SimConfig(dt=1e-3, t_end=0.01))
+        with pytest.raises(InvalidEnsemble):
+            energy_audit(ens, params, 1e-3, 0.01)
 
     @pytest.mark.parametrize("dt, t_end", [(0.0, 0.1), (-1e-3, 0.1), (float("nan"), 0.1),
                                            (1e-3, -0.01), (1e-3, float("inf")),

@@ -7,23 +7,31 @@ Run it against each checkout's sources and diff the two listings:
     PYTHONPATH=../parent/src python3 tools/fingerprint.py > before.txt
     diff before.txt after.txt
 
-It calls only the public API and ``diagnostics.make_frame``, so the same
-script fingerprints an older checkout.  Floats are hashed by their bytes:
-two outputs hash alike only if every bit (the sign of a zero included) is
-the same.  It takes a few seconds on one core.
+It calls only the public API, ``diagnostics.make_frame`` and ``cli.main``,
+so the same script fingerprints an older checkout.  Floats are hashed by
+their bytes: two outputs hash alike only if every bit (the sign of a zero
+included) is the same.  The ``cli.*`` families hash the files and stdout
+of three CLI runs byte for byte, made in a temporary directory, with the
+summary's two wall-clock keys left out.  It takes a few seconds on one core.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import math
+import os
+import re
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 
 import sphereflock as sf
+from sphereflock.cli import main as cli_main
 from sphereflock.diagnostics import make_frame
 
 N_STATES = 200
@@ -140,6 +148,42 @@ def _random_states():
     return families
 
 
+def _cli_run(argv) -> bytes:
+    """stdout of one cli.main call, which must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv)
+    if code != 0:
+        raise RuntimeError(f"sphereflock {' '.join(argv)} exited {code}")
+    return out.getvalue().encode()
+
+
+def _cli_outputs() -> dict[str, bytes]:
+    """Files and stdout of simulate --full-state, fit-rate on its CSV and
+    check --out, run with relative paths in a temporary directory."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            outputs = {
+                "simulate_stdout": _cli_run(["simulate", "--preset", "paper-sigma1",
+                                             "--t-end", "0.3", "--full-state"]),
+                "fit_stdout": _cli_run(["fit-rate", "--csv", "frames.csv"]),
+                "check_stdout": _cli_run(["check", "--preset", "paper-sigma5",
+                                          "--out", "check.json"]),
+            }
+            for name, path in (("frames_csv", "frames.csv"), ("state_csv", "frames.csv.state.csv"),
+                               ("check_json", "check.json"), ("summary_json", "summary.json")):
+                with open(path, "rb") as fh:
+                    outputs[name] = fh.read()
+        finally:
+            os.chdir(cwd)
+    # the run's wall time and the speed derived from it differ from run to run
+    outputs["summary_json"] = re.sub(rb'\n *"(wall_time_s|steps_per_s)": [^\n]*', b"",
+                                     outputs["summary_json"])
+    return outputs
+
+
 def main() -> int:
     print(f"# sphereflock from {sf.__file__}", file=sys.stderr)
     families = {"paper_scenario": _paper, "seed_sweep": _seed_sweep, "crowd_256": _crowd,
@@ -154,6 +198,8 @@ def main() -> int:
             h = hashlib.sha256()
             _feed(h, outputs)
             print(f"random.{name} {h.hexdigest()}")
+        for name, text in _cli_outputs().items():
+            print(f"cli.{name} {hashlib.sha256(text).hexdigest()}")
     return 0
 
 
