@@ -26,5 +26,4 @@ from .geometry import (ANTIPODAL_TOL, COINCIDENT_TOL, pairwise_transport,
 from .integrator import Frame, SimConfig, StepResult, Trajectory, rk4_step, simulate
 from .kernels import (Kernel, KernelReport, eval_psi, kernel_from_name,
                       linear_kernel, make_kernel, paper_kernel, validate_kernel)
-from .scenarios import (PRESETS, Scenario, paper_scenario, preset_scenario,
-                        random_scenario)
+from .scenarios import PRESETS, Scenario, paper_scenario, random_scenario

@@ -97,8 +97,8 @@ class Ensemble:
     def __post_init__(self, validate):
         self.positions = np.array(self.positions, dtype=float)
         self.velocities = np.array(self.velocities, dtype=float)
-        if self.positions.ndim != 2 or self.positions.shape[1] != 3:
-            raise InvalidEnsemble(f"positions must be (n, 3), got {self.positions.shape}")
+        if self.positions.ndim != 2 or self.positions.shape[1] != 3 or not len(self.positions):
+            raise InvalidEnsemble(f"positions must be (n, 3) with n >= 1, got {self.positions.shape}")
         if self.velocities.shape != self.positions.shape:
             raise InvalidEnsemble("positions and velocities must have the same shape")
         if validate:

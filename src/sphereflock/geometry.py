@@ -159,27 +159,21 @@ def antipodal_mask(X: np.ndarray, dots: np.ndarray) -> np.ndarray:
     return bad
 
 
-def pairwise_transport(positions, vectors, antipodal: str = "raise"):
+def pairwise_transport(positions, vectors):
     """Transport vectors[k] from positions[k] to every positions[i].
 
     Returns T with T[k, i] = R_{x_k -> x_i} vectors[k], shape (n, n, 3).
     The diagonal follows the coincident-limit convention T[k, k] = v_k (up
     to rounding), matching the scalar ``rotation_matrix`` identity branch.
-
-    antipodal: "raise" propagates AntipodalPair for any singular pair;
-    "zero" writes zeros for those pairs and returns ``(T, mask)`` instead.
+    Raises AntipodalPair for any singular pair.
     """
     X = np.asarray(positions, dtype=float)
     V = np.asarray(vectors, dtype=float)
     dots = X @ X.T
     bad = antipodal_mask(X, dots)
-    if antipodal == "raise" and bad.any():
+    if bad.any():
         raise AntipodalPair.between(*np.argwhere(bad)[0])
-    T = np.stack(tuple(_transport_components(X, V, dots, _cross_weights(X, V, dots))), axis=-1)
-    if antipodal == "zero":
-        T[bad] = 0.0
-        return T, bad
-    return T
+    return np.stack(tuple(_transport_components(X, V, dots, _cross_weights(X, V, dots))), axis=-1)
 
 
 def _transport_components(X: np.ndarray, V: np.ndarray, dots: np.ndarray, w: np.ndarray,

@@ -115,12 +115,12 @@ def _worst(a: float, b: float) -> float:
     return b if b > a or b != b else a
 
 
-def _step(X, V, a1, dt, params, project, ws=None):
+def _step(X, V, a1, dt, params, project, ws):
     """The numpy step from (X, V) with acceleration a1 there: classical RK4
     for the second-order system (dx = v, dv = a), then the drift (radial,
     tangency) of its result, then optionally the projection back onto the
     sphere and tangent planes.  Each stage's tables are built on the
-    workspace ws (on a fresh one if None)."""
+    workspace ws."""
     half = 0.5 * dt
     v2 = V + half * a1
     a2 = dynamics._pair_pass(X + half * V, v2, params, ws)[0]

@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import fmt_float
 from .diagnostics import RateFit
+from .errors import ConfigError
 from .integrator import Trajectory
 
 CSV_COLUMNS = ("t", "E", "E_K", "E_C", "D_x", "D_v", "V_max", "flock_align",
@@ -40,7 +41,10 @@ def read_frames_csv(path) -> dict[str, np.ndarray]:
     """Columns of a frame CSV, keyed by header name."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        lines = [line for line in fh if line.strip()]
+    if not lines:
+        raise ConfigError(f"CSV {path} has no rows below its header")
+    data = np.loadtxt(lines, delimiter=",", ndmin=2)
     if data.shape[1] != len(header):
         raise ValueError(f"CSV width {data.shape[1]} does not match header {header}")
     return {name: data[:, k] for k, name in enumerate(header)}

@@ -6,14 +6,14 @@ and explicit per-agent rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RunConfig, ScenarioSpec
 from .dynamics import Ensemble, ModelParams
 from .errors import ConfigError
-from .geometry import ANTIPODAL_TOL, project_to_sphere, project_to_tangent, rotation_matrix
+from .geometry import project_to_sphere, project_to_tangent, rotation_matrix
 from .integrator import SimConfig
 from .kernels import kernel_from_name
 
@@ -63,14 +63,14 @@ def _build_ensemble(positions, velocities) -> tuple[Ensemble, float, float]:
     X = np.array(positions, dtype=float)
     V = np.array(velocities, dtype=float)
     Xp = np.array([project_to_sphere(x) for x in X])
-    tangency = np.abs((Xp * V).sum(axis=1)).max() if len(V) else 0.0
+    tangency = np.abs((Xp * V).sum(axis=1)).max()
     if tangency > MAX_INPUT_TANGENCY:
         raise ConfigError(
             f"input velocities violate tangency by {tangency:.3e} "
             f"(> {MAX_INPUT_TANGENCY:.1e}); refusing to project that far")
     Vp = np.array([project_to_tangent(x, v) for x, v in zip(Xp, V)])
-    pos_adj = float(np.linalg.norm(Xp - X, axis=1).max()) if len(X) else 0.0
-    vel_adj = float(np.linalg.norm(Vp - V, axis=1).max()) if len(V) else 0.0
+    pos_adj = float(np.linalg.norm(Xp - X, axis=1).max())
+    vel_adj = float(np.linalg.norm(Vp - V, axis=1).max())
     return Ensemble(Xp, Vp), pos_adj, vel_adj
 
 
@@ -122,10 +122,7 @@ def random_scenario(seed: int, n: int, pos_spread: float, vel_scale: float,
         raise ConfigError(f"vel_scale must be finite, got {vel_scale!r}")
     rng = np.random.default_rng(seed)
     center = project_to_sphere(rng.standard_normal(3))
-    pole = np.array([0.0, 0.0, 1.0])
-    if np.linalg.norm(center + pole) <= 10.0 * ANTIPODAL_TOL:
-        center = -center  # keep the pole-to-center transport well-conditioned
-    rot = rotation_matrix(pole, center)
+    rot = rotation_matrix(np.array([0.0, 0.0, 1.0]), center)
 
     cos_theta = 1.0 - rng.random(n) * (1.0 - np.cos(pos_spread))
     sin_theta = np.sqrt(np.maximum(1.0 - cos_theta**2, 0.0))
@@ -154,8 +151,3 @@ def preset_config(name: str) -> RunConfig:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
     return PRESETS[name]
-
-
-def preset_scenario(name: str, sim: SimConfig | None = None) -> Scenario:
-    cfg = preset_config(name)
-    return build_scenario(cfg if sim is None else replace(cfg, sim=sim))

@@ -35,9 +35,9 @@ def random_ensemble(rng, n, speed=1.0) -> dynamics.Ensemble:
     return dynamics.Ensemble.projected(X, speed * rng.standard_normal((n, 3)))
 
 
-def check_transport_identities(samples: int = 2000) -> CheckResult:
+def check_transport_identities() -> CheckResult:
     rng = np.random.default_rng(7)
-    draws = rng.standard_normal((samples, 3, 3))  # per sample: z1, z2, then v
+    draws = rng.standard_normal((2000, 3, 3))  # per sample: z1, z2, then v
     z1, z2 = (draws[:, j] / np.linalg.norm(draws[:, j], axis=1, keepdims=True) for j in (0, 1))
     keep = np.linalg.norm(z1 + z2, axis=1) > 1e-6
     z1, z2, g = z1[keep], z2[keep], draws[keep, 2]
@@ -58,12 +58,12 @@ def check_transport_identities(samples: int = 2000) -> CheckResult:
     return CheckResult("transport identities", worst <= 1e-12, f"worst residual {worst:.3e}")
 
 
-def check_equator_transport(angles: int = 100) -> CheckResult:
+def check_equator_transport() -> CheckResult:
     e1 = np.array([1.0, 0.0, 0.0])
     e2 = np.array([0.0, 1.0, 0.0])
     e3 = np.array([0.0, 0.0, 1.0])
     worst = 0.0
-    for t in np.linspace(0.01, np.pi - 0.01, angles):
+    for t in np.linspace(0.01, np.pi - 0.01, 100):
         target = np.array([np.cos(t), np.sin(t), 0.0])
         worst = max(
             worst,
@@ -76,18 +76,18 @@ def check_equator_transport(angles: int = 100) -> CheckResult:
 def check_registered_kernels() -> CheckResult:
     bad = []
     for name in kernels.REGISTRY:
-        report = kernels.validate_kernel(kernels.kernel_from_name(name), 10_000)
+        report = kernels.validate_kernel(kernels.kernel_from_name(name))
         if not report.ok:
             bad.append(name)
     return CheckResult("registered kernels valid", not bad,
                        "all pass" if not bad else f"failing: {bad}")
 
 
-def check_force_tangency(ensembles: int = 100) -> CheckResult:
+def check_force_tangency() -> CheckResult:
     rng = np.random.default_rng(11)
     params = dynamics.ModelParams(kernels.paper_kernel(), 1.0)
     worst = 0.0
-    for _ in range(ensembles):
+    for _ in range(100):
         ens = random_ensemble(rng, int(rng.integers(2, 9)))
         _, dV = dynamics.rhs(ens, params)
         vsq = (ens.velocities**2).sum(axis=1)
@@ -97,11 +97,11 @@ def check_force_tangency(ensembles: int = 100) -> CheckResult:
                        f"worst d<v,x>/dt {worst:.3e}")
 
 
-def check_pair_system(ensembles: int = 100) -> CheckResult:
+def check_pair_system() -> CheckResult:
     rng = np.random.default_rng(13)
     kernel = kernels.paper_kernel()
     worst = 0.0
-    for _ in range(ensembles):
+    for _ in range(100):
         params = dynamics.ModelParams(kernel, float(rng.uniform(0.1, 5.0)))
         ens = random_ensemble(rng, int(rng.integers(2, 9)))
         lhs = dynamics.pair_derivative_table(ens, params)
@@ -115,14 +115,14 @@ def check_pair_system(ensembles: int = 100) -> CheckResult:
                        f"worst relative residual {worst:.3e}")
 
 
-def check_dissipation_identity(ensembles: int = 100) -> CheckResult:
+def check_dissipation_identity() -> CheckResult:
     """dE/dt + D = 0, and the D read off the rhs pair pass (the energy
     ledger's) against ``pairwise_dissipation``."""
     rng = np.random.default_rng(17)
     kernel = kernels.paper_kernel()
     worst = 0.0
     worst_fused = 0.0
-    for _ in range(ensembles):
+    for _ in range(100):
         params = dynamics.ModelParams(kernel, float(rng.uniform(0.1, 5.0)))
         ens = random_ensemble(rng, int(rng.integers(1, 9)))
         res = diagnostics.dissipation_residual(ens, params)
@@ -135,10 +135,10 @@ def check_dissipation_identity(ensembles: int = 100) -> CheckResult:
                        f"fused dissipation deviation {worst_fused:.3e}")
 
 
-def check_decay_rate_eigenvalues(grid: int = 32) -> CheckResult:
+def check_decay_rate_eigenvalues() -> CheckResult:
     worst = 0.0
-    for psi0 in np.linspace(0.2, 25.0, grid):
-        for sigma in np.linspace(0.05, 6.0, grid):
+    for psi0 in np.linspace(0.2, 25.0, 32):
+        for sigma in np.linspace(0.05, 6.0, 32):
             mu = dynamics.spectral_abscissa(psi0, sigma)
             eigs = np.linalg.eigvals(dynamics.coefficient_matrix(psi0, sigma))
             worst = max(worst, abs(mu + eigs.real.max()))
@@ -146,11 +146,11 @@ def check_decay_rate_eigenvalues(grid: int = 32) -> CheckResult:
                        f"worst eigensolver gap {worst:.3e}")
 
 
-def check_remainder_bounds(ensembles: int = 1000) -> CheckResult:
+def check_remainder_bounds() -> CheckResult:
     rng = np.random.default_rng(19)
     kernel = kernels.paper_kernel()
     violations = 0
-    for _ in range(ensembles):
+    for _ in range(1000):
         sigma = float(rng.uniform(0.05, 5.0))
         params = dynamics.ModelParams(kernel, sigma)
         ens = random_ensemble(rng, int(rng.integers(2, 9)), speed=float(rng.uniform(0.2, 1.5)))
@@ -168,7 +168,7 @@ def check_remainder_bounds(ensembles: int = 1000) -> CheckResult:
                 or fnorm > agg + 1e-9):
             violations += 1
     return CheckResult("remainder bounds", violations == 0,
-                       f"{violations} violations in {ensembles} states")
+                       f"{violations} violations in 1000 states")
 
 
 def check_pair_ceiling_fixed_point() -> CheckResult:

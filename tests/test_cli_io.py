@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from sphereflock import (ConfigError, SimConfig, check_initial, paper_scenario,
-                         preset_scenario, random_scenario, simulate)
+                         random_scenario, simulate)
 from sphereflock.cli import main
 from sphereflock.config import RunConfig, ScenarioSpec, emit_config, parse_config
 from sphereflock.dynamics import ModelParams
@@ -36,19 +37,24 @@ class TestPaperScenario:
         assert 0.0 < sc.velocity_adjustment < 1e-3
 
     def test_preset_names(self):
-        assert preset_scenario("paper-sigma1").params.sigma == 1.0
-        assert preset_scenario("paper-sigma5").params.sigma == 5.0
+        assert build_scenario(preset_config("paper-sigma1")).params.sigma == 1.0
+        assert build_scenario(preset_config("paper-sigma5")).params.sigma == 5.0
         with pytest.raises(ConfigError, match="paper-sigma1, paper-sigma5"):
-            preset_scenario("nope")
+            preset_config("nope")
         # every path to a preset's state goes through the one builder
         for name in PRESETS:
             cfg = preset_config(name)
-            built = (preset_scenario(name), paper_scenario(cfg.sigma),
+            built = (build_scenario(cfg), paper_scenario(cfg.sigma),
                      build_scenario(parse_config(emit_config(cfg))))
             for sc in built:
                 assert np.array_equal(sc.ensemble.positions, built[0].ensemble.positions)
                 assert np.array_equal(sc.ensemble.velocities, built[0].ensemble.velocities)
                 assert (sc.label, sc.params.sigma) == (name, cfg.sigma)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_rejects_non_positive_sigma(self, sigma):
+        with pytest.raises(ConfigError, match="sigma must be positive"):
+            paper_scenario(sigma)
 
 
 class TestRandomScenario:
@@ -260,7 +266,7 @@ class TestCli:
         assert set(runtime) == {"wall_time_s", "n_steps", "dt", "n_frames", "backend",
                                 "steps_per_s"}
         assert runtime["n_steps"] == 50 and runtime["dt"] == 1e-3 and runtime["n_frames"] == 6
-        kernel = preset_scenario("paper-sigma1").params.kernel
+        kernel = build_scenario(preset_config("paper-sigma1")).params.kernel
         assert runtime["backend"] == ("numba" if _fast.available(kernel) else "numpy")
         assert runtime["steps_per_s"] == runtime["n_steps"] / runtime["wall_time_s"] > 0.0
 
@@ -296,10 +302,15 @@ class TestCli:
                                     *(",".join(map(str, r[:-1])) for r in rows)]) + "\n")
         untimed = tmp_path / "untimed.csv"
         untimed.write_text("D_x\n" + "\n".join(str(r[1]) for r in rows) + "\n")
+        empty = tmp_path / "empty.csv"
+        empty.write_text("t,E,D_x\n")
         for path, column, message in ((good, "NOPE", "column 'NOPE' not in CSV"),
                                       (short, "D_x", "CSV width"),
-                                      (untimed, "D_x", "column 't' not in CSV")):
-            assert main(["fit-rate", "--csv", str(path), "--column", column]) == 2
+                                      (untimed, "D_x", "column 't' not in CSV"),
+                                      (empty, "D_x", "has no rows")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy's no-data warning is not the message
+                assert main(["fit-rate", "--csv", str(path), "--column", column]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("config error: ") and message in captured.err

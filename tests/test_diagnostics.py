@@ -12,6 +12,7 @@ from sphereflock import (ANTIPODAL_TOL, Ensemble, InsufficientSamples, ModelPara
                          pairwise_dissipation, paper_kernel, paper_scenario,
                          random_scenario, rhs, simulate, velocity_bound_check)
 from sphereflock.diagnostics import make_frame
+from sphereflock.dynamics import _Workspace
 from sphereflock.integrator import _step
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -77,12 +78,13 @@ class TestDissipationIdentity:
         # secondary oracle: central difference of E along the flow
         rng = np.random.default_rng(2)
         dt = 1e-6
+        ws = _Workspace(5)
         for _ in range(10):
             ens = random_ensemble(rng, 5)
             a1 = rhs(ens, params)[1]
             # the unprojected step is the raw RK4 step
-            fwd_x, fwd_v = _step(ens.positions, ens.velocities, a1, dt, params, False)[:2]
-            back_x, back_v = _step(ens.positions, ens.velocities, a1, -dt, params, False)[:2]
+            fwd_x, fwd_v = _step(ens.positions, ens.velocities, a1, dt, params, False, ws)[:2]
+            back_x, back_v = _step(ens.positions, ens.velocities, a1, -dt, params, False, ws)[:2]
             e_fwd = energy(Ensemble(fwd_x, fwd_v, validate=False), params.sigma)[0]
             e_back = energy(Ensemble(back_x, back_v, validate=False), params.sigma)[0]
             fd = (e_fwd - e_back) / (2.0 * dt)

@@ -38,6 +38,17 @@ class TestEnsemble:
         with pytest.raises(InvalidEnsemble):
             Ensemble([[np.nan, 0, 0]], [[0, 1, 0]])
 
+    @pytest.mark.parametrize("X, V, message", [
+        (np.empty((0, 3)), np.empty((0, 3)), r"must be \(n, 3\) with n >= 1"),
+        ([E1[:2]], [E2[:2]], r"must be \(n, 3\) with n >= 1"),
+        (E1, E2, r"must be \(n, 3\) with n >= 1"),
+        ([E1], [E2, E3], "same shape"),
+    ], ids=["empty", "two_columns", "one_vector", "mismatched"])
+    def test_rejects_bad_shapes(self, X, V, message):
+        for validate in (True, False):
+            with pytest.raises(InvalidEnsemble, match=message):
+                Ensemble(X, V, validate=validate)
+
     def test_validate_false_allows_off_manifold_states(self):
         ens = Ensemble([[1.1, 0, 0]], [[0, 1, 0]], validate=False)
         assert ens.n == 1

@@ -8,6 +8,7 @@ from sphereflock import (AntipodalPair, NotTangent, OffSphere, ZeroVector,
                          pairwise_transport, project_to_sphere,
                          project_to_tangent, rotation_matrix, tangent_vector,
                          transport, unit_vector)
+from sphereflock.geometry import antipodal_mask
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -68,6 +69,11 @@ class TestRotationMatrix:
             unit_vector(NAN)
         for z1, z2 in ((NAN, E2), (E1, NAN), (NAN[None], E2[None]), (E1[None], NAN[None])):
             with pytest.raises(OffSphere):
+                rotation_matrix(z1, z2)
+        # batches must both be (n, 3)
+        for z1, z2 in ((E1[None], np.vstack([E1, E2])), (E1[None, :2], E2[None, :2]),
+                       (E1[None, None], E2[None, None])):
+            with pytest.raises(OffSphere, match="batched inputs must both be"):
                 rotation_matrix(z1, z2)
         with pytest.raises(OffSphere):
             transport(NAN, E2, E3)
@@ -196,7 +202,7 @@ class TestTransport:
         V = np.zeros((3, 3))
         with pytest.raises(AntipodalPair):
             pairwise_transport(X, V)
-        _, bad = pairwise_transport(X, V, antipodal="zero")
+        bad = antipodal_mask(X, X @ X.T)
         assert bad[0, 1] and bad[1, 0] and not bad[0, 2]
 
 
@@ -218,6 +224,8 @@ class TestConstructors:
         tangent_vector(E1, [9e-11, 1.0, 0.0])
         with pytest.raises(NotTangent):
             tangent_vector(E1, [1e-9, 1.0, 0.0])
+        with pytest.raises(NotTangent, match="expected a 3-vector"):
+            tangent_vector(E1, [0.0, 1.0])
 
 
 class TestProjections:

@@ -11,8 +11,9 @@ It calls only the public API, ``diagnostics.make_frame`` and ``cli.main``,
 so the same script fingerprints an older checkout.  Floats are hashed by
 their bytes: two outputs hash alike only if every bit (the sign of a zero
 included) is the same.  The ``cli.*`` families hash the files and stdout
-of three CLI runs byte for byte, made in a temporary directory, with the
-summary's two wall-clock keys left out.  It takes a few seconds on one core.
+of four CLI runs byte for byte, made in a temporary directory, with the
+summary's two wall-clock keys left out; ``cli.verify`` hashes the printed
+residuals of ``sphereflock verify``.  It takes a few seconds on one core.
 """
 
 from __future__ import annotations
@@ -127,16 +128,15 @@ def _random_state(rng, k):
 def _random_states():
     rng = np.random.default_rng(20240101)
     kernels = (sf.paper_kernel(), sf.linear_kernel(1.5))
-    families = {name: [] for name in ("pairwise_transport", "pairwise_transport_zero",
-                                      "pairwise_dissipation", "inhomogeneous_table",
-                                      "make_frame", "diameters", "energy", "rk4_step")}
+    families = {name: [] for name in ("pairwise_transport", "pairwise_dissipation",
+                                      "inhomogeneous_table", "make_frame", "diameters",
+                                      "energy", "rk4_step")}
     for k in range(N_STATES):
         ens = _random_state(rng, k)
         p = sf.ModelParams(kernels[k % 2], (0.0, 1.0, 5.0)[k % 3])
         X, V = ens.positions, ens.velocities
         for name, call in (
                 ("pairwise_transport", lambda: sf.pairwise_transport(X, V)),
-                ("pairwise_transport_zero", lambda: sf.pairwise_transport(X, V, "zero")),
                 ("pairwise_dissipation", lambda: sf.pairwise_dissipation(ens, p)),
                 ("inhomogeneous_table", lambda: sf.inhomogeneous_table(ens, p)),
                 ("make_frame", lambda: make_frame(0.5, ens, p).as_row()),
@@ -159,8 +159,8 @@ def _cli_run(argv) -> bytes:
 
 
 def _cli_outputs() -> dict[str, bytes]:
-    """Files and stdout of simulate --full-state, fit-rate on its CSV and
-    check --out, run with relative paths in a temporary directory."""
+    """Files and stdout of simulate --full-state, fit-rate on its CSV,
+    check --out and verify, run with relative paths in a temporary directory."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -171,6 +171,7 @@ def _cli_outputs() -> dict[str, bytes]:
                 "fit_stdout": _cli_run(["fit-rate", "--csv", "frames.csv"]),
                 "check_stdout": _cli_run(["check", "--preset", "paper-sigma5",
                                           "--out", "check.json"]),
+                "verify": _cli_run(["verify"]),
             }
             for name, path in (("frames_csv", "frames.csv"), ("state_csv", "frames.csv.state.csv"),
                                ("check_json", "check.json"), ("summary_json", "summary.json")):
