@@ -8,6 +8,7 @@ Subcommands: simulate, check, fit-rate, verify, preset.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 import warnings
@@ -48,6 +49,10 @@ def _apply_overrides(cfg, args):
 
 
 def _cmd_simulate(args) -> int:
+    for path in (args.out, args.summary):  # before any step; <out>.state.csv shares out's folder
+        folder = os.path.dirname(path) or "."
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise ConfigError(f"cannot write {path}: {folder} is not a writable directory")
     cfg = _apply_overrides(_resolve_config(args), args)
     scenario = build_scenario(cfg)
     # the guarantee calculus needs sigma > 0; exploratory runs without

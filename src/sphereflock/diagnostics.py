@@ -155,7 +155,8 @@ def make_frame(t: float, ensemble: Ensemble, params: ModelParams, tables=None) -
     margin = _pair_dot(X, X, bufs[1], bufs[2], op=np.add)
     np.sqrt(margin, out=margin)
     prod *= margin  # margin is pair-symmetric
-    prod[tables.bad] = 0.0
+    if tables.bad is not None:
+        prod[tables.bad] = 0.0
     np.fill_diagonal(prod, 0.0)
     align, closest = float(prod.max()), float(margin.min())
     radial, tangency = constraint_violation(X, V)

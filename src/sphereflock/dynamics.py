@@ -26,13 +26,13 @@ the exact cross product), the second one matmul.  By BAC-CAB the
 x_i x sum_k psi_ik (v_k x x_k).  The frame diagnostics and
 ``pairwise_dissipation`` keep the componentwise transport of ``geometry``.
 
-The (n, n) tables live in a ``_Workspace``: ``_pair_tables`` writes a
-state's tables into its buffers and the pair pass takes its temporaries
-from them, so a stepping run (``integrator._run``) that owns one workspace
-allocates no (n, n) array but the kernel's own.  A bare workspace is the
-unbuilt set: a helper given one builds the state's tables on it.  Tables
-built on a workspace are views into it, valid until it next builds a set;
-a call without one (public ``rhs``) builds a workspace for itself.
+The (n, n) tables live in a ``_Workspace``: ``_pair_tables`` writes a state's
+tables into its buffers and the pair pass takes its temporaries from them, so a
+stepping run (``integrator._run``) that owns one allocates no (n, n) array but
+the kernel's own, and the antipodal mask of a state the pre-screen (one
+dots.min()) hits; a clean state has none.  A bare workspace is the unbuilt set:
+a helper given one builds the state's tables on it.  Tables built on a workspace
+are views into it, valid until it next builds a set; public ``rhs`` builds its own.
 
 For every pair (i, j) the triple
 
@@ -124,8 +124,8 @@ class Ensemble:
 
 def constraint_violation(X: np.ndarray, V: np.ndarray) -> tuple[float, float]:
     """(max_i |norm(x_i)-1|, max_i |<v_i, x_i>|) for raw state arrays."""
-    radial = float(np.max(np.abs(np.linalg.norm(X, axis=1) - 1.0)))
-    tangency = float(np.max(np.abs((X * V).sum(axis=1))))
+    radial = float(np.abs(np.sqrt((X * X).sum(axis=1)) - 1.0).max())
+    tangency = float(np.abs((X * V).sum(axis=1)).max())
     return radial, tangency
 
 
@@ -146,13 +146,13 @@ def _pair_dot(A: np.ndarray, B: np.ndarray, out=None, tmp=None, tmp2=None,
 
 
 class _Workspace:
-    """The (n, n) buffers of one run: a state's pair tables (dots, xsq, w and
-    the masks bad and ok) and four scratch tables, ``scratch``.  The pair pass
-    uses two of the scratch tables, a frame all four."""
+    """The (n, n) buffers of one run: a state's tables dots, xsq, w and the cross
+    guard's mask (the antipodal mask is built only for a state the pre-screen hits),
+    and four scratch tables, ``scratch``; the pair pass uses two, a frame all four."""
 
     def __init__(self, n: int):
         self.dots, self.xsq, self.w, *self.scratch = np.empty((7, n, n))
-        self.bad, self.ok = np.empty((2, n, n), dtype=bool)
+        self.guard = np.empty((n, n), dtype=bool)
 
 
 # _LEVI[3 b + c, a] = epsilon_abc, so the row-wise cross product G x X is
@@ -165,8 +165,8 @@ def _pair_tables(X: np.ndarray, V: np.ndarray, ws: _Workspace | None = None) -> 
     """A state's pair tables, indexed [k, i]: dots = <x_k, x_i>, bad = the antipodal
     mask, xsq = |x_i - x_k|^2, the rank-one transport weight w, and the rows
     m_k = v_k x x_k.  Built once per recorded state, for its frame and the next
-    step's k1; the mask is not raised on, so a frame can record the state.  The
-    tables are written into the workspace ws (a fresh one if None).
+    step's k1; the mask (None if the pre-screen finds no pair) is not raised on,
+    so a frame can record the state.  The tables go into the workspace ws (fresh if None).
 
     w = (1 - <x_k,x_i>) <x_k x x_i, v_k> / |x_k x x_i|^2 (0 at or below
     _CROSS_GUARD) is formed without cross tables, by two identities exact
@@ -189,17 +189,17 @@ def _pair_tables(X: np.ndarray, V: np.ndarray, ws: _Workspace | None = None) -> 
     p *= p
     nsq = np.multiply(xsq, sq, out=b)
     nsq -= p
-    # antipodal_mask's pre-screen, read as it reads it
-    bad = np.less(dots, geometry._OPPOSITE_DOT, out=ws.bad)
-    if bad.any():
-        k, i = np.nonzero(bad)
+    # antipodal_mask's pre-screen, one dots.min() (NaN takes the mask path too)
+    bad = None
+    if not dots.min() >= geometry._OPPOSITE_DOT:
+        k, i = np.nonzero(dots < geometry._OPPOSITE_DOT)
         c = np.cross(X[k], X[i])
         nsq[k, i] = (c * c).sum(axis=1)
         bad = antipodal_mask(X, dots)
     m = (V[:, :, None] * X[:, None, :]).reshape(n, 9) @ _LEVI
     w = np.subtract(1.0, dots, out=ws.w)
     w *= np.matmul(m, X.T, out=a)
-    at_guard = np.logical_not(np.greater(nsq, _CROSS_GUARD, out=ws.ok), out=ws.ok)
+    at_guard = np.less_equal(nsq, _CROSS_GUARD, out=ws.guard)
     np.copyto(nsq, np.inf, where=at_guard)  # w = 0 at or below the guard
     w /= nsq
     return _PairTables(ws, dots, bad, xsq, w, m)
@@ -211,11 +211,10 @@ def _built(X: np.ndarray, V: np.ndarray, tables) -> _PairTables:
     return tables if isinstance(tables, _PairTables) else _pair_tables(X, V, tables)
 
 
-def _rates(bad: np.ndarray, xsq: np.ndarray, kernel: Kernel, out=None) -> np.ndarray:
-    """psi(|x_i - x_k|) from the tables xsq = |x_i - x_k|^2 and the antipodal
-    mask ``bad``; raises AntipodalPair on the mask.  The distances are written
-    into ``out`` (a fresh table if None), the rates are the kernel's."""
-    if bad.any():
+def _rates(bad: np.ndarray | None, xsq: np.ndarray, kernel: Kernel, out=None) -> np.ndarray:
+    """psi(|x_i - x_k|) from xsq = |x_i - x_k|^2, raising AntipodalPair on the antipodal
+    mask ``bad`` (None if none was built); the distances go into ``out`` (fresh if None)."""
+    if bad is not None and bad.any():
         raise AntipodalPair.between(*np.argwhere(bad)[0])
     r = np.sqrt(xsq, out=out)
     return kernel.psi(np.minimum(r, 2.0, out=r))
@@ -249,7 +248,7 @@ def _pair_pass(X: np.ndarray, V: np.ndarray, params: ModelParams, tables=None):
     coupling = (S - r[:, None] * V) / n
     bonding = (params.sigma / n) * (X.sum(axis=0)[None, :] - dots.sum(axis=1)[:, None] * X)
     vsq = (V * V).sum(axis=1)
-    dV = -vsq[:, None] * X + coupling + bonding
+    dV = coupling - vsq[:, None] * X + bonding
     return dV, S, r, vsq
 
 

@@ -94,7 +94,7 @@ def project_state(positions, velocities) -> tuple[np.ndarray, np.ndarray]:
     the tangent plane at the projected position; returns new (n, 3) arrays."""
     X = np.asarray(positions, dtype=float)
     V = np.asarray(velocities, dtype=float)
-    Xp = X / np.linalg.norm(X, axis=1, keepdims=True)
+    Xp = X / np.sqrt((X * X).sum(axis=1))[:, None]
     return Xp, V - (Xp * V).sum(axis=1, keepdims=True) * Xp
 
 

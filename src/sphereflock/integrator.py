@@ -30,10 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fast, diagnostics, dynamics
-from .dynamics import (Ensemble, ModelParams, _pair_tables, _rhs_and_dissipation, _Workspace,
-                       constraint_violation)
+from .dynamics import Ensemble, ModelParams, _pair_tables, _rhs_and_dissipation, _Workspace
 from .errors import AntipodalPair, NonFinite
-from .geometry import project_state
 
 
 @dataclass(frozen=True)
@@ -131,10 +129,17 @@ def _step(X, V, a1, dt, params, project, ws):
     sixth = dt / 6.0
     Xn = X + sixth * (V + 2.0 * (v2 + v3) + v4)
     Vn = V + sixth * (a1 + 2.0 * (a2 + a3) + a4)
-    radial, tangency = constraint_violation(Xn, Vn)
+    return (Xn, Vn, *_drift_and_project(Xn, Vn, project))
+
+
+def _drift_and_project(X, V, project):
+    """``constraint_violation(X, V)``; if ``project``, ``project_state`` in place, same row norms."""
+    norm = np.sqrt((X * X).sum(axis=1))
+    drift = float(np.abs(norm - 1.0).max()), float(np.abs((X * V).sum(axis=1)).max())
     if project:
-        Xn, Vn = project_state(Xn, Vn)
-    return Xn, Vn, radial, tangency
+        X /= norm[:, None]
+        V -= (X * V).sum(axis=1)[:, None] * X
+    return drift
 
 
 def rk4_step(ensemble: Ensemble, dt: float, params: ModelParams,

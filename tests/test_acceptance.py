@@ -188,6 +188,14 @@ def test_criterion_8_guarantee_on_constructed_data():
     coincident and at rest to about 1e-5.  The check is asserted as stated
     rather than weakened; the envelope clause is verified independently and
     holds.
+
+    The prefactor 1.05 is, as far as is known, this test's choice, not a
+    constant of the paper, and the envelope can fail on admissible data:
+    for random_scenario(seed, 6, 2e-6, 1e-6) at sigma = 1, dt 1e-2, t_end
+    30 (seeds 0-19, all admissible) the worst ratio D_x / (D_x(0) e^(-delta t))
+    is 1.0502, seed 17 at t = 0.83.  The linearised pair system's bound
+    D_x(t) <= sqrt(K X(0)) e^(-delta t), X(0) the largest pair triple norm at
+    t = 0 and K = sup_t |e^((A + mu I) t)|_2 = 1.0124, held there (worst 0.9991).
     """
     start = time.perf_counter()
     params = ModelParams(paper_kernel(), 1.0)

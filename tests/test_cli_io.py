@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -345,6 +346,28 @@ class TestCli:
                      "--out", str(tmp_path / "o.csv"),
                      "--summary", str(tmp_path / "s.json")]) == 2
 
+    @pytest.mark.parametrize("out, summary, extra", [
+        ("missing/f.csv", "s.json", []),
+        ("f.csv", "file/s.json", []),  # the summary's parent is a file
+        ("missing/f.csv", "s.json", ["--full-state"]),  # the state file sits beside out
+    ])
+    def test_unwritable_output_is_rejected_before_stepping(self, tmp_path, capsys,
+                                                          monkeypatch, out, summary, extra):
+        import sphereflock.cli as cli_mod
+
+        def no_stepping(*args):
+            raise AssertionError("simulate ran before the output paths were checked")
+
+        monkeypatch.setattr(cli_mod, "simulate", no_stepping)
+        (tmp_path / "file").write_text("")
+        code = main(["simulate", "--out", str(tmp_path / out),
+                     "--summary", str(tmp_path / summary), *extra])
+        assert code == 2
+        bad = str(tmp_path / (out if out.startswith("missing") else summary))
+        assert capsys.readouterr().err == (f"config error: cannot write {bad}: "
+                                           f"{os.path.dirname(bad)} is not a writable directory\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
     @pytest.mark.parametrize("kernel", ["name = paper\nparams = 2.0",
                                         "name = linear\nparams = 1.0 2.0",
                                         "name = linear\nparams = nan"])
@@ -402,3 +425,28 @@ class TestCli:
                             (lambda: CheckResult("always red", False, "forced"),))
         assert main(["verify"]) == 1
         assert "0/1 checks passed" in capsys.readouterr().out
+
+
+class TestVerifyFailures:
+    """Each check's failure branch, reached by breaking what it checks."""
+
+    def test_remainder_bound_violations_are_counted(self, monkeypatch):
+        from sphereflock import dynamics, verify
+
+        monkeypatch.setattr(dynamics, "inhomogeneous_table",
+                            lambda ens, params: np.full((ens.n, ens.n, 3), 1e6))
+        result = verify.check_remainder_bounds()
+        assert result.passed is False
+        assert result.detail == "1000 violations in 1000 states"
+
+    def test_invalid_registered_kernel_is_named(self, monkeypatch):
+        from sphereflock import kernels, verify
+
+        def flat():  # constant: neither zero at 2 nor decreasing
+            return kernels.make_kernel("flat", lambda r: np.ones_like(np.asarray(r, dtype=float)),
+                                       lambda r: np.zeros_like(np.asarray(r, dtype=float)))
+
+        monkeypatch.setitem(kernels.REGISTRY, "flat", flat)
+        result = verify.check_registered_kernels()
+        assert result.passed is False
+        assert result.detail == "failing: ['flat']"

@@ -477,7 +477,7 @@ class TestWorkspaceReuse:
     """A workspace carries nothing from one state to the next: on a dirty
     workspace the pair pass, the fused D and the frame are byte-equal to the
     same call on a fresh workspace.  Each is run on two dirty workspaces,
-    one holding NaN in every table and True in both masks, one holding the
+    one holding NaN in every table and True in its mask, one holding the
     tables and frame scratch of another state, so that no leftover can
     happen to match what a fresh workspace holds."""
 
@@ -487,8 +487,7 @@ class TestWorkspaceReuse:
         with_nan, with_other = _Workspace(other.n), _Workspace(other.n)
         for table in (with_nan.dots, with_nan.xsq, with_nan.w, *with_nan.scratch):
             table.fill(np.nan)
-        with_nan.bad.fill(True)
-        with_nan.ok.fill(True)
+        with_nan.guard.fill(True)
         make_frame(0.0, other, p, with_other)
         return with_nan, with_other
 

@@ -302,13 +302,14 @@ class TestSimulate:
         from sphereflock import integrator
 
         calls = []
+        drift_and_project = integrator._drift_and_project
 
-        def nan_on_third_call(X, V):
+        def nan_on_third_call(X, V, project):
             calls.append(None)
-            drift = constraint_violation(X, V)
+            drift = drift_and_project(X, V, project)
             return (float("nan"),) * 2 if len(calls) == 3 else drift
 
-        monkeypatch.setattr(integrator, "constraint_violation", nan_on_third_call)
+        monkeypatch.setattr(integrator, "_drift_and_project", nan_on_third_call)
         sc = paper_scenario(1.0)
         traj = simulate(sc.ensemble, numpy_params, SimConfig(dt=1e-3, t_end=0.01,
                                                               frame_stride=2))
@@ -316,6 +317,30 @@ class TestSimulate:
         calls.clear()
         audit = energy_audit(sc.ensemble, numpy_params, 1e-3, 0.01)
         assert np.isnan(audit.max_step_radial) and np.isnan(audit.max_step_tangency)
+
+
+class TestDriftAndProject:
+    """The step's one pass over row norms gives the drift of
+    ``constraint_violation`` and the state of ``project_state``, byte for byte."""
+
+    @pytest.mark.parametrize("project", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 17, 40])
+    def test_matches_the_public_helpers(self, n, project):
+        from sphereflock.geometry import project_state
+        from sphereflock.integrator import _drift_and_project
+
+        rng = np.random.default_rng(n)
+        ens = random_ensemble(rng, n)
+        for scale in (1e-12, 1e-6, 1e-2):  # off the manifold, as an RK4 result is
+            X = ens.positions + scale * rng.standard_normal((n, 3))
+            V = ens.velocities + scale * rng.standard_normal((n, 3))
+            Xh, Vh = X.copy(), V.copy()
+            radial, tangency = _drift_and_project(Xh, Vh, project)
+            assert (radial, tangency) == constraint_violation(X, V)
+            # and the rounding of numpy's linalg.norm special case
+            assert radial == float(np.max(np.abs(np.linalg.norm(X, axis=1) - 1.0)))
+            want = project_state(X, V) if project else (X, V)
+            assert Xh.tobytes() == want[0].tobytes() and Vh.tobytes() == want[1].tobytes()
 
 
 def assert_frames_rebuild(traj, params):
