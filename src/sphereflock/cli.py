@@ -48,11 +48,22 @@ def _apply_overrides(cfg, args):
     return replace(cfg, sigma=sigma, sim=replace(cfg.sim, **updates))
 
 
-def _cmd_simulate(args) -> int:
-    for path in (args.out, args.summary):  # before any step; <out>.state.csv shares out's folder
+def _check_writable(paths) -> None:
+    """Raise ConfigError unless each path can be written as a file: it is not a
+    directory, and its folder is a writable one."""
+    for path in paths:
         folder = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise ConfigError(f"cannot write {path}: {folder} is not a writable directory")
+
+
+def _cmd_simulate(args) -> int:
+    paths = [args.out, args.summary]
+    if args.full_state:
+        paths.append(str(args.out) + ".state.csv")
+    _check_writable(paths)  # before the scenario is built and stepped
     cfg = _apply_overrides(_resolve_config(args), args)
     scenario = build_scenario(cfg)
     # the guarantee calculus needs sigma > 0; exploratory runs without
@@ -106,6 +117,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.out:
+        _check_writable([args.out])
     cfg = _resolve_config(args)
     scenario = build_scenario(cfg)
     if scenario.params.sigma <= 0.0:

@@ -16,7 +16,8 @@ check on the force implementation, independent of integrator accuracy.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -44,11 +45,13 @@ class DiagnosticsFrame:
     x_max: float
 
     def as_row(self) -> tuple:
-        return astuple(self)
+        return _frame_row(self)
 
 
 #: DiagnosticsFrame field names, in CSV column order.
 FRAME_FIELDS = tuple(f.name for f in fields(DiagnosticsFrame))
+# the fields as a plain tuple, without dataclasses.astuple's recursive deep copy
+_frame_row = attrgetter(*FRAME_FIELDS)
 
 
 def _energies(V: np.ndarray, xsq: np.ndarray, sigma: float) -> tuple[float, float, float]:

@@ -103,3 +103,36 @@ def dissipation_oracle(ensemble, params):
             mis = transport_oracle(X[j], X[i], V[j]) - V[i]
             total += psi * float(mis @ mis)
     return total / (n * n)
+
+
+def rk4_oracle(ensemble, dt, params, project):
+    """(X, V, radial, tangency) of one textbook RK4 step through ``rhs``.
+
+    Each stage is written out as its own arrays, in the classical expressions
+    and their order of evaluation, so that a step which regroups its buffers
+    must still round exactly as they do; then the drift of the result and,
+    if ``project``, its projection by ``geometry.project_state``.
+    """
+    from sphereflock import Ensemble, rhs
+    from sphereflock.dynamics import constraint_violation
+    from sphereflock.geometry import project_state
+
+    def accel(X, V):
+        return rhs(Ensemble(X, V, validate=False), params)[1]
+
+    X, V = ensemble.positions, ensemble.velocities
+    half = 0.5 * dt
+    a1 = accel(X, V)
+    v2 = V + half * a1
+    a2 = accel(X + half * V, v2)
+    v3 = V + half * a2
+    a3 = accel(X + half * v2, v3)
+    v4 = V + dt * a3
+    a4 = accel(X + dt * v3, v4)
+    sixth = dt / 6.0
+    Xn = X + sixth * (V + 2.0 * (v2 + v3) + v4)
+    Vn = V + sixth * (a1 + 2.0 * (a2 + a3) + a4)
+    radial, tangency = constraint_violation(Xn, Vn)
+    if project:
+        Xn, Vn = project_state(Xn, Vn)
+    return Xn, Vn, radial, tangency

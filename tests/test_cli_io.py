@@ -346,27 +346,60 @@ class TestCli:
                      "--out", str(tmp_path / "o.csv"),
                      "--summary", str(tmp_path / "s.json")]) == 2
 
+    @staticmethod
+    def unwritable_reason(path):
+        """The config error's reason for a path the CLI cannot write, None if it can."""
+        if path.is_dir():
+            return "it is a directory"
+        if not path.parent.is_dir():
+            return f"{path.parent} is not a writable directory"
+        return None
+
     @pytest.mark.parametrize("out, summary, extra", [
         ("missing/f.csv", "s.json", []),
         ("f.csv", "file/s.json", []),  # the summary's parent is a file
         ("missing/f.csv", "s.json", ["--full-state"]),  # the state file sits beside out
+        ("dir", "s.json", []),  # an existing directory, for each of the three files
+        ("f.csv", "dir", []),
+        ("f.csv", "s.json", ["--full-state"]),  # f.csv.state.csv is a directory
     ])
     def test_unwritable_output_is_rejected_before_stepping(self, tmp_path, capsys,
                                                           monkeypatch, out, summary, extra):
         import sphereflock.cli as cli_mod
 
         def no_stepping(*args):
-            raise AssertionError("simulate ran before the output paths were checked")
+            raise AssertionError("the scenario was built before the output paths were checked")
 
+        monkeypatch.setattr(cli_mod, "build_scenario", no_stepping)
         monkeypatch.setattr(cli_mod, "simulate", no_stepping)
         (tmp_path / "file").write_text("")
+        for folder in ("dir", "f.csv.state.csv"):
+            (tmp_path / folder).mkdir()
         code = main(["simulate", "--out", str(tmp_path / out),
                      "--summary", str(tmp_path / summary), *extra])
         assert code == 2
-        bad = str(tmp_path / (out if out.startswith("missing") else summary))
+        paths = [tmp_path / out, tmp_path / summary, tmp_path / (out + ".state.csv")]
+        bad = next(path for path in paths if self.unwritable_reason(path))
         assert capsys.readouterr().err == (f"config error: cannot write {bad}: "
-                                           f"{os.path.dirname(bad)} is not a writable directory\n")
-        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+                                           f"{self.unwritable_reason(bad)}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "f.csv.state.csv", "file"]
+        assert not any((tmp_path / "dir").iterdir())
+
+    @pytest.mark.parametrize("out", ["missing/x.json", "dir"])
+    def test_check_rejects_unwritable_out_before_checking(self, tmp_path, capsys,
+                                                          monkeypatch, out):
+        import sphereflock.cli as cli_mod
+
+        def no_check(*args):
+            raise AssertionError("check_initial ran before the output path was checked")
+
+        monkeypatch.setattr(cli_mod, "check_initial", no_check)
+        (tmp_path / "dir").mkdir()
+        path = tmp_path / out
+        assert main(["check", "--out", str(path)]) == 2
+        assert capsys.readouterr().err == (f"config error: cannot write {path}: "
+                                           f"{self.unwritable_reason(path)}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
 
     @pytest.mark.parametrize("kernel", ["name = paper\nparams = 2.0",
                                         "name = linear\nparams = 1.0 2.0",

@@ -10,7 +10,8 @@ from sphereflock import (AntipodalPair, Ensemble, InvalidEnsemble, ModelParams, 
                          project_to_sphere, project_to_tangent, rhs, simulate,
                          spectral_abscissa)
 from sphereflock.diagnostics import make_frame
-from sphereflock.dynamics import (_pair_pass, _pair_tables, _rhs_and_dissipation, _Workspace,
+from sphereflock.dynamics import (_TILE_FLOATS, _distance_table, _pair_dot, _pair_pass,
+                                  _pair_tables, _rhs_and_dissipation, _Workspace,
                                   inhomogeneous_table, pair_derivative_table,
                                   pair_functional_table)
 from sphereflock.geometry import _CROSS_GUARD, _OPPOSITE_DOT, _cross_table, _cross_weights
@@ -471,6 +472,39 @@ def reuse_states(draw):
         rng = np.random.default_rng(seed)
         ens = random_ensemble(rng, n, speed)
     return ens, random_ensemble(rng, n)
+
+
+class TestDistanceTable:
+    """The tiled |x_i - x_k|^2 table against ``_pair_dot``'s component loop, on
+    entries mixing ordinary values with +-0, subnormals, 1e150 (whose squared
+    differences overflow), NaN and inf.  n runs over one tile (n <= 147), the
+    147/148 boundary and ragged last tiles (four tiles of 85, 85, 85, 1 at 256)."""
+
+    SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e150, -1e150,
+                        np.nan, -np.nan, np.inf, -np.inf])
+
+    @settings(max_examples=80)
+    @given(st.integers(1, 400), st.integers(0, 2**32 - 1), st.booleans())
+    @example(147, 0, True).via("one tile")
+    @example(148, 0, True).via("two tiles, the last one row")
+    @example(256, 0, True).via("four tiles")
+    def test_equals_pair_dot(self, n, seed, finite):
+        rng = np.random.default_rng(seed)
+        pool = self.SPECIAL[np.isfinite(self.SPECIAL)] if finite else self.SPECIAL
+        X = np.where(rng.random((n, 3)) < 0.5, rng.choice(pool, (n, 3)),
+                     rng.standard_normal((n, 3)))
+        ws = _Workspace(n)
+        ws.tile.fill(np.nan)  # no leftover of a previous build can show through
+        with np.errstate(all="ignore"):
+            got, want = _distance_table(X, ws), _pair_dot(X, X)
+        if finite or 3 * n * n <= _TILE_FLOATS:
+            assert got.tobytes() == want.tobytes()
+        else:
+            # Past one tile the tile's adds are numpy loops of another length, whose
+            # vector body and scalar tail keep different operands where two NaNs
+            # meet: such entries are NaN in both, every other entry is byte-equal.
+            same_bits = got.view(np.uint64) == want.view(np.uint64)
+            assert (same_bits | (np.isnan(got) & np.isnan(want))).all()
 
 
 class TestWorkspaceReuse:

@@ -6,12 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import random_ensemble
+from helpers import random_ensemble, rk4_oracle
 from sphereflock import (ANTIPODAL_TOL, AntipodalPair, Ensemble, InvalidEnsemble, ModelParams,
-                         NonFinite, SimConfig, energy, pairwise_dissipation, paper_kernel,
-                         paper_scenario, random_scenario, rhs, rk4_step, simulate)
+                         NonFinite, SimConfig, energy, linear_kernel, pairwise_dissipation,
+                         paper_kernel, paper_scenario, random_scenario, rhs, rk4_step, simulate)
 from sphereflock.diagnostics import make_frame
 from sphereflock.dynamics import constraint_violation
 from sphereflock.integrator import energy_audit
@@ -153,6 +154,21 @@ class TestRk4Step:
     def test_config_takes_numpy_integer_stride(self, params):
         sim = SimConfig(dt=1e-3, t_end=0.004, frame_stride=np.int64(2))
         assert len(simulate(great_circle_ensemble(), params, sim).frames) == 3
+
+    @settings(max_examples=40)
+    @given(st.sampled_from([1, 2, 6, 17, 40]), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 1.0, 5.0]), st.sampled_from([1e-3, 0.05]), st.booleans())
+    def test_equals_textbook_oracle(self, n, seed, sigma, dt, project):
+        # the step rounds exactly as the textbook stages written out through rhs
+        kernel = (paper_kernel(), linear_kernel(1.5))[seed % 2]
+        p = ModelParams(kernel, sigma)
+        ens = random_ensemble(np.random.default_rng(seed), n, 0.5)
+        step = rk4_step(ens, dt, p, project)
+        X, V, radial, tangency = rk4_oracle(ens, dt, p, project)
+        assert step.ensemble.positions.tobytes() == X.tobytes()
+        assert step.ensemble.velocities.tobytes() == V.tobytes()
+        assert np.float64(step.pre_radial).tobytes() == np.float64(radial).tobytes()
+        assert np.float64(step.pre_tangency).tobytes() == np.float64(tangency).tobytes()
 
 
 class TestGreatCircle:
@@ -431,22 +447,22 @@ class TestSharedPairTables:
         from sphereflock import integrator
         from sphereflock.dynamics import _pair_pass, _pair_tables, _Workspace
 
-        n = 128
-        ens = random_scenario(0, n, 0.5, 0.1, numpy_params).ensemble
-        X, V = ens.positions, ens.velocities
-        ws = _Workspace(n)
-        a1 = _pair_pass(X, V, numpy_params, ws)[0]
-        for call in (lambda: integrator._step(X, V, a1, 1e-3, numpy_params, True, ws),
-                     lambda: make_frame(0.0, ens, numpy_params, _pair_tables(X, V, ws))):
-            call()  # warm
-            tracemalloc.start()
-            try:
-                held = tracemalloc.get_traced_memory()[0]
-                call()
-                rise = tracemalloc.get_traced_memory()[1] - held
-            finally:
-                tracemalloc.stop()
-            assert rise <= 3 * 8 * n * n
+        for n in (128, 256):  # the distance table in one tile, then in four
+            ens = random_scenario(0, n, 0.5, 0.1, numpy_params).ensemble
+            X, V = ens.positions, ens.velocities
+            ws = _Workspace(n)
+            a1 = _pair_pass(X, V, numpy_params, ws)[0]
+            for call in (lambda: integrator._step(X, V, a1, 1e-3, numpy_params, True, ws),
+                         lambda: make_frame(0.0, ens, numpy_params, _pair_tables(X, V, ws))):
+                call()  # warm
+                tracemalloc.start()
+                try:
+                    held = tracemalloc.get_traced_memory()[0]
+                    call()
+                    rise = tracemalloc.get_traced_memory()[1] - held
+                finally:
+                    tracemalloc.stop()
+                assert rise <= 3 * 8 * n * n, n
 
 
 def test_simulate_works_without_numba(tmp_path):

@@ -125,6 +125,21 @@ def _random_state(rng, k):
     return sf.Ensemble.projected(X, V)
 
 
+def _tiles():
+    """rk4_step and make_frame at the sizes where the distance table's row tiles
+    change: one tile (n = 147), a one-row last tile (148), two tiles (150) and
+    five with a ragged last one (300)."""
+    rng = np.random.default_rng(20240102)
+    p = sf.ModelParams(sf.paper_kernel(), 1.0)
+    out = []
+    for n in (147, 148, 150, 300):
+        ens = sf.Ensemble.projected(rng.standard_normal((n, 3)),
+                                    0.3 * rng.standard_normal((n, 3)))
+        out.append(([sf.rk4_step(ens, 1e-3, p, project) for project in (True, False)],
+                    make_frame(0.5, ens, p).as_row()))
+    return out
+
+
 def _random_states():
     rng = np.random.default_rng(20240101)
     kernels = (sf.paper_kernel(), sf.linear_kernel(1.5))
@@ -145,6 +160,7 @@ def _random_states():
                 ("rk4_step", lambda: [sf.rk4_step(ens, 1e-3, p, project)
                                       for project in (True, False)])):
             families[name].append(_outcome(call))
+    families["tiles"] = _tiles()
     return families
 
 
