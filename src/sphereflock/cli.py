@@ -50,19 +50,24 @@ def _apply_overrides(cfg, args):
 
 def _check_writable(paths) -> None:
     """Raise ConfigError unless each path can be written as a file: it is not a
-    directory, and its folder is a writable one."""
-    for path in paths:
+    directory, its folder is a writable one, and no earlier path names the same
+    file (compared after ``os.path.realpath``), which would overwrite it."""
+    real = [os.path.realpath(path) for path in paths]
+    for k, path in enumerate(paths):
         folder = os.path.dirname(path) or "."
         if os.path.isdir(path):
             raise ConfigError(f"cannot write {path}: it is a directory")
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise ConfigError(f"cannot write {path}: {folder} is not a writable directory")
+        if real[k] in real[:k]:
+            raise ConfigError(f"cannot write {path}: {paths[real.index(real[k])]} "
+                              "names the same file")
 
 
 def _cmd_simulate(args) -> int:
     paths = [args.out, args.summary]
     if args.full_state:
-        paths.append(str(args.out) + ".state.csv")
+        paths.insert(1, str(args.out) + ".state.csv")
     _check_writable(paths)  # before the scenario is built and stepped
     cfg = _apply_overrides(_resolve_config(args), args)
     scenario = build_scenario(cfg)

@@ -30,12 +30,15 @@ The (n, n) tables live in a ``_Workspace``: ``_pair_tables`` writes a state's
 tables into its buffers and the pair pass takes its temporaries from them, so a
 stepping run (``integrator._run``) that owns one allocates no (n, n) array but
 the kernel's own, and the antipodal mask of a state the pre-screen (one
-dots.min()) hits; a clean state has none.  A bare workspace is the unbuilt set:
-a helper given one builds the state's tables on it.  Tables built on a workspace
-are views into it, valid until it next builds a set; public ``rhs`` builds its own.
-At the paper's n = 6 a table costs numpy calls, not arithmetic, so the distance
-table is one broadcast subtract per row tile (``_distance_table``), in scratch
-tables, instead of three outer products.
+minimum reduction of dots) hits; a clean state has none.  A bare workspace is
+the unbuilt set: a helper given one builds the state's tables on it.  Tables
+built on a workspace are views into it, valid until it next builds a set; public
+``rhs`` builds its own.  At the paper's n = 6 a pass costs numpy calls, not
+arithmetic, so the workspace also holds the pass's O(n) intermediates and every
+view the pass reads, built once: the distance table is one broadcast subtract
+per row tile (``_distance_table``) over precomputed tile views, and the three
+per-agent multiples of x_i are one broadcast multiply.  What the pass returns
+is its own, never a view into the workspace.
 
 For every pair (i, j) the triple
 
@@ -51,6 +54,7 @@ so their agreement is a genuine whole-formula cross-check.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import InitVar, dataclass
 
@@ -73,7 +77,10 @@ _PairTables = namedtuple("_PairTables", "ws dots bad xsq w m")
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Communication kernel and bonding-force rate."""
+    """Communication kernel and bonding-force rate.
+
+    sigma is 0 or a normal float: a subnormal one carries too few significant
+    bits for the thresholds derived from it (mu and delta scale with sigma)."""
 
     kernel: Kernel
     sigma: float
@@ -81,6 +88,9 @@ class ModelParams:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError("sigma must be finite and nonnegative")
+        if 0.0 < self.sigma < sys.float_info.min:
+            raise ValueError(f"sigma = {self.sigma!r} is subnormal; "
+                             f"use 0 or at least {sys.float_info.min!r}")
 
 
 @dataclass(eq=False)
@@ -148,20 +158,6 @@ def _pair_dot(A: np.ndarray, B: np.ndarray, out=None, tmp=None, tmp2=None,
     return table
 
 
-class _Workspace:
-    """The (n, n) buffers of one run: a state's tables dots, xsq, w and the cross
-    guard's mask (the antipodal mask is built only for a state the pre-screen hits),
-    and four scratch tables, ``scratch``.  The distance table's build uses scratch
-    1-3 as its tile block, ``tile`` (their 3 n^2 floats, flat), the pair pass uses
-    two scratch tables and a frame all four."""
-
-    def __init__(self, n: int):
-        tables = np.empty((7, n, n))
-        self.dots, self.xsq, self.w, *self.scratch = tables
-        self.tile = tables[4:].reshape(-1)
-        self.guard = np.empty((n, n), dtype=bool)
-
-
 # Floats in one tile of the distance table's (3, rows, n) difference block.  A
 # 512 KB tile stays in a core's L2; on a Xeon with 2 MB of L2 per core the
 # untiled 1.5 MB block at n = 256 built the table 11% slower.  One tile for
@@ -169,22 +165,62 @@ class _Workspace:
 _TILE_FLOATS = 1 << 16
 
 
+class _Workspace:
+    """The buffers of one run and the fixed views into them that the pair pass reads.
+
+    O(n^2): a state's tables ``dots``, ``xsq``, ``w`` and the cross guard's mask
+    ``guard`` (the antipodal mask is built only for a state the pre-screen hits),
+    and four ``scratch`` tables: the pass uses two, a frame all four, and scratch
+    1-3, flat, are ``tile``, the block the distance table is built in.
+
+    O(n): ``xt`` (3, n), a unit-stride copy of X^T; ``m`` (n, 3), the rows
+    v_k x x_k; ``outer`` (n, 3, 3), the outer products of a row-wise cross
+    product; ``g`` and ``prod`` (n, 3), the pass's G and scratch; ``cols`` (3, n),
+    its per-agent factors of x_i, and ``cols_x`` (3, n, 3), their products with x_i.
+
+    Views built once: ``tiles`` (per row tile, the difference block, its three
+    planes, the tile's rows of xt and its rows of xsq), ``xt_all``, ``diag`` (the
+    dots diagonal as a column), ``outer9``, ``b_t`` (scratch 1 transposed),
+    ``cols_col`` and the rows of cols and cols_x.  The pass returns none of these.
+    """
+
+    def __init__(self, n: int):
+        tables = np.empty((7, n, n))
+        self.dots, self.xsq, self.w, *self.scratch = tables
+        self.tile = tables[4:].reshape(-1)
+        self.guard = np.empty((n, n), dtype=bool)
+        self.xt = np.empty((3, n))
+        self.m, self.g, self.prod = np.empty((3, n, 3))
+        self.outer = np.empty((n, 3, 3))
+        self.cols = np.empty((3, n))
+        self.cols_x = np.empty((3, n, 3))
+        self.diag = self.dots.diagonal()[:, None]
+        self.outer9 = self.outer.reshape(n, 9)
+        self.b_t = self.scratch[1].T
+        self.cols_col = self.cols[:, :, None]
+        self.col_rows, self.cols_x_rows = tuple(self.cols), tuple(self.cols_x)
+        self.xt_all = self.xt[:, None, :]
+        rows = max(1, min(n, _TILE_FLOATS // (3 * n)))
+        block = self.tile[:3 * rows * n].reshape(3, rows, n)
+        self.tiles = []
+        for lo in range(0, n, rows):
+            d = block[:, :min(rows, n - lo)]
+            self.tiles.append((d, *d, self.xt[:, lo:lo + rows, None], self.xsq[lo:lo + rows]))
+
+
 def _distance_table(X: np.ndarray, ws: _Workspace) -> np.ndarray:
     """|x_i - x_k|^2 into ws.xsq, equal to ``_pair_dot(X, X)``: per tile of rows,
     one broadcast subtract over the (3, rows, n) block, a square and the two adds
-    in _pair_dot's order, ((d0^2 + d1^2) + d2^2).  The subtract reads a unit-stride
-    copy of X^T.  Byte-equal for finite X and within one tile; past one tile, where
-    two NaNs meet in an add, numpy's vector body and scalar tail may keep either's bits."""
-    n = X.shape[0]
-    rows = max(1, min(n, _TILE_FLOATS // (3 * n)))
-    block = ws.tile[:3 * rows * n].reshape(3, rows, n)
-    XT = X.T.copy()
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        d = np.subtract(XT[:, lo:hi, None], XT[:, None, :], out=block[:, :hi - lo])
-        d *= d
-        out = np.add(d[0], d[1], out=ws.xsq[lo:hi])
-        out += d[2]
+    in _pair_dot's order, ((d0^2 + d1^2) + d2^2).  The subtract reads ws.xt, a
+    unit-stride copy of X^T.  Byte-equal for finite X and within one tile; past one
+    tile, where two NaNs meet in an add, numpy's vector body and scalar tail may
+    keep either's bits."""
+    ws.xt[...] = X.T
+    for d, d0, d1, d2, xt_rows, out in ws.tiles:
+        np.subtract(xt_rows, ws.xt_all, out=d)
+        np.multiply(d, d, out=d)
+        np.add(d0, d1, out=out)
+        np.add(out, d2, out=out)
     return ws.xsq
 
 
@@ -192,6 +228,13 @@ def _distance_table(X: np.ndarray, ws: _Workspace) -> np.ndarray:
 # (G[:, :, None] * X[:, None, :]).reshape(n, 9) @ _LEVI, cheaper than np.cross.
 _LEVI = np.array([[0, 0, 0], [0, 0, 1], [0, -1, 0], [0, 0, -1], [0, 0, 0], [1, 0, 0],
                   [0, 1, 0], [-1, 0, 0], [0, 0, 0]], dtype=float)
+
+
+def _cross_rows(A: np.ndarray, X: np.ndarray, ws: _Workspace, out=None) -> np.ndarray:
+    """The rows a_i x x_i, through the outer products in ws.outer, into ``out``
+    (fresh if None)."""
+    np.multiply(A[:, :, None], X[:, None, :], out=ws.outer)
+    return np.matmul(ws.outer9, _LEVI, out=out)
 
 
 def _pair_tables(X: np.ndarray, V: np.ndarray, ws: _Workspace | None = None) -> _PairTables:
@@ -212,24 +255,22 @@ def _pair_tables(X: np.ndarray, V: np.ndarray, ws: _Workspace | None = None) -> 
       out (dots < _OPPOSITE_DOT) take it from their exact cross product;
     - <x_k x x_i, v_k> = <m_k, x_i>, one matmul M X^T.
     """
-    n = X.shape[0]
-    ws = _Workspace(n) if ws is None else ws
+    ws = _Workspace(X.shape[0]) if ws is None else ws
     a, b = ws.scratch[:2]
     dots = np.matmul(X, X.T, out=ws.dots)
     xsq = _distance_table(X, ws)
-    sq = dots.diagonal()[:, None]  # |x_k|^2
-    p = np.subtract(dots, sq, out=a)
+    p = np.subtract(dots, ws.diag, out=a)  # diag: |x_k|^2
     p *= p
-    nsq = np.multiply(xsq, sq, out=b)
+    nsq = np.multiply(xsq, ws.diag, out=b)
     nsq -= p
-    # antipodal_mask's pre-screen, one dots.min() (NaN takes the mask path too)
+    # antipodal_mask's pre-screen, one minimum of dots (NaN takes the mask path too)
     bad = None
-    if not dots.min() >= geometry._OPPOSITE_DOT:
+    if not np.minimum.reduce(dots, axis=None) >= geometry._OPPOSITE_DOT:
         k, i = np.nonzero(dots < geometry._OPPOSITE_DOT)
         c = np.cross(X[k], X[i])
-        nsq[k, i] = (c * c).sum(axis=1)
+        nsq[k, i] = np.add.reduce(c * c, axis=1)
         bad = antipodal_mask(X, dots)
-    m = (V[:, :, None] * X[:, None, :]).reshape(n, 9) @ _LEVI
+    m = _cross_rows(V, X, ws, ws.m)
     w = np.subtract(1.0, dots, out=ws.w)
     w *= np.matmul(m, X.T, out=a)
     at_guard = np.less_equal(nsq, _CROSS_GUARD, out=ws.guard)
@@ -265,24 +306,36 @@ def _pair_pass(X: np.ndarray, V: np.ndarray, params: ModelParams, tables=None):
 
     ``tables`` are the state's ``_pair_tables``, or the unbuilt set, a bare
     ``_Workspace`` (or None), to build them on (see ``_built``); the pass's
-    (n, n) temporaries are the tables' workspace's, so only the returned
-    (n, 3) and (n,) arrays are its own.
+    temporaries are the tables' workspace's, so only the returned (n, 3) and
+    (n,) arrays are its own.  The three products of a per-agent factor with
+    x_i, (psi <x, v>)_i x_i, |v_i|^2 x_i and (sum_k <x_i, x_k>) x_i, are one
+    broadcast multiply of the workspace's (3, n) cols.
     """
     n = X.shape[0]
     tables = _built(X, V, tables)
-    a, b = tables.ws.scratch[:2]
-    dots, psim = tables.dots, _rates(tables.bad, tables.xsq, params.kernel, a)
-    xv = (X * V).sum(axis=1)
-    G = np.multiply(psim, tables.w, out=b).T @ X
-    G -= psim @ tables.m
-    S = (G[:, :, None] * X[:, None, :]).reshape(n, 9) @ _LEVI
-    S += (psim @ xv)[:, None] * X
-    r = psim.sum(axis=1)
-    coupling = (S - r[:, None] * V) / n
-    bonding = (params.sigma / n) * (X.sum(axis=0)[None, :] - dots.sum(axis=1)[:, None] * X)
-    vsq = (V * V).sum(axis=1)
-    dV = coupling - vsq[:, None] * X + bonding
-    return dV, S, r, vsq
+    ws = tables.ws
+    psim = _rates(tables.bad, tables.xsq, params.kernel, ws.scratch[0])
+    psi_xv, vsq, dot_sums = ws.col_rows
+    x_psi_xv, x_vsq, bonding = ws.cols_x_rows
+    xv = np.add.reduce(np.multiply(X, V, out=ws.prod), axis=1)
+    np.matmul(psim, xv, out=psi_xv)
+    np.add.reduce(np.multiply(V, V, out=ws.prod), axis=1, out=vsq)
+    np.add.reduce(tables.dots, axis=1, out=dot_sums)
+    np.multiply(ws.cols_col, X, out=ws.cols_x)
+    np.multiply(psim, tables.w, out=ws.scratch[1])
+    G = np.matmul(ws.b_t, X, out=ws.g)  # (psi w)^T X, b_t being scratch 1 transposed
+    G -= np.matmul(psim, tables.m, out=ws.prod)
+    S = _cross_rows(G, X, ws)
+    S += x_psi_xv
+    r = np.add.reduce(psim, axis=1)
+    coupling = np.multiply(r[:, None], V, out=ws.prod)
+    np.subtract(S, coupling, out=coupling)
+    coupling /= n
+    np.subtract(np.add.reduce(X, axis=0), bonding, out=bonding)
+    bonding *= params.sigma / n
+    dV = np.subtract(coupling, x_vsq)
+    dV += bonding
+    return dV, S, r, vsq.copy()
 
 
 def _rhs_and_dissipation(X: np.ndarray, V: np.ndarray, params: ModelParams, tables=None):
@@ -297,7 +350,7 @@ def _rhs_and_dissipation(X: np.ndarray, V: np.ndarray, params: ModelParams, tabl
     """
     n = X.shape[0]
     dV, S, r, vsq = _pair_pass(X, V, params, tables)
-    return dV, 2.0 * (float(r @ vsq) - float((S * V).sum())) / (n * n)
+    return dV, 2.0 * (float(r @ vsq) - float(np.add.reduce(S * V, axis=None))) / (n * n)
 
 
 def rhs(ensemble: Ensemble, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:

@@ -134,11 +134,12 @@ def _step(X, V, a1, dt, params, project, ws):
 
 def _drift_and_project(X, V, project):
     """``constraint_violation(X, V)``; if ``project``, ``project_state`` in place, same row norms."""
-    norm = np.sqrt((X * X).sum(axis=1))
-    drift = float(np.abs(norm - 1.0).max()), float(np.abs((X * V).sum(axis=1)).max())
+    norm = np.sqrt(np.add.reduce(X * X, axis=1))
+    drift = (float(np.maximum.reduce(np.abs(norm - 1.0))),
+             float(np.maximum.reduce(np.abs(np.add.reduce(X * V, axis=1)))))
     if project:
         X /= norm[:, None]
-        V -= (X * V).sum(axis=1)[:, None] * X
+        V -= np.add.reduce(X * V, axis=1)[:, None] * X
     return drift
 
 

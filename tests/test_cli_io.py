@@ -385,6 +385,38 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "f.csv.state.csv", "file"]
         assert not any((tmp_path / "dir").iterdir())
 
+    @pytest.mark.parametrize("out, summary, extra", [
+        ("d.csv", "d.csv", []),
+        ("d.csv", "./sub/../d.csv", []),  # the same file, spelled another way
+        ("f.csv", "f.csv.state.csv", ["--full-state"]),
+        ("f.csv", "link.json", []),  # a symbolic link to f.csv
+    ])
+    def test_colliding_output_paths_are_rejected_before_stepping(
+            self, tmp_path, capsys, monkeypatch, out, summary, extra):
+        # one file would overwrite the other: frames lost under the summary JSON
+        import sphereflock.cli as cli_mod
+
+        def no_stepping(*args):
+            raise AssertionError("the scenario was built before the output paths were checked")
+
+        monkeypatch.setattr(cli_mod, "build_scenario", no_stepping)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.json").symlink_to(tmp_path / "f.csv")
+        code = main(["simulate", "--out", str(tmp_path / out),
+                     "--summary", str(tmp_path / summary), *extra])
+        assert code == 2
+        first = tmp_path / (out + ".state.csv" if extra else out)
+        assert capsys.readouterr().err == (f"config error: cannot write {tmp_path / summary}: "
+                                           f"{first} names the same file\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "sub"]
+
+    def test_subnormal_sigma_is_a_config_error(self, tmp_path, capsys):
+        code = main(["simulate", "--t-end", "0.01", "--sigma", "1e-320",
+                     "--out", str(tmp_path / "f.csv"), "--summary", str(tmp_path / "s.json")])
+        assert code == 2
+        assert "subnormal" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("out", ["missing/x.json", "dir"])
     def test_check_rejects_unwritable_out_before_checking(self, tmp_path, capsys,
                                                           monkeypatch, out):

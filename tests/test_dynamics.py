@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -155,6 +157,17 @@ class TestRhs:
 def test_model_params_reject_nan_sigma():
     with pytest.raises(ValueError):
         ModelParams(paper_kernel(), float("nan"))
+
+
+@pytest.mark.parametrize("sigma", [5e-324, 1e-320, np.nextafter(sys.float_info.min, 0.0)])
+def test_model_params_reject_subnormal_sigma(sigma):
+    with pytest.raises(ValueError, match="subnormal"):
+        ModelParams(paper_kernel(), float(sigma))
+
+
+@pytest.mark.parametrize("sigma", [0.0, sys.float_info.min])
+def test_model_params_accept_zero_and_smallest_normal_sigma(sigma):
+    assert ModelParams(paper_kernel(), sigma).sigma == sigma
 
 
 def near_coincident_ensemble(rng, n):
@@ -507,22 +520,36 @@ class TestDistanceTable:
             assert (same_bits | (np.isnan(got) & np.isnan(want))).all()
 
 
+def workspace_arrays(ws):
+    """Every writable array a workspace holds, found through its attributes (and
+    the lists and tuples among them), so that a buffer added later is found too."""
+    found, todo = [], list(vars(ws).values())
+    while todo:
+        item = todo.pop()
+        if isinstance(item, (list, tuple)):
+            todo.extend(item)
+        elif isinstance(item, np.ndarray) and item.flags.writeable:
+            found.append(item)
+    return found
+
+
 class TestWorkspaceReuse:
     """A workspace carries nothing from one state to the next: on a dirty
     workspace the pair pass, the fused D and the frame are byte-equal to the
     same call on a fresh workspace.  Each is run on two dirty workspaces,
-    one holding NaN in every table and True in its mask, one holding the
-    tables and frame scratch of another state, so that no leftover can
-    happen to match what a fresh workspace holds."""
+    one holding NaN in every float array and True in every mask, one
+    holding the tables, pass buffers and frame scratch of another state, so
+    that no leftover can happen to match what a fresh workspace holds."""
 
     @staticmethod
     def dirty(other):
         p = ModelParams(paper_kernel(), 1.0)
         with_nan, with_other = _Workspace(other.n), _Workspace(other.n)
-        for table in (with_nan.dots, with_nan.xsq, with_nan.w, *with_nan.scratch):
-            table.fill(np.nan)
-        with_nan.guard.fill(True)
-        make_frame(0.0, other, p, with_other)
+        for buf in workspace_arrays(with_nan):
+            buf.fill(True if buf.dtype == bool else np.nan)
+        tables = _pair_tables(other.positions, other.velocities, with_other)
+        make_frame(0.0, other, p, tables)
+        _pair_pass(other.positions, other.velocities, p, tables)
         return with_nan, with_other
 
     @settings(max_examples=30)
@@ -554,6 +581,19 @@ class TestWorkspaceReuse:
         want = np.array(make_frame(0.5, ens, p).as_row()).tobytes()
         for unbuilt in self.dirty(other):
             assert np.array(make_frame(0.5, ens, p, unbuilt).as_row()).tobytes() == want
+
+
+@pytest.mark.parametrize("n", [1, 6, 148, 256])
+def test_pass_returns_share_no_memory_with_the_workspace(n):
+    # the next stage overwrites the workspace, so a returned view would change under the caller
+    ens = random_ensemble(np.random.default_rng(n), n)
+    X, V, p = ens.positions, ens.velocities, ModelParams(paper_kernel(), 1.0)
+    ws = _Workspace(n)
+    returned = [*_pair_pass(X, V, p, ws), _rhs_and_dissipation(X, V, p, ws)[0]]
+    bufs = workspace_arrays(ws)
+    assert any(buf is ws.dots for buf in bufs)
+    for got in returned:
+        assert not any(np.shares_memory(got, buf) for buf in bufs)
 
 
 class TestPairFunctional:

@@ -145,7 +145,7 @@ def _random_states():
     kernels = (sf.paper_kernel(), sf.linear_kernel(1.5))
     families = {name: [] for name in ("pairwise_transport", "pairwise_dissipation",
                                       "inhomogeneous_table", "make_frame", "diameters",
-                                      "energy", "rk4_step")}
+                                      "energy", "rk4_step", "energy_audit")}
     for k in range(N_STATES):
         ens = _random_state(rng, k)
         p = sf.ModelParams(kernels[k % 2], (0.0, 1.0, 5.0)[k % 3])
@@ -158,7 +158,8 @@ def _random_states():
                 ("diameters", lambda: sf.diameters(ens)),
                 ("energy", lambda: sf.energy(ens, p.sigma)),
                 ("rk4_step", lambda: [sf.rk4_step(ens, 1e-3, p, project)
-                                      for project in (True, False)])):
+                                      for project in (True, False)]),
+                ("energy_audit", lambda: sf.integrator.energy_audit(ens, p, 1e-3, 0.02))):
             families[name].append(_outcome(call))
     families["tiles"] = _tiles()
     return families
