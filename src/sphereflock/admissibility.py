@@ -22,6 +22,7 @@ reported inadmissible with their margins.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 from . import diagnostics
@@ -124,14 +125,21 @@ def thresholds(kernel: Kernel, sigma: float) -> Thresholds:
 
         V0 = mu/4C,        E0 = mu^2/64C^2   if mu/4C < 1
         V0 = sqrt(mu/4C),  E0 = mu/16C       if mu/4C >= 1.
+
+    The guarantee's one range check: unless all seven are finite normal floats
+    it raises ValueError naming the kernel, sigma and each constant outside.
     """
     mu = spectral_abscissa(kernel.psi0, sigma)
     c = aggregate_constant(kernel, sigma)
     v0, e0 = _speed_energy_thresholds(mu, c)
     x_m = solve_x_m(kernel, sigma, mu, c)
     psi_m = float(kernel.psi(math.sqrt(x_m)))
-    return Thresholds(mu=mu, c_const=c, v0=v0, e0=e0, x_m=x_m,
-                      psi_m=psi_m, delta=0.5 * mu)
+    th = Thresholds(mu=mu, c_const=c, v0=v0, e0=e0, x_m=x_m, psi_m=psi_m, delta=0.5 * mu)
+    bad = [f"{k} = {v!r}" for k, v in vars(th).items() if not sys.float_info.min <= v < math.inf]
+    if bad:
+        raise ValueError(f"the guarantee is out of numeric range for the {kernel.name} kernel at "
+                         f"sigma = {sigma!r}: {', '.join(bad)} (infinite, zero or subnormal)")
+    return th
 
 
 @dataclass(frozen=True)

@@ -126,8 +126,6 @@ def _cmd_check(args) -> int:
         _check_writable([args.out])
     cfg = _resolve_config(args)
     scenario = build_scenario(cfg)
-    if scenario.params.sigma <= 0.0:
-        raise ConfigError("the admissibility condition is defined for sigma > 0")
     report = check_initial(scenario.ensemble, scenario.params)
     payload = {"label": scenario.label, **report.as_dict()}
     if args.out:

@@ -54,7 +54,6 @@ so their agreement is a genuine whole-formula cross-check.
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 from dataclasses import InitVar, dataclass
 
@@ -62,7 +61,7 @@ import numpy as np
 
 from . import geometry
 from .errors import AntipodalPair, InvalidEnsemble
-from .geometry import _CROSS_GUARD, antipodal_mask, pairwise_transport, project_state
+from .geometry import _CROSS_GUARD, _drift_and_project, antipodal_mask, pairwise_transport
 from .kernels import Kernel
 
 # Ensemble state invariants (looser than construction-time projection noise
@@ -77,10 +76,7 @@ _PairTables = namedtuple("_PairTables", "ws dots bad xsq w m")
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Communication kernel and bonding-force rate.
-
-    sigma is 0 or a normal float: a subnormal one carries too few significant
-    bits for the thresholds derived from it (mu and delta scale with sigma)."""
+    """Kernel and bonding rate sigma >= 0; ``thresholds`` alone decides the guarantee's range."""
 
     kernel: Kernel
     sigma: float
@@ -88,9 +84,6 @@ class ModelParams:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError("sigma must be finite and nonnegative")
-        if 0.0 < self.sigma < sys.float_info.min:
-            raise ValueError(f"sigma = {self.sigma!r} is subnormal; "
-                             f"use 0 or at least {sys.float_info.min!r}")
 
 
 @dataclass(eq=False)
@@ -132,14 +125,12 @@ class Ensemble:
     @classmethod
     def projected(cls, positions, velocities) -> "Ensemble":
         """Build a valid ensemble by renormalizing and tangent-projecting."""
-        return cls(*project_state(positions, velocities))
+        return cls(*geometry.project_state(positions, velocities))
 
 
 def constraint_violation(X: np.ndarray, V: np.ndarray) -> tuple[float, float]:
-    """(max_i |norm(x_i)-1|, max_i |<v_i, x_i>|) for raw state arrays."""
-    radial = float(np.abs(np.sqrt((X * X).sum(axis=1)) - 1.0).max())
-    tangency = float(np.abs((X * V).sum(axis=1)).max())
-    return radial, tangency
+    """(max_i |norm(x_i)-1|, max_i |<v_i, x_i>|): ``_drift_and_project``, not projecting."""
+    return _drift_and_project(X, V, False)
 
 
 def _pair_dot(A: np.ndarray, B: np.ndarray, out=None, tmp=None, tmp2=None,

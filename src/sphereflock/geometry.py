@@ -89,13 +89,26 @@ def project_to_tangent(x, v) -> np.ndarray:
     return w - (w @ z) * z
 
 
+def _drift_and_project(X: np.ndarray, V: np.ndarray, project: bool) -> tuple[float, float]:
+    """The one routine of the manifold drift (max_i |norm(x_i) - 1|, max_i |<v_i, x_i>|)
+    of (n, 3) arrays and, if ``project``, of the projection of X and V in place onto
+    the sphere and the tangent planes there, from the same row norms."""
+    norm = np.sqrt(np.add.reduce(X * X, axis=1))
+    drift = (float(np.maximum.reduce(np.abs(norm - 1.0))),
+             float(np.maximum.reduce(np.abs(np.add.reduce(X * V, axis=1)))))
+    if project:
+        X /= norm[:, None]
+        V -= np.add.reduce(X * V, axis=1)[:, None] * X
+    return drift
+
+
 def project_state(positions, velocities) -> tuple[np.ndarray, np.ndarray]:
     """Project each position row onto the sphere and each velocity row onto
-    the tangent plane at the projected position; returns new (n, 3) arrays."""
-    X = np.asarray(positions, dtype=float)
-    V = np.asarray(velocities, dtype=float)
-    Xp = X / np.sqrt((X * X).sum(axis=1))[:, None]
-    return Xp, V - (Xp * V).sum(axis=1, keepdims=True) * Xp
+    the tangent plane at the projected position (``_drift_and_project`` on copies)."""
+    X = np.array(positions, dtype=float)
+    V = np.array(velocities, dtype=float)
+    _drift_and_project(X, V, True)
+    return X, V
 
 
 def rotation_matrix(z1, z2) -> np.ndarray:

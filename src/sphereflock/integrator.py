@@ -32,6 +32,7 @@ import numpy as np
 from . import _fast, diagnostics, dynamics
 from .dynamics import Ensemble, ModelParams, _pair_tables, _rhs_and_dissipation, _Workspace
 from .errors import AntipodalPair, NonFinite
+from .geometry import _drift_and_project
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,6 @@ class Trajectory:
 
     frames: list[Frame]
     params: ModelParams
-    config: SimConfig
     max_step_radial: float = 0.0
     max_step_tangency: float = 0.0
 
@@ -116,9 +116,9 @@ def _worst(a: float, b: float) -> float:
 def _step(X, V, a1, dt, params, project, ws):
     """The numpy step from (X, V) with acceleration a1 there: classical RK4
     for the second-order system (dx = v, dv = a), then the drift (radial,
-    tangency) of its result, then optionally the projection back onto the
-    sphere and tangent planes.  Each stage's tables are built on the
-    workspace ws."""
+    tangency) of its result and optionally the projection back onto the
+    sphere and tangent planes, both from ``_drift_and_project``.  Each stage's
+    tables are built on the workspace ws."""
     half = 0.5 * dt
     v2 = V + half * a1
     a2 = dynamics._pair_pass(X + half * V, v2, params, ws)[0]
@@ -130,17 +130,6 @@ def _step(X, V, a1, dt, params, project, ws):
     Xn = X + sixth * (V + 2.0 * (v2 + v3) + v4)
     Vn = V + sixth * (a1 + 2.0 * (a2 + a3) + a4)
     return (Xn, Vn, *_drift_and_project(Xn, Vn, project))
-
-
-def _drift_and_project(X, V, project):
-    """``constraint_violation(X, V)``; if ``project``, ``project_state`` in place, same row norms."""
-    norm = np.sqrt(np.add.reduce(X * X, axis=1))
-    drift = (float(np.maximum.reduce(np.abs(norm - 1.0))),
-             float(np.maximum.reduce(np.abs(np.add.reduce(X * V, axis=1)))))
-    if project:
-        X /= norm[:, None]
-        V -= np.add.reduce(X * V, axis=1)[:, None] * X
-    return drift
 
 
 def rk4_step(ensemble: Ensemble, dt: float, params: ModelParams,
@@ -280,7 +269,7 @@ def simulate(e0: Ensemble, params: ModelParams, config: SimConfig) -> Trajectory
     the same way with NonFinite, whose time is that of the last frame.
     """
     frames: list[Frame] = []
-    traj = Trajectory(frames, params, config)
+    traj = Trajectory(frames, params)
 
     X, V = e0.positions.copy(), e0.velocities.copy()
     e0.check()

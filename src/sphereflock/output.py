@@ -83,10 +83,11 @@ def build_summary(label: str, trajectory: Trajectory, fit: RateFit | None,
 
 
 def json_text(payload: dict) -> str:
-    """The JSON text of every file and stdout payload: sorted keys, indent 2."""
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """The strict RFC 8259 JSON text of every file and stdout payload (NaN, inf raise)."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def write_json(path, payload: dict) -> None:
+    text = json_text(payload) + "\n"  # formed first: a rejected payload leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(payload) + "\n")
+        fh.write(text)

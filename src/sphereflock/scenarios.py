@@ -13,7 +13,7 @@ import numpy as np
 from .config import RunConfig, ScenarioSpec
 from .dynamics import Ensemble, ModelParams
 from .errors import ConfigError
-from .geometry import project_to_sphere, project_to_tangent, rotation_matrix
+from .geometry import _drift_and_project, project_to_sphere, project_to_tangent, rotation_matrix
 from .integrator import SimConfig
 from .kernels import kernel_from_name
 
@@ -63,7 +63,7 @@ def _build_ensemble(positions, velocities) -> tuple[Ensemble, float, float]:
     X = np.array(positions, dtype=float)
     V = np.array(velocities, dtype=float)
     Xp = np.array([project_to_sphere(x) for x in X])
-    tangency = np.abs((Xp * V).sum(axis=1)).max()
+    tangency = _drift_and_project(Xp, V, False)[1]
     if tangency > MAX_INPUT_TANGENCY:
         raise ConfigError(
             f"input velocities violate tangency by {tangency:.3e} "

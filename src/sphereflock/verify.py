@@ -176,10 +176,9 @@ def check_pair_ceiling_fixed_point() -> CheckResult:
     worst = 0.0
     sign_ok = True
     for sigma in (0.5, 1.0, 2.0, 5.0):
-        mu = dynamics.spectral_abscissa(kernel.psi0, sigma)
-        c = admissibility.aggregate_constant(kernel, sigma)
-        x_m = admissibility.solve_x_m(kernel, sigma, mu, c)
-        worst = max(worst, admissibility.x_m_residual(kernel, sigma, mu, c, x_m))
+        th = admissibility.thresholds(kernel, sigma)
+        mu, c = th.mu, th.c_const
+        worst = max(worst, admissibility.x_m_residual(kernel, sigma, mu, c, th.x_m))
         grid = np.linspace(1e-12, 4.0, 10_000)
         h = np.sqrt(grid) - admissibility._xm_coefficient(sigma, mu, c) * kernel.psi(np.sqrt(grid))
         sign_ok = sign_ok and int((np.diff(np.sign(h)) != 0).sum()) == 1

@@ -111,7 +111,11 @@ def rk4_oracle(ensemble, dt, params, project):
     Each stage is written out as its own arrays, in the classical expressions
     and their order of evaluation, so that a step which regroups its buffers
     must still round exactly as they do; then the drift of the result and,
-    if ``project``, its projection by ``geometry.project_state``.
+    if ``project``, its projection, through ``constraint_violation`` and
+    ``geometry.project_state``.  Those are the step's own routine,
+    ``geometry._drift_and_project`` (checked against independent references
+    by ``test_integrator.py``'s ``TestDriftAndProject``), so this oracle's
+    independence lies in its RK stages, not in its drift or projection.
     """
     from sphereflock import Ensemble, rhs
     from sphereflock.dynamics import constraint_violation

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -162,6 +163,45 @@ class TestThresholds:
         th = thresholds(paper_kernel(), 1.0)
         assert th.delta == 0.5 * th.mu
         assert_allclose(th.mu, 0.10463067669670672, rtol=1e-14)
+
+    @pytest.mark.parametrize("sigma", [5e-324, 1e-320, np.nextafter(sys.float_info.min, 0.0)])
+    def test_subnormal_sigma_out_of_range(self, sigma):
+        # ModelParams takes any finite sigma >= 0; the guarantee's range is the thresholds'
+        params = ModelParams(paper_kernel(), float(sigma))
+        ens = Ensemble([E1] * 3, np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="subnormal"):
+            thresholds(params.kernel, params.sigma)
+        with pytest.raises(ValueError, match="subnormal"):
+            check_initial(ens, params)
+
+    @pytest.mark.parametrize("kernel, sigma, names", [
+        (paper_kernel(), 1e308, ["c_const", "v0", "e0"]),
+        (paper_kernel(), 2.2e307, ["v0", "e0"]),
+        (linear_kernel(1e308), 1.0, ["mu", "c_const", "v0", "e0", "psi_m", "delta"]),
+        (paper_kernel(), 1e200, ["e0"]),
+        (paper_kernel(), 1e153, ["e0"]),
+        (paper_kernel(), 1e-160, ["e0"]),
+        (paper_kernel(), 1e-150, ["e0"]),  # E0 = 2.8e-311, subnormal
+    ])
+    def test_constants_out_of_numeric_range_raise(self, kernel, sigma, names):
+        with pytest.raises(ValueError) as info:
+            thresholds(kernel, sigma)
+        text = str(info.value)
+        assert f"{kernel.name} kernel" in text and f"sigma = {sigma!r}" in text
+        assert "subnormal" in text
+        reported = [name for name in ("mu", "c_const", "v0", "e0", "x_m", "psi_m", "delta")
+                    if f" {name} = " in text]
+        assert reported == names
+
+    def test_documented_sigma_range_of_the_paper_kernel(self):
+        # about [2.8e-149, 2.1e152], as the README states
+        k = paper_kernel()
+        for sigma in (2.8e-149, 1.0, 2.09e152):
+            th = thresholds(k, sigma)
+            assert min(dataclasses.astuple(th)) >= sys.float_info.min
+        for sigma in (2.79e-149, 2.1e152):
+            with pytest.raises(ValueError, match=r"e0 = "):
+                thresholds(k, sigma)
 
 
 class TestCheckInitial:

@@ -1,17 +1,21 @@
+import contextlib
+import io
 import json
 import math
 import os
+import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from sphereflock import (ConfigError, SimConfig, check_initial, paper_scenario,
                          random_scenario, simulate)
 from sphereflock.cli import main
-from sphereflock.config import RunConfig, ScenarioSpec, emit_config, parse_config
+from sphereflock.config import RunConfig, ScenarioSpec, emit_config, fmt_float, parse_config
 from sphereflock.dynamics import ModelParams
 from sphereflock.kernels import paper_kernel
 from sphereflock.diagnostics import FRAME_FIELDS
@@ -417,6 +421,24 @@ class TestCli:
         assert "subnormal" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("kernel, sigma", [
+        ("paper", 1e308), ("linear\nparams = 1e308", 1.0), ("paper", 1e200),
+        ("paper", 1e-160), ("paper", 1e-320)])
+    @pytest.mark.parametrize("command", [["check"], ["simulate", "--t-end", "0"]])
+    def test_guarantee_out_of_numeric_range_is_a_config_error(self, tmp_path, capsys,
+                                                              kernel, sigma, command):
+        # C = inf, E0 underflowing to 0 or a subnormal mu: thresholds rejects all
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[kernel]\nname = {kernel}\n\n[params]\nsigma = {sigma!r}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        extra = (["--out", str(out / "check.json")] if command == ["check"] else
+                 ["--out", str(out / "f.csv"), "--summary", str(out / "s.json")])
+        assert main([*command, "--config", str(cfg), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the guarantee is out of numeric range")
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("out", ["missing/x.json", "dir"])
     def test_check_rejects_unwritable_out_before_checking(self, tmp_path, capsys,
                                                           monkeypatch, out):
@@ -490,6 +512,53 @@ class TestCli:
                             (lambda: CheckResult("always red", False, "forced"),))
         assert main(["verify"]) == 1
         assert "0/1 checks passed" in capsys.readouterr().out
+
+
+def strict_json(text: str):
+    """json.loads that rejects the non-standard constants NaN, Infinity and -Infinity."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+# 0, subnormals, values whose guarantee constants underflow or overflow, and ordinary ones
+EXTREMES = (0.0, 5e-324, 1e-320, float(np.nextafter(sys.float_info.min, 0.0)), 1e-160, 1.0,
+            1e150, 1e154, 1e307, 1e308)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(EXTREMES), st.sampled_from((None, *EXTREMES)))
+@example(1e308, None).via("C = inf")
+@example(1.0, 1e308).via("linear scale 1e308")
+@example(1e154, None).via("E0 underflows to 0")
+@example(1e150, 1e150).via("admissible range, huge constants")
+def test_cli_json_is_strict(sigma, scale):
+    """check and simulate --t-end 0 on any sigma and linear scale of the pools exit
+    0 or 2, every JSON they write or print is strict RFC 8259, and a rejected
+    config writes no file."""
+    kernel = "paper" if scale is None else f"linear\nparams = {fmt_float(scale)}"
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "run.ini"), os.path.join(tmp, "out")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(f"[kernel]\nname = {kernel}\n\n[params]\nsigma = {fmt_float(sigma)}\n")
+        os.mkdir(out)
+        for argv, written in (
+                (["check", "--out", f"{out}/check.json"], "check.json"),
+                (["simulate", "--t-end", "0", "--out", f"{out}/f.csv",
+                  "--summary", f"{out}/s.json"], "s.json")):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                code = main([*argv, "--config", cfg])
+            assert code in (0, 2)
+            if code == 2:
+                assert not os.listdir(out)
+                continue
+            with open(os.path.join(out, written), encoding="utf-8") as fh:
+                strict_json(fh.read())
+            if argv[0] == "check":
+                strict_json(stdout.getvalue())
+            for name in os.listdir(out):
+                os.remove(os.path.join(out, name))
 
 
 class TestVerifyFailures:

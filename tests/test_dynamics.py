@@ -159,12 +159,6 @@ def test_model_params_reject_nan_sigma():
         ModelParams(paper_kernel(), float("nan"))
 
 
-@pytest.mark.parametrize("sigma", [5e-324, 1e-320, np.nextafter(sys.float_info.min, 0.0)])
-def test_model_params_reject_subnormal_sigma(sigma):
-    with pytest.raises(ValueError, match="subnormal"):
-        ModelParams(paper_kernel(), float(sigma))
-
-
 @pytest.mark.parametrize("sigma", [0.0, sys.float_info.min])
 def test_model_params_accept_zero_and_smallest_normal_sigma(sigma):
     assert ModelParams(paper_kernel(), sigma).sigma == sigma

@@ -15,6 +15,7 @@ from sphereflock import (ANTIPODAL_TOL, AntipodalPair, Ensemble, InvalidEnsemble
                          paper_kernel, paper_scenario, random_scenario, rhs, rk4_step, simulate)
 from sphereflock.diagnostics import make_frame
 from sphereflock.dynamics import constraint_violation
+from sphereflock.geometry import _drift_and_project, project_state
 from sphereflock.integrator import energy_audit
 
 
@@ -335,28 +336,62 @@ class TestSimulate:
         assert np.isnan(audit.max_step_radial) and np.isnan(audit.max_step_tangency)
 
 
+def project_state_reference(positions, velocities):
+    """``project_state`` as written before it shared the step's routine: the
+    byte-equal reference for the projection, with no code in common with it."""
+    X = np.asarray(positions, dtype=float)
+    V = np.asarray(velocities, dtype=float)
+    Xp = X / np.sqrt((X * X).sum(axis=1))[:, None]
+    return Xp, V - (Xp * V).sum(axis=1, keepdims=True) * Xp
+
+
+def drift_reference(X, V):
+    """The drift from ``np.linalg.norm`` and a row-by-row scalar dot, summed in
+    the order a length-3 row reduction rounds in."""
+    radial = float(np.max(np.abs(np.linalg.norm(X, axis=1) - 1.0)))
+    tangency = max(abs((x[0] * v[0] + x[1] * v[1]) + x[2] * v[2]) for x, v in zip(X, V))
+    return radial, float(tangency)
+
+
 class TestDriftAndProject:
-    """The step's one pass over row norms gives the drift of
-    ``constraint_violation`` and the state of ``project_state``, byte for byte."""
+    """``geometry._drift_and_project``, the one routine of the manifold drift and the
+    projection, against references that do not call it, byte for byte; and the
+    public helpers built on it, ``constraint_violation`` and ``project_state``."""
 
     @pytest.mark.parametrize("project", [True, False])
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 17, 40])
     def test_matches_the_public_helpers(self, n, project):
-        from sphereflock.geometry import project_state
-        from sphereflock.integrator import _drift_and_project
-
         rng = np.random.default_rng(n)
         ens = random_ensemble(rng, n)
         for scale in (1e-12, 1e-6, 1e-2):  # off the manifold, as an RK4 result is
             X = ens.positions + scale * rng.standard_normal((n, 3))
             V = ens.velocities + scale * rng.standard_normal((n, 3))
             Xh, Vh = X.copy(), V.copy()
-            radial, tangency = _drift_and_project(Xh, Vh, project)
-            assert (radial, tangency) == constraint_violation(X, V)
-            # and the rounding of numpy's linalg.norm special case
-            assert radial == float(np.max(np.abs(np.linalg.norm(X, axis=1) - 1.0)))
-            want = project_state(X, V) if project else (X, V)
+            drift = _drift_and_project(Xh, Vh, project)
+            assert drift == drift_reference(X, V) == constraint_violation(X, V)
+            projected = project_state_reference(X, V)
+            want = projected if project else (X, V)
             assert Xh.tobytes() == want[0].tobytes() and Vh.tobytes() == want[1].tobytes()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(project_state(X, V), projected))
+
+    def test_rows_with_zero_inf_and_nan(self):
+        rng = np.random.default_rng(7)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        for n in (1, 3, 17):
+            X, V = rng.standard_normal((2, n, 3))
+            for A in (X, V):
+                hit = rng.random((n, 3)) < 0.3
+                A[hit] = rng.choice(special, int(hit.sum()))
+            X[0] = 0.0
+            with np.errstate(all="ignore"):
+                got, want = project_state(X, V), project_state_reference(X, V)
+                radial, tangency = constraint_violation(X, V)
+                rows = np.linalg.norm(X, axis=1), (X * V).sum(axis=1)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            # a NaN row reaches the maximum (Python's max would drop it)
+            assert (np.isnan(radial), np.isnan(tangency)) == tuple(
+                bool(np.isnan(r).any()) for r in rows)
 
 
 def assert_frames_rebuild(traj, params):

@@ -7,8 +7,10 @@ Run it against each checkout's sources and diff the two listings:
     PYTHONPATH=../parent/src python3 tools/fingerprint.py > before.txt
     diff before.txt after.txt
 
-It calls only the public API, ``diagnostics.make_frame`` and ``cli.main``,
-so the same script fingerprints an older checkout.  Floats are hashed by
+It calls only the public API, ``diagnostics.make_frame``,
+``dynamics.constraint_violation``, ``geometry.project_state``,
+``scenarios.build_scenario`` and ``cli.main``, so the same script
+fingerprints an older checkout.  Floats are hashed by
 their bytes: two outputs hash alike only if every bit (the sign of a zero
 included) is the same.  The ``cli.*`` families hash the files and stdout
 of four CLI runs byte for byte, made in a temporary directory, with the
@@ -33,7 +35,11 @@ import numpy as np
 
 import sphereflock as sf
 from sphereflock.cli import main as cli_main
+from sphereflock.config import RunConfig, ScenarioSpec
 from sphereflock.diagnostics import make_frame
+from sphereflock.dynamics import constraint_violation
+from sphereflock.geometry import project_state
+from sphereflock.scenarios import MAX_INPUT_TANGENCY, build_scenario
 
 N_STATES = 200
 
@@ -140,6 +146,51 @@ def _tiles():
     return out
 
 
+def _row_norms():
+    """The manifold drift and projection: ``constraint_violation`` and
+    ``project_state`` on off-manifold states (n = 1 to 40, perturbations 1e-12,
+    1e-6 and 1e-2) and on rows holding 0, +-inf and NaN, and ``build_scenario``
+    on explicit rows whose tangency sits just below and just above
+    MAX_INPUT_TANGENCY."""
+    rng = np.random.default_rng(20240103)
+    out = []
+    for n in (1, 2, 3, 6, 17, 40):
+        ens = sf.Ensemble.projected(rng.standard_normal((n, 3)), rng.standard_normal((n, 3)))
+        for scale in (1e-12, 1e-6, 1e-2):
+            X = ens.positions + scale * rng.standard_normal((n, 3))
+            V = ens.velocities + scale * rng.standard_normal((n, 3))
+            out.append((constraint_violation(X, V), project_state(X, V)))
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    with np.errstate(all="ignore"):
+        for k in range(30):
+            n = (1, 2, 3, 6, 17, 40)[k % 6]
+            X, V = rng.standard_normal((2, n, 3))
+            for A in (X, V):
+                hit = rng.random((n, 3)) < 0.25
+                A[hit] = rng.choice(special, int(hit.sum()))
+            if k % 3 == 0:
+                X[k % n] = 0.0
+            out.append((constraint_violation(X, V), project_state(X, V)))
+    for k in range(24):
+        n = 1 + k % 6
+        X = 1.5 * rng.standard_normal((n, 3))
+        Xp = X / np.linalg.norm(X, axis=1)[:, None]
+        V = rng.standard_normal((n, 3))
+        V -= (V * Xp).sum(axis=1)[:, None] * Xp
+        # the last row's tangency straddles the limit by a few ulps either side
+        V[-1] += MAX_INPUT_TANGENCY * (1.0 + (k % 8 - 4) * 2.0**-50) * Xp[-1]
+        spec = ScenarioSpec(kind="explicit", positions=tuple(map(tuple, X)),
+                            velocities=tuple(map(tuple, V)))
+        out.append(_outcome(lambda: _scenario(RunConfig(scenario=spec))))
+    return out
+
+
+def _scenario(cfg):
+    """The state and the recorded input adjustments of ``build_scenario(cfg)``."""
+    sc = build_scenario(cfg)
+    return sc.ensemble, sc.label, sc.position_adjustment, sc.velocity_adjustment
+
+
 def _random_states():
     rng = np.random.default_rng(20240101)
     kernels = (sf.paper_kernel(), sf.linear_kernel(1.5))
@@ -162,6 +213,7 @@ def _random_states():
                 ("energy_audit", lambda: sf.integrator.energy_audit(ens, p, 1e-3, 0.02))):
             families[name].append(_outcome(call))
     families["tiles"] = _tiles()
+    families["row_norms"] = _row_norms()
     return families
 
 
