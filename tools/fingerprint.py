@@ -7,6 +7,12 @@ Run it against each checkout's sources and diff the two listings:
     PYTHONPATH=../parent/src python3 tools/fingerprint.py > before.txt
     diff before.txt after.txt
 
+or let it do both: with ``--against SRC`` it fingerprints the checkout at SRC
+(its ``src/``) in a subprocess as well, prints the families whose hashes
+differ and exits 1 if any does:
+
+    PYTHONPATH=src python3 tools/fingerprint.py --against ../parent
+
 It calls only the public API, ``diagnostics.make_frame``,
 ``dynamics.constraint_violation``, ``geometry.project_state``,
 ``scenarios.build_scenario`` and ``cli.main``, so the same script
@@ -20,6 +26,7 @@ residuals of ``sphereflock verify``.  It takes a few seconds on one core.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -27,6 +34,7 @@ import io
 import math
 import os
 import re
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -75,6 +83,17 @@ def _outcome(call):
     """call()'s result, or the name of the library error it raised."""
     try:
         return call()
+    except sf.SphereFlockError as exc:
+        return type(exc).__name__
+
+
+def _run_outcome(call):
+    """call()'s result; for a run that aborts, the error's name, time and partial
+    trajectory; for any other library error, its name."""
+    try:
+        return call()
+    except (sf.AntipodalPair, sf.NonFinite) as exc:
+        return type(exc).__name__, exc.time, _trajectory(exc.partial_trajectory)
     except sf.SphereFlockError as exc:
         return type(exc).__name__
 
@@ -129,6 +148,16 @@ def _random_state(rng, k):
     if k % 7 == 3:
         V[: n // 2 + 1] = 0.0
     return sf.Ensemble.projected(X, V)
+
+
+def _simulate(ens, p, k):
+    """simulate from random state k: frame stride 1 to 7, a step count that is not
+    a multiple of the stride (above 1), dt 1e-3 or 0.05, projection on and off."""
+    stride = 1 + k % 7
+    n_steps = 2 * stride + 1 + k % max(1, stride - 1)
+    dt = (1e-3, 0.05)[k // 2 % 2]
+    config = sf.SimConfig(dt=dt, t_end=n_steps * dt, projection=k % 3 != 2, frame_stride=stride)
+    return _trajectory(sf.simulate(ens, p, config))
 
 
 def _tiles():
@@ -196,7 +225,7 @@ def _random_states():
     kernels = (sf.paper_kernel(), sf.linear_kernel(1.5))
     families = {name: [] for name in ("pairwise_transport", "pairwise_dissipation",
                                       "inhomogeneous_table", "make_frame", "diameters",
-                                      "energy", "rk4_step", "energy_audit")}
+                                      "energy", "rk4_step", "energy_audit", "simulate")}
     for k in range(N_STATES):
         ens = _random_state(rng, k)
         p = sf.ModelParams(kernels[k % 2], (0.0, 1.0, 5.0)[k % 3])
@@ -212,6 +241,7 @@ def _random_states():
                                       for project in (True, False)]),
                 ("energy_audit", lambda: sf.integrator.energy_audit(ens, p, 1e-3, 0.02))):
             families[name].append(_outcome(call))
+        families["simulate"].append(_run_outcome(lambda: _simulate(ens, p, k)))
     families["tiles"] = _tiles()
     families["row_norms"] = _row_norms()
     return families
@@ -254,8 +284,9 @@ def _cli_outputs() -> dict[str, bytes]:
     return outputs
 
 
-def main() -> int:
-    print(f"# sphereflock from {sf.__file__}", file=sys.stderr)
+def _listing() -> str:
+    """One line "family sha256" per output family."""
+    lines = []
     families = {"paper_scenario": _paper, "seed_sweep": _seed_sweep, "crowd_256": _crowd,
                 "energy_audit": _energy_ledger}
     with warnings.catch_warnings():
@@ -263,14 +294,37 @@ def main() -> int:
         for name, build in families.items():
             h = hashlib.sha256()
             _feed(h, build())
-            print(f"{name} {h.hexdigest()}")
+            lines.append(f"{name} {h.hexdigest()}")
         for name, outputs in _random_states().items():
             h = hashlib.sha256()
             _feed(h, outputs)
-            print(f"random.{name} {h.hexdigest()}")
+            lines.append(f"random.{name} {h.hexdigest()}")
         for name, text in _cli_outputs().items():
-            print(f"cli.{name} {hashlib.sha256(text).hexdigest()}")
-    return 0
+            lines.append(f"cli.{name} {hashlib.sha256(text).hexdigest()}")
+    return "".join(line + "\n" for line in lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Print one sha256 per output family.")
+    parser.add_argument("--against", metavar="SRC",
+                        help="also fingerprint the checkout at SRC and compare")
+    args = parser.parse_args(argv)
+    print(f"# sphereflock from {sf.__file__}", file=sys.stderr)
+    if args.against is None:
+        print(_listing(), end="")
+        return 0
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(args.against), "src"))
+    other = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env, check=True,
+                           stdout=subprocess.PIPE, text=True).stdout
+    ours = _listing()
+    theirs = dict(line.split() for line in other.splitlines())
+    mine = dict(line.split() for line in ours.splitlines())
+    differ = [name for name in {**theirs, **mine} if theirs.get(name) != mine.get(name)]
+    for name in differ:
+        print(f"differs: {name} ({args.against}: {theirs.get(name, 'absent')}, "
+              f"here: {mine.get(name, 'absent')})")
+    print(f"{len(differ)} of {len(mine)} families differ")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
