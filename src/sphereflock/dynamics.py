@@ -37,8 +37,9 @@ built on a workspace are views into it, valid until it next builds a set; public
 arithmetic, so the workspace also holds the pass's O(n) intermediates and every
 view the pass reads, built once: the distance table is one broadcast subtract
 per row tile (``_distance_table``) over precomputed tile views, and the three
-per-agent multiples of x_i are one broadcast multiply.  What the pass returns
-is its own, never a view into the workspace.
+per-agent multiples of x_i are one broadcast multiply.  The pass takes the state
+stacked, Y = [X, V] (2, n, 3), and writes its acceleration into ``out`` (a
+stepping run's stage block) if given; what else it returns is its own.
 
 For every pair (i, j) the triple
 
@@ -130,7 +131,7 @@ class Ensemble:
 
 def constraint_violation(X: np.ndarray, V: np.ndarray) -> tuple[float, float]:
     """(max_i |norm(x_i)-1|, max_i |<v_i, x_i>|): ``_drift_and_project``, not projecting."""
-    return _drift_and_project(X, V, False)
+    return _drift_and_project(np.array((X, V)), False)
 
 
 def _pair_dot(A: np.ndarray, B: np.ndarray, out=None, tmp=None, tmp2=None,
@@ -166,37 +167,58 @@ class _Workspace:
 
     O(n): ``xt`` (3, n), a unit-stride copy of X^T; ``m`` (n, 3), the rows
     v_k x x_k; ``outer`` (n, 3, 3), the outer products of a row-wise cross
-    product; ``g`` and ``prod`` (n, 3), the pass's G and scratch; ``cols`` (3, n),
-    its per-agent factors of x_i, and ``cols_x`` (3, n, 3), their products with x_i.
+    product; ``g`` and ``prod`` (n, 3), the pass's G and scratch, adjacent as
+    ``gp`` (2, n, 3), the state's product with v; a (4, n) block, its rows
+    ``col_rows`` <x_i, v_i>, |v_i|^2, (psi <x, v>)_i and sum_k <x_i, x_k>, the first
+    two ``xv_vsq``, the last three ``cols_col``, whose products with x_i are
+    ``cols_x`` (3, n, 3), in rows ``cols_x_rows``.
 
     Views built once: ``tiles`` (per row tile, the difference block, its three
     planes, the tile's rows of xt and its rows of xsq), ``xt_all``, ``diag`` (the
-    dots diagonal as a column), ``outer9``, ``b_t`` (scratch 1 transposed),
-    ``cols_col`` and the rows of cols and cols_x.  The pass returns none of these.
+    dots diagonal as a column), ``outer9``, ``b_t`` (scratch 1 transposed) and
+    those named above.  The pass returns none of these.
+
+    Given a stepping run's initial ``state`` (X, V), it also holds the RK4 stages
+    in one (4, 3, n, 3) block, stage s being the rows [x_s, v_s, a_s], so that its
+    state [x_s, v_s] and its derivative [v_s, a_s] are each one (2, n, 3) operand.
+    Stage 0 is the run's state ``y`` = [``x``, ``v``] and its acceleration ``a``;
+    ``rk`` holds, for stages 1-3, the previous stage's derivative, the stage's
+    state and its acceleration, and ``derivs`` the four derivatives.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, state=None):
+        # views by indexing, which costs a third of unpacking: one-shot calls build one
         tables = np.empty((7, n, n))
-        self.dots, self.xsq, self.w, *self.scratch = tables
+        self.dots, self.xsq, self.w = tables[0], tables[1], tables[2]
+        self.scratch = [tables[3], tables[4], tables[5], tables[6]]
         self.tile = tables[4:].reshape(-1)
         self.guard = np.empty((n, n), dtype=bool)
         self.xt = np.empty((3, n))
-        self.m, self.g, self.prod = np.empty((3, n, 3))
+        mgp = np.empty((3, n, 3))
+        self.m, self.g, self.prod, self.gp = mgp[0], mgp[1], mgp[2], mgp[1:]
         self.outer = np.empty((n, 3, 3))
-        self.cols = np.empty((3, n))
-        self.cols_x = np.empty((3, n, 3))
+        cols, cols_x = np.empty((4, n)), np.empty((3, n, 3))
+        self.cols_x, self.xv_vsq, self.cols_col = cols_x, cols[:2], cols[1:, :, None]
+        self.col_rows = (cols[0], cols[1], cols[2], cols[3])
+        self.cols_x_rows = (cols_x[0], cols_x[1], cols_x[2])
         self.diag = self.dots.diagonal()[:, None]
         self.outer9 = self.outer.reshape(n, 9)
         self.b_t = self.scratch[1].T
-        self.cols_col = self.cols[:, :, None]
-        self.col_rows, self.cols_x_rows = tuple(self.cols), tuple(self.cols_x)
         self.xt_all = self.xt[:, None, :]
         rows = max(1, min(n, _TILE_FLOATS // (3 * n)))
         block = self.tile[:3 * rows * n].reshape(3, rows, n)
         self.tiles = []
         for lo in range(0, n, rows):
             d = block[:, :min(rows, n - lo)]
-            self.tiles.append((d, *d, self.xt[:, lo:lo + rows, None], self.xsq[lo:lo + rows]))
+            self.tiles.append((d, d[0], d[1], d[2], self.xt[:, lo:lo + rows, None],
+                               self.xsq[lo:lo + rows]))
+        if state is not None:
+            blk = np.empty((4, 3, n, 3))
+            b0, b1, b2, b3 = blk[0], blk[1], blk[2], blk[3]
+            self.y, self.x, self.v, self.a = b0[:2], b0[0], b0[1], b0[2]
+            self.y[...] = state
+            self.derivs = f0, f1, f2, f3 = b0[1:], b1[1:], b2[1:], b3[1:]
+            self.rk = ((f0, b1[:2], b1[2]), (f1, b2[:2], b2[2]), (f2, b3[:2], b3[2]))
 
 
 def _distance_table(X: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -285,8 +307,9 @@ def _rates(bad: np.ndarray | None, xsq: np.ndarray, kernel: Kernel, out=None) ->
     return kernel.psi(np.minimum(r, 2.0, out=r))
 
 
-def _pair_pass(X: np.ndarray, V: np.ndarray, params: ModelParams, tables=None):
-    """One pass over the pair tables at a state: (dv/dt, S, r, vsq).
+def _pair_pass(Y: np.ndarray, params: ModelParams, tables=None, out=None):
+    """One pass over the pair tables at the stacked state Y = [X, V], (2, n, 3):
+    (dv/dt, S, r, vsq).
 
     S_i = sum_k psi_ik T[k,i] is the coupling sum of the four-term transport
     T[k,i] = <x_k,x_i> v_k + <x_k,v_k> x_i - <v_k,x_i> x_k + w_ki (x_k x x_i),
@@ -298,19 +321,20 @@ def _pair_pass(X: np.ndarray, V: np.ndarray, params: ModelParams, tables=None):
     ``tables`` are the state's ``_pair_tables``, or the unbuilt set, a bare
     ``_Workspace`` (or None), to build them on (see ``_built``); the pass's
     temporaries are the tables' workspace's, so only the returned (n, 3) and
-    (n,) arrays are its own.  The three products of a per-agent factor with
-    x_i, (psi <x, v>)_i x_i, |v_i|^2 x_i and (sum_k <x_i, x_k>) x_i, are one
-    broadcast multiply of the workspace's (3, n) cols.
+    (n,) arrays are its own; dv/dt goes into ``out`` if given (fresh if None).
+    <x_i, v_i> and |v_i|^2 are one product of Y with V and one reduction, and
+    the three products of a per-agent factor with x_i, |v_i|^2 x_i,
+    (psi <x, v>)_i x_i and (sum_k <x_i, x_k>) x_i, one broadcast multiply.
     """
+    X, V = Y[0], Y[1]
     n = X.shape[0]
     tables = _built(X, V, tables)
     ws = tables.ws
     psim = _rates(tables.bad, tables.xsq, params.kernel, ws.scratch[0])
-    psi_xv, vsq, dot_sums = ws.col_rows
-    x_psi_xv, x_vsq, bonding = ws.cols_x_rows
-    xv = np.add.reduce(np.multiply(X, V, out=ws.prod), axis=1)
+    xv, vsq, psi_xv, dot_sums = ws.col_rows
+    x_vsq, x_psi_xv, bonding = ws.cols_x_rows
+    np.add.reduce(np.multiply(Y, V, out=ws.gp), axis=2, out=ws.xv_vsq)
     np.matmul(psim, xv, out=psi_xv)
-    np.add.reduce(np.multiply(V, V, out=ws.prod), axis=1, out=vsq)
     np.add.reduce(tables.dots, axis=1, out=dot_sums)
     np.multiply(ws.cols_col, X, out=ws.cols_x)
     np.multiply(psim, tables.w, out=ws.scratch[1])
@@ -324,13 +348,14 @@ def _pair_pass(X: np.ndarray, V: np.ndarray, params: ModelParams, tables=None):
     coupling /= n
     np.subtract(np.add.reduce(X, axis=0), bonding, out=bonding)
     bonding *= params.sigma / n
-    dV = np.subtract(coupling, x_vsq)
+    dV = np.subtract(coupling, x_vsq, out=out)
     dV += bonding
     return dV, S, r, vsq.copy()
 
 
-def _rhs_and_dissipation(X: np.ndarray, V: np.ndarray, params: ModelParams, tables=None):
-    """(dv, D) from one pair pass: the acceleration and the dissipation sum.
+def _rhs_and_dissipation(Y: np.ndarray, params: ModelParams, tables=None, out=None):
+    """(dv, D) from one pair pass at the stacked state Y = [X, V]: the acceleration
+    (into ``out`` if given) and the dissipation sum.
 
     R is orthogonal, so |R v_k - v_i|^2 = |v_k|^2 + |v_i|^2 - 2 <R v_k, v_i>
     and D = sum_{i,k} psi_ik |R v_k - v_i|^2 / n^2 = 2 (sum_i r_i |v_i|^2
@@ -339,9 +364,9 @@ def _rhs_and_dissipation(X: np.ndarray, V: np.ndarray, params: ModelParams, tabl
     serve as column sums too.  The subtraction cancels as D -> 0: the error
     is absolute, of order eps sum_i r_i |v_i|^2 / n^2, not relative to D.
     """
-    n = X.shape[0]
-    dV, S, r, vsq = _pair_pass(X, V, params, tables)
-    return dV, 2.0 * (float(r @ vsq) - float(np.add.reduce(S * V, axis=None))) / (n * n)
+    n = Y.shape[1]
+    dV, S, r, vsq = _pair_pass(Y, params, tables, out=out)
+    return dV, 2.0 * (float(r @ vsq) - float(np.add.reduce(S * Y[1], axis=None))) / (n * n)
 
 
 def rhs(ensemble: Ensemble, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -351,8 +376,8 @@ def rhs(ensemble: Ensemble, params: ModelParams) -> tuple[np.ndarray, np.ndarray
     Raises AntipodalPair at singular configurations rather than
     regularizing, since silent regularization would mask blowup.
     """
-    X, V = ensemble.positions, ensemble.velocities
-    return V.copy(), _pair_pass(X, V, params)[0]
+    Y = np.array((ensemble.positions, ensemble.velocities))
+    return Y[1], _pair_pass(Y, params)[0]
 
 
 def lagrange_multiplier(ensemble: Ensemble, i: int, params: ModelParams) -> float:

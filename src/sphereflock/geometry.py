@@ -89,26 +89,29 @@ def project_to_tangent(x, v) -> np.ndarray:
     return w - (w @ z) * z
 
 
-def _drift_and_project(X: np.ndarray, V: np.ndarray, project: bool) -> tuple[float, float]:
+def _drift_and_project(Y: np.ndarray, project: bool) -> tuple[float, float]:
     """The one routine of the manifold drift (max_i |norm(x_i) - 1|, max_i |<v_i, x_i>|)
-    of (n, 3) arrays and, if ``project``, of the projection of X and V in place onto
-    the sphere and the tangent planes there, from the same row norms."""
-    norm = np.sqrt(np.add.reduce(X * X, axis=1))
-    drift = (float(np.maximum.reduce(np.abs(norm - 1.0))),
-             float(np.maximum.reduce(np.abs(np.add.reduce(X * V, axis=1)))))
+    of the stacked (2, n, 3) state Y = [X, V] and, if ``project``, of the projection
+    of X and V in place onto the sphere and the tangent planes there, from the same
+    row norms.  |x_i|^2 and <v_i, x_i> are one product of Y with X and one
+    reduction, and both maxima one absolute value and one maximum over their rows."""
+    X, V = Y[0], Y[1]
+    rows = np.add.reduce(Y * X, axis=2)
+    norm = np.sqrt(rows[0])
+    np.subtract(norm, 1.0, out=rows[0])
+    drift = np.maximum.reduce(np.abs(rows, out=rows), axis=1).tolist()
     if project:
         X /= norm[:, None]
         V -= np.add.reduce(X * V, axis=1)[:, None] * X
-    return drift
+    return drift[0], drift[1]
 
 
 def project_state(positions, velocities) -> tuple[np.ndarray, np.ndarray]:
     """Project each position row onto the sphere and each velocity row onto
-    the tangent plane at the projected position (``_drift_and_project`` on copies)."""
-    X = np.array(positions, dtype=float)
-    V = np.array(velocities, dtype=float)
-    _drift_and_project(X, V, True)
-    return X, V
+    the tangent plane at the projected position (``_drift_and_project`` on a copy)."""
+    Y = np.array((positions, velocities), dtype=float)
+    _drift_and_project(Y, True)
+    return Y[0], Y[1]
 
 
 def rotation_matrix(z1, z2) -> np.ndarray:

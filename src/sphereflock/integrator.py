@@ -14,8 +14,8 @@ pair tables are built once, for its frame and the next chunk's first RK4
 stage.  A run owns one ``dynamics._Workspace``: every pair pass, RK4 stage
 and frame of the run is handed the bare workspace, the unbuilt set, and
 writes its (n, n) tables into its buffers, so the tables ``_run`` yields
-are views into them, valid only until the run resumes.  Each chunk runs
-through a compiled kernel (``_fast``) when numba is installed and the
+are views into them, valid only until the run resumes; so do the run's
+state and RK4 stages, as (x, v, a) blocks.  Each chunk runs through a compiled kernel (``_fast``) when numba is installed and the
 communication kernel has a closed-form fast code; otherwise a plain numpy
 loop with identical semantics runs.  ``rk4_step`` always takes the numpy
 step, so a loop of it stays an independent replay of ``simulate``.
@@ -113,23 +113,26 @@ def _worst(a: float, b: float) -> float:
     return b if b > a or b != b else a
 
 
-def _step(X, V, a1, dt, params, project, ws):
-    """The numpy step from (X, V) with acceleration a1 there: classical RK4
-    for the second-order system (dx = v, dv = a), then the drift (radial,
-    tangency) of its result and optionally the projection back onto the
-    sphere and tangent planes, both from ``_drift_and_project``.  Each stage's
-    tables are built on the workspace ws."""
+def _step(ws, dt, params, project):
+    """The numpy step of the state Y = [X, V] in ws's stage blocks, in place, with
+    its acceleration in ws.a: classical RK4 for dx = v, dv = a, then the drift
+    (radial, tangency) of its result, returned, and optionally the projection,
+    both from ``_drift_and_project``.  Stage s is Y + c F_(s-1), F_s = [v_s, a_s],
+    and the result Y + dt/6 (F_0 + 2 (F_1 + F_2) + F_3), in the textbook's order."""
     half = 0.5 * dt
-    v2 = V + half * a1
-    a2 = dynamics._pair_pass(X + half * V, v2, params, ws)[0]
-    v3 = V + half * a2
-    a3 = dynamics._pair_pass(X + half * v2, v3, params, ws)[0]
-    v4 = V + dt * a3
-    a4 = dynamics._pair_pass(X + dt * v3, v4, params, ws)[0]
-    sixth = dt / 6.0
-    Xn = X + sixth * (V + 2.0 * (v2 + v3) + v4)
-    Vn = V + sixth * (a1 + 2.0 * (a2 + a3) + a4)
-    return (Xn, Vn, *_drift_and_project(Xn, Vn, project))
+    y = ws.y
+    for (f, ys, a), c in zip(ws.rk, (half, half, dt)):
+        np.multiply(f, c, out=ys)
+        np.add(y, ys, out=ys)
+        dynamics._pair_pass(ys, params, ws, out=a)
+    f0, f1, f2, f3 = ws.derivs
+    np.add(f1, f2, out=f1)
+    f1 *= 2.0
+    f1 += f0
+    f1 += f3
+    f1 *= dt / 6.0
+    y += f1
+    return _drift_and_project(y, project)
 
 
 def rk4_step(ensemble: Ensemble, dt: float, params: ModelParams,
@@ -142,18 +145,18 @@ def rk4_step(ensemble: Ensemble, dt: float, params: ModelParams,
     The drift measured beforehand is returned either way.
     """
     SimConfig(dt=dt)  # the one rule for a step: finite and positive
-    X, V = ensemble.positions, ensemble.velocities
-    ws = _Workspace(X.shape[0])
-    X, V, radial, tangency = _step(X, V, dynamics._pair_pass(X, V, params, ws)[0], dt,
-                                   params, project, ws)
-    return StepResult(Ensemble(X, V, validate=project), radial, tangency)
+    ws = _Workspace(ensemble.n, (ensemble.positions, ensemble.velocities))
+    dynamics._pair_pass(ws.y, params, ws, out=ws.a)
+    radial, tangency = _step(ws, dt, params, project)
+    return StepResult(Ensemble(ws.x, ws.v, validate=project), radial, tangency)
 
 
 def _run(X, V, dt, n_steps, stride, params, project, rates=None):
-    """Advance X, V in place by n_steps, one chunk of `stride` steps at a time.
+    """Advance a copy of (X, V) by n_steps, one chunk of `stride` steps at a time.
 
-    Yields (steps done, worst radial drift, worst tangency drift, tables) for
-    the state at `steps done`, the initial state first: the drifts are the
+    Yields (steps done, X, V, worst radial drift, worst tangency drift, tables)
+    for the state at `steps done`, the initial state first: X and V are the
+    run's state, held in its workspace and advanced in place, the drifts the
     running pre-projection maxima, tables that state's ``_pair_tables`` on the
     numpy loop, built once for its frame and the next chunk's k1.  The
     compiled loop builds its own, and only a frame reads the final state's,
@@ -171,12 +174,13 @@ def _run(X, V, dt, n_steps, stride, params, project, rates=None):
     """
     kernel = params.kernel
     fast = _fast.available(kernel)
-    ws = _Workspace(X.shape[0])
+    ws = _Workspace(X.shape[0], (X, V))
+    X, V, state, a1 = ws.x, ws.v, ws.y, ws.a
     max_r = max_t = 0.0
     done = 0
     while True:
         tables = ws if fast or done == n_steps else _pair_tables(X, V, ws)
-        yield done, max_r, max_t, tables
+        yield done, X, V, max_r, max_t, tables
         if done == n_steps:
             return
         steps = min(stride, n_steps - done)
@@ -195,18 +199,18 @@ def _run(X, V, dt, n_steps, stride, params, project, rates=None):
                     raise AntipodalPair.between(i, k)
                 max_r, max_t = _worst(max_r, radial), _worst(max_t, tangency)
             else:
-                a1, rate = _rhs_and_dissipation(X, V, params, tables)
+                rate = _rhs_and_dissipation(state, params, tables, out=a1)[1]
                 if rates is not None:
                     rates.append(rate)
                 for s in range(steps):
                     if s:
-                        a1 = dynamics._pair_pass(X, V, params, ws)[0]
-                    X[:], V[:], radial, tangency = _step(X, V, a1, dt, params, project, ws)
+                        dynamics._pair_pass(state, params, ws, out=a1)
+                    radial, tangency = _step(ws, dt, params, project)
                     max_r, max_t = _worst(max_r, radial), _worst(max_t, tangency)
         except AntipodalPair as exc:
             exc.time = (done + s) * dt
             raise
-        if not (np.isfinite(X).all() and np.isfinite(V).all()):
+        if not np.isfinite(state).all():
             raise NonFinite(f"the state is not finite after {steps} steps of dt = {dt:g}",
                             time=done * dt)
         done += steps
@@ -245,10 +249,10 @@ def energy_audit(e0: Ensemble, params: ModelParams, dt: float, t_end: float) -> 
     """
     n_steps = SimConfig(dt=dt, t_end=t_end).n_steps  # simulate's rule on dt and t_end
     e0.check()
-    X, V = e0.positions.copy(), e0.velocities.copy()
     e_start = diagnostics.energy(e0, params.sigma)[0]
     rates = []
-    for _, max_r, max_t, _tables in _run(X, V, dt, n_steps, 1, params, True, rates):
+    for _, X, V, max_r, max_t, _tables in _run(e0.positions, e0.velocities, dt, n_steps, 1,
+                                                 params, True, rates):
         pass
     rates.append(diagnostics.pairwise_dissipation(Ensemble(X, V, validate=False), params))
     total = 0.0
@@ -271,12 +275,12 @@ def simulate(e0: Ensemble, params: ModelParams, config: SimConfig) -> Trajectory
     frames: list[Frame] = []
     traj = Trajectory(frames, params)
 
-    X, V = e0.positions.copy(), e0.velocities.copy()
     e0.check()
 
-    run = _run(X, V, config.dt, config.n_steps, config.frame_stride, params, config.projection)
+    run = _run(e0.positions, e0.velocities, config.dt, config.n_steps, config.frame_stride,
+               params, config.projection)
     try:
-        for step, traj.max_step_radial, traj.max_step_tangency, tables in run:
+        for step, X, V, traj.max_step_radial, traj.max_step_tangency, tables in run:
             if step % config.frame_stride == 0:
                 # Without projection the state drifts off the constraint manifold by
                 # design; only projected runs promise frames meeting the invariants.

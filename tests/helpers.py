@@ -5,6 +5,11 @@ import numpy as np
 from sphereflock.verify import random_ensemble, random_unit
 
 
+def stacked(ensemble):
+    """The ensemble's state as one (2, n, 3) array [X, V], as the pair pass takes it."""
+    return np.array((ensemble.positions, ensemble.velocities))
+
+
 def transport_oracle(xk, xi, v):
     """Literal four-term transport formula, independent of the library path."""
     d = float(xk @ xi)

@@ -74,19 +74,22 @@ class TestDissipationIdentity:
         ens = Ensemble([E1, E1, E1], [v, v, v])
         assert dissipation_residual(ens, params) <= 1e-13
 
+    @staticmethod
+    def stepped_energy(ens, a1, dt, params):
+        # the unprojected step is the raw RK4 step, here of a run's workspace
+        ws = _Workspace(ens.n, (ens.positions, ens.velocities))
+        ws.a[...] = a1
+        _step(ws, dt, params, False)
+        return energy(Ensemble(ws.x, ws.v, validate=False), params.sigma)[0]
+
     def test_against_finite_difference_of_energy(self, params):
         # secondary oracle: central difference of E along the flow
         rng = np.random.default_rng(2)
         dt = 1e-6
-        ws = _Workspace(5)
         for _ in range(10):
             ens = random_ensemble(rng, 5)
             a1 = rhs(ens, params)[1]
-            # the unprojected step is the raw RK4 step
-            fwd_x, fwd_v = _step(ens.positions, ens.velocities, a1, dt, params, False, ws)[:2]
-            back_x, back_v = _step(ens.positions, ens.velocities, a1, -dt, params, False, ws)[:2]
-            e_fwd = energy(Ensemble(fwd_x, fwd_v, validate=False), params.sigma)[0]
-            e_back = energy(Ensemble(back_x, back_v, validate=False), params.sigma)[0]
+            e_fwd, e_back = (self.stepped_energy(ens, a1, h, params) for h in (dt, -dt))
             fd = (e_fwd - e_back) / (2.0 * dt)
             analytic = energy_rate(ens, params)
             assert abs(fd - analytic) <= 1e-7 * max(1.0, abs(analytic))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import dissipation_oracle, random_ensemble, random_unit, rhs_oracle
+from helpers import dissipation_oracle, random_ensemble, random_unit, rhs_oracle, stacked
 from sphereflock import (AntipodalPair, Ensemble, InvalidEnsemble, ModelParams, SimConfig,
                          check_initial, coefficient_matrix, lagrange_multiplier,
                          pairwise_dissipation, paper_kernel, paper_scenario, pairwise_transport,
@@ -273,7 +273,7 @@ class TestFusedDissipation:
         ens = (near_coincident_ensemble(rng, n) if close_pair and n > 1
                else random_ensemble(rng, n, speed))
         p = ModelParams(paper_kernel(), 1.0)
-        dV, D = _rhs_and_dissipation(ens.positions, ens.velocities, p)
+        dV, D = _rhs_and_dissipation(stacked(ens), p)
         # the same pass also yields the right-hand side, bit for bit
         assert np.array_equal(dV, rhs(ens, p)[1])
         # The error is absolute: D is the difference of two sums of size
@@ -293,11 +293,11 @@ class TestCloseAndOppositePairs:
     def test_rhs_and_fused_dissipation_match_oracles(self, seed, n, close, gap):
         ens = close_and_opposite_ensemble(np.random.default_rng(seed), n, 10.0**close,
                                           10.0**gap)
-        X, V = ens.positions, ens.velocities
+        X = ens.positions
         assert X[2] @ X[3] < _OPPOSITE_DOT  # inside the antipodal pre-screen
         p = ModelParams(paper_kernel(), 1.0)
         assert_allclose(rhs(ens, p)[1], rhs_oracle(ens, p)[1], rtol=0, atol=1e-12)
-        _, D = _rhs_and_dissipation(X, V, p)
+        _, D = _rhs_and_dissipation(stacked(ens), p)
         assert abs(D - dissipation_oracle(ens, p)) <= 1e-14 * max(1.0, cancelled_size(ens, p))
 
     @settings(max_examples=24)
@@ -389,10 +389,10 @@ class TestEquivariance:
     def check_pass(self, case, sigma, which):
         ens, q, perm = case
         p = ModelParams(paper_kernel(), sigma)
-        dv, S, r, vsq = _pair_pass(ens.positions, ens.velocities, p)
+        dv, S, r, vsq = _pair_pass(stacked(ens), p)
         want = ((dv @ q.T, S @ q.T, r, vsq), (dv[perm], S[perm], r[perm], vsq[perm]))[which]
         moved = self.moved(ens, q, perm)[which]
-        got = _pair_pass(moved.positions, moved.velocities, p)
+        got = _pair_pass(stacked(moved), p)
         for g, w in zip(got, want):
             assert np.abs(g - w).max() <= 1e-13 * max(1.0, np.abs(w).max())
 
@@ -416,9 +416,9 @@ class TestEquivariance:
         # relative to max(1, |D|) it reached 1.7e-13.
         ens, q, perm = case
         p = ModelParams(paper_kernel(), sigma)
-        D = _rhs_and_dissipation(ens.positions, ens.velocities, p)[1]
+        D = _rhs_and_dissipation(stacked(ens), p)[1]
         for moved in self.moved(ens, q, perm):
-            got = _rhs_and_dissipation(moved.positions, moved.velocities, p)[1]
+            got = _rhs_and_dissipation(stacked(moved), p)[1]
             assert abs(got - D) <= 1e-13 * max(1.0, cancelled_size(ens, p))
 
     @settings(max_examples=30)
@@ -538,32 +538,33 @@ class TestWorkspaceReuse:
     @staticmethod
     def dirty(other):
         p = ModelParams(paper_kernel(), 1.0)
-        with_nan, with_other = _Workspace(other.n), _Workspace(other.n)
+        with_nan = _Workspace(other.n, (other.positions, other.velocities))
+        with_other = _Workspace(other.n)
         for buf in workspace_arrays(with_nan):
             buf.fill(True if buf.dtype == bool else np.nan)
         tables = _pair_tables(other.positions, other.velocities, with_other)
         make_frame(0.0, other, p, tables)
-        _pair_pass(other.positions, other.velocities, p, tables)
+        _pair_pass(stacked(other), p, tables)
         return with_nan, with_other
 
     @settings(max_examples=30)
     @given(reuse_states())
     def test_pair_pass(self, case):
         ens, other = case
-        X, V, p = ens.positions, ens.velocities, ModelParams(paper_kernel(), 1.0)
-        want = _pair_pass(X, V, p)
+        Y, p = stacked(ens), ModelParams(paper_kernel(), 1.0)
+        want = _pair_pass(Y, p)
         for unbuilt in self.dirty(other):
-            for got, fresh in zip(_pair_pass(X, V, p, unbuilt), want):
+            for got, fresh in zip(_pair_pass(Y, p, unbuilt), want):
                 assert got.tobytes() == fresh.tobytes()
 
     @settings(max_examples=30)
     @given(reuse_states())
     def test_fused_dissipation(self, case):
         ens, other = case
-        X, V, p = ens.positions, ens.velocities, ModelParams(paper_kernel(), 1.0)
-        want_dv, want_D = _rhs_and_dissipation(X, V, p)
+        Y, p = stacked(ens), ModelParams(paper_kernel(), 1.0)
+        want_dv, want_D = _rhs_and_dissipation(Y, p)
         for unbuilt in self.dirty(other):
-            dv, D = _rhs_and_dissipation(X, V, p, unbuilt)
+            dv, D = _rhs_and_dissipation(Y, p, unbuilt)
             assert dv.tobytes() == want_dv.tobytes()
             assert np.float64(D).tobytes() == np.float64(want_D).tobytes()
 
@@ -581,9 +582,9 @@ class TestWorkspaceReuse:
 def test_pass_returns_share_no_memory_with_the_workspace(n):
     # the next stage overwrites the workspace, so a returned view would change under the caller
     ens = random_ensemble(np.random.default_rng(n), n)
-    X, V, p = ens.positions, ens.velocities, ModelParams(paper_kernel(), 1.0)
+    Y, p = stacked(ens), ModelParams(paper_kernel(), 1.0)
     ws = _Workspace(n)
-    returned = [*_pair_pass(X, V, p, ws), _rhs_and_dissipation(X, V, p, ws)[0]]
+    returned = [*_pair_pass(Y, p, ws), _rhs_and_dissipation(Y, p, ws)[0]]
     bufs = workspace_arrays(ws)
     assert any(buf is ws.dots for buf in bufs)
     for got in returned:

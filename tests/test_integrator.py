@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import random_ensemble, rk4_oracle
+from helpers import random_ensemble, rk4_oracle, stacked
 from sphereflock import (ANTIPODAL_TOL, AntipodalPair, Ensemble, InvalidEnsemble, ModelParams,
                          NonFinite, SimConfig, energy, linear_kernel, pairwise_dissipation,
                          paper_kernel, paper_scenario, random_scenario, rhs, rk4_step, simulate)
 from sphereflock.diagnostics import make_frame
-from sphereflock.dynamics import constraint_violation
+from sphereflock.dynamics import _rhs_and_dissipation, constraint_violation
 from sphereflock.geometry import _drift_and_project, project_state
-from sphereflock.integrator import energy_audit
+from sphereflock.integrator import _run, _worst, energy_audit
 
 
 @pytest.fixture
@@ -66,11 +66,11 @@ def count_pair_passes(monkeypatch, fail_on=None):
     inner = dynamics._pair_pass
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(None)
         if len(calls) == fail_on:
             raise AntipodalPair.between(0, 1)
-        return inner(*args)
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_pair_pass", counted)
     return calls
@@ -170,6 +170,75 @@ class TestRk4Step:
         assert step.ensemble.velocities.tobytes() == V.tobytes()
         assert np.float64(step.pre_radial).tobytes() == np.float64(radial).tobytes()
         assert np.float64(step.pre_tangency).tobytes() == np.float64(tangency).tobytes()
+
+
+def oracle_run(ens, p, dt, n_steps, stride, project):
+    """A loop of ``rk4_oracle`` from ens: its states, the frames of every stride-th
+    one, each made from scratch, and the worst drifts of its steps."""
+    states, frames = [ens], []
+    max_r = max_t = 0.0
+    for step in range(n_steps + 1):
+        X, V = states[-1].positions, states[-1].velocities
+        if step % stride == 0:
+            frames.append(make_frame(step * dt, Ensemble(X, V, validate=project), p))
+        if step < n_steps:
+            X, V, radial, tangency = rk4_oracle(states[-1], dt, p, project)
+            max_r, max_t = _worst(max_r, radial), _worst(max_t, tangency)
+            states.append(Ensemble(X, V, validate=False))
+    return states, frames, max_r, max_t
+
+
+def same_bytes(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+RUN_DRAWS = (st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1.0, 5.0]),
+             st.sampled_from([1e-3, 0.05]), st.booleans())
+
+
+def run_case(n, seed, sigma, linear):
+    """A random state and numpy-loop parameters (the compiled loop withheld)."""
+    kernel = linear_kernel(1.5) if linear else paper_kernel()
+    p = ModelParams(dataclasses.replace(kernel, fast_code=-1), sigma)
+    return random_ensemble(np.random.default_rng(seed), n, 0.5), p
+
+
+class TestLoopEqualsOracle:
+    """The stepping loop, byte for byte, against a loop of the textbook oracle."""
+
+    @settings(max_examples=40)
+    @given(*RUN_DRAWS, st.integers(1, 7), st.integers(0, 2), st.integers(0, 5), st.booleans())
+    def test_simulate(self, n, seed, sigma, dt, linear, stride, chunks, rest, project):
+        # a step count that is no multiple of the stride, so the last chunk is short
+        n_steps = chunks * stride + 1 + rest % max(1, stride - 1)
+        ens, p = run_case(n, seed, sigma, linear)
+        config = SimConfig(dt=dt, t_end=n_steps * dt, projection=project, frame_stride=stride)
+        traj = simulate(ens, p, config)
+        states, frames, max_r, max_t = oracle_run(ens, p, dt, n_steps, stride, project)
+        assert same_bytes(traj.times, [f.t for f in frames])
+        for got, want in zip(traj.frames, frames):
+            assert same_bytes(got.diagnostics.as_row(), want.as_row())
+            state = states[round(got.time / dt)]
+            assert same_bytes(got.ensemble.positions, state.positions)
+            assert same_bytes(got.ensemble.velocities, state.velocities)
+        assert same_bytes([traj.max_step_radial, traj.max_step_tangency], [max_r, max_t])
+        # the final state, past the last frame, as the loop leaves it
+        *_, (_, X, V, *_) = _run(ens.positions, ens.velocities, dt, n_steps, stride, p, project)
+        assert same_bytes(X, states[-1].positions) and same_bytes(V, states[-1].velocities)
+
+    @settings(max_examples=20)
+    @given(*RUN_DRAWS, st.integers(1, 12))
+    def test_energy_audit(self, n, seed, sigma, dt, linear, n_steps):
+        ens, p = run_case(n, seed, sigma, linear)
+        audit = energy_audit(ens, p, dt, n_steps * dt)
+        states, _, max_r, max_t = oracle_run(ens, p, dt, n_steps, 1, True)
+        rates = [_rhs_and_dissipation(stacked(s), p)[1] for s in states[:-1]]
+        rates.append(pairwise_dissipation(states[-1], p))
+        total = 0.0
+        for prev, cur in zip(rates, rates[1:]):
+            total += 0.5 * (prev + cur) * dt
+        assert same_bytes([audit.dissipated, audit.max_step_radial, audit.max_step_tangency],
+                          [total, max_r, max_t])
 
 
 class TestGreatCircle:
@@ -321,9 +390,9 @@ class TestSimulate:
         calls = []
         drift_and_project = integrator._drift_and_project
 
-        def nan_on_third_call(X, V, project):
+        def nan_on_third_call(Y, project):
             calls.append(None)
-            drift = drift_and_project(X, V, project)
+            drift = drift_and_project(Y, project)
             return (float("nan"),) * 2 if len(calls) == 3 else drift
 
         monkeypatch.setattr(integrator, "_drift_and_project", nan_on_third_call)
@@ -366,8 +435,9 @@ class TestDriftAndProject:
         for scale in (1e-12, 1e-6, 1e-2):  # off the manifold, as an RK4 result is
             X = ens.positions + scale * rng.standard_normal((n, 3))
             V = ens.velocities + scale * rng.standard_normal((n, 3))
-            Xh, Vh = X.copy(), V.copy()
-            drift = _drift_and_project(Xh, Vh, project)
+            Y = np.array((X, V))
+            drift = _drift_and_project(Y, project)
+            Xh, Vh = Y
             assert drift == drift_reference(X, V) == constraint_violation(X, V)
             projected = project_state_reference(X, V)
             want = projected if project else (X, V)
@@ -485,9 +555,14 @@ class TestSharedPairTables:
         for n in (128, 256):  # the distance table in one tile, then in four
             ens = random_scenario(0, n, 0.5, 0.1, numpy_params).ensemble
             X, V = ens.positions, ens.velocities
-            ws = _Workspace(n)
-            a1 = _pair_pass(X, V, numpy_params, ws)[0]
-            for call in (lambda: integrator._step(X, V, a1, 1e-3, numpy_params, True, ws),
+            ws = _Workspace(n, (X, V))
+            a1 = _pair_pass(ws.y, numpy_params, ws)[0]
+
+            def step():  # from (X, V) each time, in the run's stage blocks
+                ws.x[...], ws.v[...], ws.a[...] = X, V, a1
+                integrator._step(ws, 1e-3, numpy_params, True)
+
+            for call in (step,
                          lambda: make_frame(0.0, ens, numpy_params, _pair_tables(X, V, ws))):
                 call()  # warm
                 tracemalloc.start()
