@@ -104,6 +104,14 @@ def paper_scenario(sigma: float, sim: SimConfig | None = None) -> Scenario:
     return build_scenario(RunConfig(sigma=float(sigma), sim=sim or SimConfig()))
 
 
+def _cap_polar(u: np.ndarray, cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of polar angles uniform by area in a cap of geodesic radius cap,
+    from uniform draws u: 1 - cos(theta) = h = u 2 sin^2(cap / 2), with sin(theta)
+    = sqrt(h (2 - h)), so that no small cap rounds its draws together."""
+    h = u * (2.0 * np.sin(0.5 * cap) ** 2)
+    return 1.0 - h, np.sqrt(h * (2.0 - h))
+
+
 def random_scenario(seed: int, n: int, pos_spread: float, vel_scale: float,
                     params: ModelParams, sim: SimConfig | None = None,
                     label: str = "") -> Scenario:
@@ -124,8 +132,7 @@ def random_scenario(seed: int, n: int, pos_spread: float, vel_scale: float,
     center = project_to_sphere(rng.standard_normal(3))
     rot = rotation_matrix(np.array([0.0, 0.0, 1.0]), center)
 
-    cos_theta = 1.0 - rng.random(n) * (1.0 - np.cos(pos_spread))
-    sin_theta = np.sqrt(np.maximum(1.0 - cos_theta**2, 0.0))
+    cos_theta, sin_theta = _cap_polar(rng.random(n), pos_spread)
     phi = rng.random(n) * 2.0 * np.pi
     local = np.stack([sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta], axis=1)
     V = vel_scale * rng.standard_normal((n, 3))

@@ -20,7 +20,8 @@ from sphereflock.dynamics import ModelParams
 from sphereflock.kernels import paper_kernel
 from sphereflock.diagnostics import FRAME_FIELDS
 from sphereflock.output import CSV_COLUMNS, read_frames_csv, write_frames_csv
-from sphereflock.scenarios import (BENCHMARK_POSITIONS, PRESETS, build_scenario,
+from sphereflock.geometry import project_to_sphere
+from sphereflock.scenarios import (BENCHMARK_POSITIONS, PRESETS, _cap_polar, build_scenario,
                                    preset_config)
 
 
@@ -88,6 +89,29 @@ class TestRandomScenario:
             dots = np.clip(X @ X.T, -1.0, 1.0)
             assert np.arccos(dots).max() <= 2.0 * spread + 1e-9
             assert np.abs((X * V).sum(axis=1)).max() <= 1e-14
+
+    @pytest.mark.parametrize("cap", [1e-7, 2e-6, 1e-3, np.pi / 64, 0.5])
+    def test_small_caps_keep_every_draw(self, cap):
+        # 1 - cos(cap) is resolved only to about 1e-16 absolute: taking the draws
+        # from it left 46 distinct polar angles of 400 at cap 1e-7 (cos(theta)
+        # itself cannot tell them apart there; sin(theta) can)
+        u = np.random.default_rng(0).random(400)
+        cos_theta, sin_theta = _cap_polar(u, cap)
+        assert len(np.unique(sin_theta)) == 400
+        want = np.sin(2.0 * np.arcsin(np.sqrt(u) * np.sin(0.5 * cap)))
+        assert np.abs(sin_theta / want - 1.0).max() <= 4 * np.finfo(float).eps
+        assert_allclose(cos_theta, np.cos(2.0 * np.arcsin(np.sqrt(u) * np.sin(0.5 * cap))),
+                        rtol=2 * np.finfo(float).eps, atol=0)
+
+    def test_small_cap_positions_lie_at_their_draws(self):
+        # the scenario places its agents at the sampled polar angles about its center
+        p = ModelParams(paper_kernel(), 1.0)
+        X = random_scenario(0, 400, 1e-7, 0.0, p).ensemble.positions
+        rng = np.random.default_rng(0)
+        center = project_to_sphere(rng.standard_normal(3))
+        sin_theta = _cap_polar(rng.random(400), 1e-7)[1]
+        assert_allclose(np.linalg.norm(np.cross(X, center), axis=1), sin_theta,
+                        rtol=0, atol=1e-15)
 
     def test_rejects_bad_arguments(self):
         p = ModelParams(paper_kernel(), 1.0)
