@@ -178,12 +178,10 @@ class _Workspace:
     dots diagonal as a column), ``outer9``, ``b_t`` (scratch 1 transposed) and
     those named above.  The pass returns none of these.
 
-    Given a stepping run's initial ``state`` (X, V), it also holds the RK4 stages
-    in one (4, 3, n, 3) block, stage s being the rows [x_s, v_s, a_s], so that its
-    state [x_s, v_s] and its derivative [v_s, a_s] are each one (2, n, 3) operand.
-    Stage 0 is the run's state ``y`` = [``x``, ``v``] and its acceleration ``a``;
-    ``rk`` holds, for stages 1-3, the previous stage's derivative, the stage's
-    state and its acceleration, and ``derivs`` the four derivatives.
+    Given a stepping run's initial ``state`` (X, V), it holds the RK4 stages in a
+    (4, 3, n, 3) block, stage s the rows [x_s, v_s, a_s]: stage 0 is ``y`` = [``x``,
+    ``v``] and ``a``; ``derivs`` the stages' [v_s, a_s] and ``rk``, for stages 1-3,
+    the previous stage's [v, a], the stage's [x, v] and its a.
     """
 
     def __init__(self, n: int, state=None):
@@ -308,8 +306,7 @@ def _rates(bad: np.ndarray | None, xsq: np.ndarray, kernel: Kernel, out=None) ->
 
 
 def _pair_pass(Y: np.ndarray, params: ModelParams, tables=None, out=None):
-    """One pass over the pair tables at the stacked state Y = [X, V], (2, n, 3):
-    (dv/dt, S, r, vsq).
+    """One pass over the pair tables at the state Y = [X, V]: (dv/dt, S, r, vsq).
 
     S_i = sum_k psi_ik T[k,i] is the coupling sum of the four-term transport
     T[k,i] = <x_k,x_i> v_k + <x_k,v_k> x_i - <v_k,x_i> x_k + w_ki (x_k x x_i),

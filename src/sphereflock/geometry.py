@@ -91,10 +91,9 @@ def project_to_tangent(x, v) -> np.ndarray:
 
 def _drift_and_project(Y: np.ndarray, project: bool) -> tuple[float, float]:
     """The one routine of the manifold drift (max_i |norm(x_i) - 1|, max_i |<v_i, x_i>|)
-    of the stacked (2, n, 3) state Y = [X, V] and, if ``project``, of the projection
-    of X and V in place onto the sphere and the tangent planes there, from the same
-    row norms.  |x_i|^2 and <v_i, x_i> are one product of Y with X and one
-    reduction, and both maxima one absolute value and one maximum over their rows."""
+    of the stacked (2, n, 3) state Y = [X, V], from one product Y * X, and, if
+    ``project``, of the projection of X and V in place onto the sphere and the
+    tangent planes there, from the same row norms."""
     X, V = Y[0], Y[1]
     rows = np.add.reduce(Y * X, axis=2)
     norm = np.sqrt(rows[0])

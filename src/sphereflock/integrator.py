@@ -14,10 +14,11 @@ pair tables are built once, for its frame and the next chunk's first RK4
 stage.  A run owns one ``dynamics._Workspace``: every pair pass, RK4 stage
 and frame of the run is handed the bare workspace, the unbuilt set, and
 writes its (n, n) tables into its buffers, so the tables ``_run`` yields
-are views into them, valid only until the run resumes; so do the run's
-state and RK4 stages, as (x, v, a) blocks.  Each chunk runs through a compiled kernel (``_fast``) when numba is installed and the
-communication kernel has a closed-form fast code; otherwise a plain numpy
-loop with identical semantics runs.  ``rk4_step`` always takes the numpy
+are views into them, valid only until the run resumes.  It also holds the
+run's state and RK4 stages, as (x, v, a) blocks.  Each chunk runs through a
+compiled kernel (``_fast``) when numba is installed and the communication
+kernel has a closed-form fast code; otherwise a plain numpy loop with
+identical semantics runs.  ``rk4_step`` always takes the numpy
 step, so a loop of it stays an independent replay of ``simulate``.
 """
 

@@ -105,9 +105,8 @@ def paper_scenario(sigma: float, sim: SimConfig | None = None) -> Scenario:
 
 
 def _cap_polar(u: np.ndarray, cap: float) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of polar angles uniform by area in a cap of geodesic radius cap,
-    from uniform draws u: 1 - cos(theta) = h = u 2 sin^2(cap / 2), with sin(theta)
-    = sqrt(h (2 - h)), so that no small cap rounds its draws together."""
+    """cos and sin of polar angles uniform by area in a cap of geodesic radius cap, from
+    uniform draws u, through h = 1 - cos = u 2 sin^2(cap / 2), exact for small caps."""
     h = u * (2.0 * np.sin(0.5 * cap) ** 2)
     return 1.0 - h, np.sqrt(h * (2.0 - h))
 
