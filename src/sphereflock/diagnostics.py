@@ -62,19 +62,35 @@ def _energies(V: np.ndarray, xsq: np.ndarray, sigma: float) -> tuple[float, floa
     return ek + ec, ek, ec
 
 
-def _gap_fields(ensemble: Ensemble, sigma: float, xsq=None, bufs=(None,) * 3) -> dict[str, float]:
-    """The frame fields read off one set of pair gap tables (x1 = xsq if given), by
-    name; x2, x3 and x1^2 + x2^2 + x3^2 are written into the three tables ``bufs``
-    (fresh tables if None)."""
+def _gap_tables(V: np.ndarray, ws) -> tuple[np.ndarray, np.ndarray]:
+    """x2 = <v_k - v_i, x_k - x_i> and x3 = |v_k - v_i|^2 into ws.scratch[0] and [3]: per
+    component one stacked matmul of ws's factors (X^T left by ``_distance_table``, V^T
+    copied here) gives x_k,a - x_i,a and v_k,a - v_i,a, added in ``_pair_dot``'s order."""
+    x2, pair, x3 = ws.scratch[0], ws.stack[:2], ws.scratch[3]
+    ws.v_rows[...] = V.T
+    for a, (left, right) in enumerate(zip(ws.factors[:, :, 1:3].swapaxes(2, 3),
+                                          ws.factors[:, :, :2])):
+        dx, dv = np.matmul(left, right, out=pair)
+        np.multiply(dv, dx, out=dx if a else x2)
+        np.multiply(dv, dv, out=dv if a else x3)
+        if a:
+            x2 += dx
+            x3 += dv
+    return x2, x3
+
+
+def _gap_fields(ensemble: Ensemble, sigma: float, tables=None) -> dict[str, float]:
+    """The frame fields read off one set of pair gap tables, by name: x1 = xsq of the
+    state's pair ``tables`` (built by ``_built``), x2 and x3 from ``_gap_tables``,
+    each squared before it is read."""
     X, V = ensemble.positions, ensemble.velocities
-    A, B, C = bufs
-    x1 = _pair_dot(X, X) if xsq is None else xsq
+    ws = _built(X, V, tables).ws
+    x1 = ws.xsq
     e, ek, ec = _energies(V, x1, sigma)
-    x2 = _pair_dot(V, X, A, B, C)
+    x2, x3 = _gap_tables(V, ws)
     x2 *= x2
-    sq = np.multiply(x1, x1, out=B)
+    sq = np.multiply(x1, x1, out=ws.scratch[1])
     sq += x2
-    x3 = _pair_dot(V, V, A, C)
     d_v = float(np.sqrt(x3.max()))
     x3 *= x3
     sq += x3
@@ -137,6 +153,15 @@ def dissipation_residual(ensemble: Ensemble, params: ModelParams) -> float:
     return abs(energy_rate(ensemble, params) + pairwise_dissipation(ensemble, params))
 
 
+def _margin_table(ws) -> np.ndarray:
+    """|x_k + x_i|^2 into ws.scratch[1], from the factors [x_a, 1] by [1; x_a]."""
+    s0, s1, s2 = np.matmul(ws.factors[:, 0, 1::2].swapaxes(1, 2), ws.right_x, out=ws.stack)
+    np.multiply(ws.stack, ws.stack, out=ws.stack)
+    s0 += s1
+    s0 += s2
+    return s0
+
+
 def make_frame(t: float, ensemble: Ensemble, params: ModelParams, tables=None) -> DiagnosticsFrame:
     """Every frame field from one set of gap tables and one misalignment table.
 
@@ -152,18 +177,16 @@ def make_frame(t: float, ensemble: Ensemble, params: ModelParams, tables=None) -
     """
     X, V = ensemble.positions, ensemble.velocities
     tables = _built(X, V, tables)
-    bufs = tables.ws.scratch
-    prod = _misalignment(X, V, tables.dots, tables.w, bufs)
+    prod = _misalignment(X, V, tables.dots, tables.w, tables.ws.scratch)
     np.sqrt(prod, out=prod)
-    margin = _pair_dot(X, X, bufs[1], bufs[2], op=np.add)
-    np.sqrt(margin, out=margin)
+    margin = np.sqrt(_margin_table(tables.ws), out=tables.ws.scratch[1])
     prod *= margin  # margin is pair-symmetric
     if tables.bad is not None:
         prod[tables.bad] = 0.0
     np.fill_diagonal(prod, 0.0)
     align, closest = float(prod.max()), float(margin.min())
     radial, tangency = constraint_violation(X, V)
-    return DiagnosticsFrame(t=t, **_gap_fields(ensemble, params.sigma, tables.xsq, bufs[:3]),
+    return DiagnosticsFrame(t=t, **_gap_fields(ensemble, params.sigma, tables),
                             flock_align=align, antipode_margin=closest,
                             drift_radial=radial, drift_tangency=tangency)
 

@@ -35,11 +35,11 @@ the unbuilt set: a helper given one builds the state's tables on it.  Tables
 built on a workspace are views into it, valid until it next builds a set; public
 ``rhs`` builds its own.  At the paper's n = 6 a pass costs numpy calls, not
 arithmetic, so the workspace also holds the pass's O(n) intermediates and every
-view the pass reads, built once: the distance table is one broadcast subtract
-per row tile (``_distance_table``) over precomputed tile views, and the three
-per-agent multiples of x_i are one broadcast multiply.  The pass takes the state
-stacked, Y = [X, V] (2, n, 3), and writes its acceleration into ``out`` (a
-stepping run's stage block) if given; what else it returns is its own.
+view the pass reads, built once: the distance table is one stacked matmul per row
+tile (``_distance_table``), whose exact rank-2 products form each x_k - x_i, and
+the three per-agent multiples of x_i are one broadcast multiply.  The pass takes
+the state stacked, Y = [X, V] (2, n, 3), and writes its acceleration into ``out``
+(a stepping run's stage block) if given; what else it returns is its own.
 
 For every pair (i, j) the triple
 
@@ -115,8 +115,9 @@ class Ensemble:
     def n(self) -> int:
         return self.positions.shape[0]
 
-    def check(self) -> None:
-        radial, tangency = constraint_violation(self.positions, self.velocities)
+    def check(self, drift=None) -> None:
+        """Raise InvalidEnsemble on a broken invariant; ``drift``: (radial, tangency), if known."""
+        radial, tangency = drift or constraint_violation(self.positions, self.velocities)
         # written so that NaN fails too
         if not radial <= RADIAL_TOL:
             raise InvalidEnsemble(f"max |norm(x)-1| = {radial:.3e} exceeds {RADIAL_TOL:.1e}")
@@ -134,15 +135,12 @@ def constraint_violation(X: np.ndarray, V: np.ndarray) -> tuple[float, float]:
     return _drift_and_project(np.array((X, V)), False)
 
 
-def _pair_dot(A: np.ndarray, B: np.ndarray, out=None, tmp=None, tmp2=None,
-              op=np.subtract) -> np.ndarray:
-    """(n, n) table of <a_k - a_l, b_k - b_l> (<a_k + a_l, b_k + b_l> with op
-    np.add), built one component at a time.  It is written into ``out`` with
-    ``tmp`` (and, when A is not B, ``tmp2``) as scratch; None buffers are fresh."""
+def _pair_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(n, n) table of <a_k - a_l, b_k - b_l>, built one component at a time."""
     table = None
     for a, b in zip(A.T, B.T):
-        d = op.outer(a, a, out=out if table is None else tmp)
-        d *= d if A is B else op.outer(b, b, out=tmp2)
+        d = np.subtract.outer(a, a)
+        d *= d if A is B else np.subtract.outer(b, b)
         if table is None:
             table = d
         else:
@@ -150,10 +148,14 @@ def _pair_dot(A: np.ndarray, B: np.ndarray, out=None, tmp=None, tmp2=None,
     return table
 
 
+# The factor rows [1, y_a, -1, 1] of component a of y = x or v: [y_a, -1] by [1; y_a]
+# is the table y_k,a - y_i,a, [x_a, 1] by [1; x_a] x_k,a + x_i,a, each entry two exact
+# products and one rounding, the ufunc's but for a zero's sign: read only squared.
+_FACTOR_ROWS = np.array([[1.0], [0.0], [-1.0], [1.0]])
+
 # Floats in one tile of the distance table's (3, rows, n) difference block.  A
-# 512 KB tile stays in a core's L2; on a Xeon with 2 MB of L2 per core the
-# untiled 1.5 MB block at n = 256 built the table 11% slower.  One tile for
-# n <= 147, four at n = 256.
+# 512 KB tile stays in a core's L2; at n = 256 the untiled 1.5 MB block made
+# crowd-256 about 3% slower.  One tile for n <= 147, four at n = 256.
 _TILE_FLOATS = 1 << 16
 
 
@@ -163,20 +165,21 @@ class _Workspace:
     O(n^2): a state's tables ``dots``, ``xsq``, ``w`` and the cross guard's mask
     ``guard`` (the antipodal mask is built only for a state the pre-screen hits),
     and four ``scratch`` tables: the pass uses two, a frame all four, and scratch
-    1-3, flat, are ``tile``, the block the distance table is built in.
+    1-3 are ``stack`` (3, n, n), whose first rows hold the distance table's tile.
 
-    O(n): ``xt`` (3, n), a unit-stride copy of X^T; ``m`` (n, 3), the rows
-    v_k x x_k; ``outer`` (n, 3, 3), the outer products of a row-wise cross
-    product; ``g`` and ``prod`` (n, 3), the pass's G and scratch, adjacent as
-    ``gp`` (2, n, 3), the state's product with v; a (4, n) block, its rows
-    ``col_rows`` <x_i, v_i>, |v_i|^2, (psi <x, v>)_i and sum_k <x_i, x_k>, the first
-    two ``xv_vsq``, the last three ``cols_col``, whose products with x_i are
-    ``cols_x`` (3, n, 3), in rows ``cols_x_rows``.
+    O(n): ``factors`` (3, 2, 4, n), the ``_FACTOR_ROWS`` of X and V per component,
+    read-only but for their rows ``x_rows`` and ``v_rows`` (3, n), copies of X^T
+    and V^T; ``m`` (n, 3), the rows v_k x x_k; ``outer`` (n, 3, 3), the outer
+    products of a row-wise cross product; ``g`` and ``prod`` (n, 3), the pass's G
+    and scratch, adjacent as ``gp`` (2, n, 3), the state's product with v; a (4, n)
+    block, its rows ``col_rows`` <x_i, v_i>, |v_i|^2, (psi <x, v>)_i and
+    sum_k <x_i, x_k>, the first two ``xv_vsq``, the last three ``cols_col``, whose
+    products with x_i are ``cols_x`` (3, n, 3), in rows ``cols_x_rows``.
 
-    Views built once: ``tiles`` (per row tile, the difference block, its three
-    planes, the tile's rows of xt and its rows of xsq), ``xt_all``, ``diag`` (the
-    dots diagonal as a column), ``outer9``, ``b_t`` (scratch 1 transposed) and
-    those named above.  The pass returns none of these.
+    Views built once: ``tiles`` (per row tile, the difference block, its planes,
+    the tile's rows of the factors [x_a, -1] and of xsq), ``right_x`` (the factors
+    [1; x_a]), ``diag`` (the dots diagonal as a column), ``outer9``, ``b_t``
+    (scratch 1 transposed) and those named above, none of which the pass returns.
 
     Given a stepping run's initial ``state`` (X, V), it holds the RK4 stages in a
     (4, 3, n, 3) block, stage s the rows [x_s, v_s, a_s]: stage 0 is ``y`` = [``x``,
@@ -189,9 +192,13 @@ class _Workspace:
         tables = np.empty((7, n, n))
         self.dots, self.xsq, self.w = tables[0], tables[1], tables[2]
         self.scratch = [tables[3], tables[4], tables[5], tables[6]]
-        self.tile = tables[4:].reshape(-1)
+        self.stack = tables[4:]
         self.guard = np.empty((n, n), dtype=bool)
-        self.xt = np.empty((3, n))
+        factors = np.empty((3, 2, 4, n))
+        factors[...] = _FACTOR_ROWS
+        self.x_rows, self.v_rows = factors[:, 0, 1], factors[:, 1, 1]
+        factors.setflags(write=False)  # and so every view taken from here on
+        self.factors, self.right_x = factors, factors[:, 0, :2]
         mgp = np.empty((3, n, 3))
         self.m, self.g, self.prod, self.gp = mgp[0], mgp[1], mgp[2], mgp[1:]
         self.outer = np.empty((n, 3, 3))
@@ -202,14 +209,13 @@ class _Workspace:
         self.diag = self.dots.diagonal()[:, None]
         self.outer9 = self.outer.reshape(n, 9)
         self.b_t = self.scratch[1].T
-        self.xt_all = self.xt[:, None, :]
+        left = factors[:, 0, 1:3].swapaxes(1, 2)  # [x_a, -1]
         rows = max(1, min(n, _TILE_FLOATS // (3 * n)))
-        block = self.tile[:3 * rows * n].reshape(3, rows, n)
-        self.tiles = []
-        for lo in range(0, n, rows):
-            d = block[:, :min(rows, n - lo)]
-            self.tiles.append((d, d[0], d[1], d[2], self.xt[:, lo:lo + rows, None],
-                               self.xsq[lo:lo + rows]))
+        if rows == n:  # one tile, of the views above
+            self.tiles = [(self.stack, *self.scratch[1:], left, self.xsq)]
+        else:  # each tile built in the first rows of stack
+            self.tiles = [(d, d[0], d[1], d[2], left[:, lo:lo + rows], self.xsq[lo:lo + rows])
+                          for lo in range(0, n, rows) for d in [self.stack[:, :min(rows, n - lo)]]]
         if state is not None:
             blk = np.empty((4, 3, n, 3))
             b0, b1, b2, b3 = blk[0], blk[1], blk[2], blk[3]
@@ -220,15 +226,14 @@ class _Workspace:
 
 
 def _distance_table(X: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """|x_i - x_k|^2 into ws.xsq, equal to ``_pair_dot(X, X)``: per tile of rows,
-    one broadcast subtract over the (3, rows, n) block, a square and the two adds
-    in _pair_dot's order, ((d0^2 + d1^2) + d2^2).  The subtract reads ws.xt, a
-    unit-stride copy of X^T.  Byte-equal for finite X and within one tile; past one
-    tile, where two NaNs meet in an add, numpy's vector body and scalar tail may
-    keep either's bits."""
-    ws.xt[...] = X.T
-    for d, d0, d1, d2, xt_rows, out in ws.tiles:
-        np.subtract(xt_rows, ws.xt_all, out=d)
+    """|x_i - x_k|^2 into ws.xsq, equal to ``_pair_dot(X, X)`` for finite X: per
+    tile of rows, one stacked matmul of the tile's factors [x_a, -1] by [1; x_a]
+    (X^T copied into ws.x_rows) into the (3, rows, n) block of x_k,a - x_i,a, a
+    square and the two adds in _pair_dot's order, ((d0^2 + d1^2) + d2^2).  Where
+    NaN or inf meet, BLAS and numpy may keep different NaN bits."""
+    ws.x_rows[...] = X.T
+    for d, d0, d1, d2, left, out in ws.tiles:
+        np.matmul(left, ws.right_x, out=d)
         np.multiply(d, d, out=d)
         np.add(d0, d1, out=out)
         np.add(out, d2, out=out)

@@ -283,10 +283,11 @@ def simulate(e0: Ensemble, params: ModelParams, config: SimConfig) -> Trajectory
     try:
         for step, X, V, traj.max_step_radial, traj.max_step_tangency, tables in run:
             if step % config.frame_stride == 0:
-                # Without projection the state drifts off the constraint manifold by
-                # design; only projected runs promise frames meeting the invariants.
-                ens, t = Ensemble(X, V, validate=config.projection), step * config.dt
-                frames.append(Frame(t, ens, diagnostics.make_frame(t, ens, params, tables)))
+                ens, t = Ensemble(X, V, validate=False), step * config.dt
+                frame = diagnostics.make_frame(t, ens, params, tables)
+                if config.projection:  # unprojected runs leave the manifold by design
+                    ens.check((frame.drift_radial, frame.drift_tangency))
+                frames.append(Frame(t, ens, frame))
     except (AntipodalPair, NonFinite) as exc:
         exc.partial_trajectory = traj
         raise

@@ -10,6 +10,15 @@ def stacked(ensemble):
     return np.array((ensemble.positions, ensemble.velocities))
 
 
+def pair_table_reference(A, B, op=np.subtract):
+    """(n, n) table of <a_k - a_i, b_k - b_i> (<a_k + a_i, b_k + b_i> with op
+    np.add), indexed [k, i]: one broadcast of each component difference (or sum),
+    the products, then the components summed in order ((p0 + p1) + p2)."""
+    da = op(A.T[:, :, None], A.T[:, None, :])
+    p = da * da if A is B else da * op(B.T[:, :, None], B.T[:, None, :])
+    return p[0] + p[1] + p[2]
+
+
 def transport_oracle(xk, xi, v):
     """Literal four-term transport formula, independent of the library path."""
     d = float(xk @ xi)

@@ -5,17 +5,17 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import dissipation_oracle, random_ensemble, random_unit, rhs_oracle, stacked
+from helpers import (dissipation_oracle, pair_table_reference, random_ensemble, random_unit,
+                     rhs_oracle, stacked)
 from sphereflock import (AntipodalPair, Ensemble, InvalidEnsemble, ModelParams, SimConfig,
                          check_initial, coefficient_matrix, lagrange_multiplier,
                          pairwise_dissipation, paper_kernel, paper_scenario, pairwise_transport,
                          project_to_sphere, project_to_tangent, rhs, simulate,
                          spectral_abscissa)
-from sphereflock.diagnostics import make_frame
-from sphereflock.dynamics import (_TILE_FLOATS, _distance_table, _pair_dot, _pair_pass,
-                                  _pair_tables, _rhs_and_dissipation, _Workspace,
-                                  inhomogeneous_table, pair_derivative_table,
-                                  pair_functional_table)
+from sphereflock.diagnostics import _gap_tables, _margin_table, make_frame
+from sphereflock.dynamics import (_distance_table, _pair_pass, _pair_tables,
+                                  _rhs_and_dissipation, _Workspace, inhomogeneous_table,
+                                  pair_derivative_table, pair_functional_table)
 from sphereflock.geometry import _CROSS_GUARD, _OPPOSITE_DOT, _cross_table, _cross_weights
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -482,36 +482,61 @@ def reuse_states(draw):
 
 
 class TestDistanceTable:
-    """The tiled |x_i - x_k|^2 table against ``_pair_dot``'s component loop, on
-    entries mixing ordinary values with +-0, subnormals, 1e150 (whose squared
-    differences overflow), NaN and inf.  n runs over one tile (n <= 147), the
-    147/148 boundary and ragged last tiles (four tiles of 85, 85, 85, 1 at 256)."""
+    """The pair tables built by rank-2 matmuls against their broadcast forms
+    (``helpers.pair_table_reference``), on entries mixing ordinary values with
+    +-0, subnormals, 1e150, NaN and inf.  For the distance table n runs over one
+    tile (n <= 147), the 147/148 boundary and ragged last tiles (four tiles of
+    85, 85, 85, 1 at 256)."""
 
     SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e150, -1e150,
                         np.nan, -np.nan, np.inf, -np.inf])
+
+    def draw(self, rng, n, finite):
+        pool = self.SPECIAL[np.isfinite(self.SPECIAL)] if finite else self.SPECIAL
+        return np.where(rng.random((n, 3)) < 0.5, rng.choice(pool, (n, 3)),
+                        rng.standard_normal((n, 3)))
 
     @settings(max_examples=80)
     @given(st.integers(1, 400), st.integers(0, 2**32 - 1), st.booleans())
     @example(147, 0, True).via("one tile")
     @example(148, 0, True).via("two tiles, the last one row")
     @example(256, 0, True).via("four tiles")
-    def test_equals_pair_dot(self, n, seed, finite):
-        rng = np.random.default_rng(seed)
-        pool = self.SPECIAL[np.isfinite(self.SPECIAL)] if finite else self.SPECIAL
-        X = np.where(rng.random((n, 3)) < 0.5, rng.choice(pool, (n, 3)),
-                     rng.standard_normal((n, 3)))
+    def test_equals_broadcast_reference(self, n, seed, finite):
+        X = self.draw(np.random.default_rng(seed), n, finite)
         ws = _Workspace(n)
-        ws.tile.fill(np.nan)  # no leftover of a previous build can show through
+        ws.stack.fill(np.nan)  # no leftover of a previous build can show through
         with np.errstate(all="ignore"):
-            got, want = _distance_table(X, ws), _pair_dot(X, X)
-        if finite or 3 * n * n <= _TILE_FLOATS:
+            got, want = _distance_table(X, ws), pair_table_reference(X, X)
+        if finite:
             assert got.tobytes() == want.tobytes()
         else:
-            # Past one tile the tile's adds are numpy loops of another length, whose
-            # vector body and scalar tail keep different operands where two NaNs
-            # meet: such entries are NaN in both, every other entry is byte-equal.
+            # Where NaN or inf meet, BLAS may carry another NaN operand than numpy's
+            # subtract, and the adds' vector body and scalar tail may keep either
+            # operand: such entries are NaN in both, every other entry is byte-equal.
             same_bits = got.view(np.uint64) == want.view(np.uint64)
             assert (same_bits | (np.isnan(got) & np.isnan(want))).all()
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 200), st.integers(0, 2**32 - 1), st.booleans())
+    @example(2, 0, True).via("x_k = -0 against x_i = +0 in every component")
+    def test_frame_tables_equal_broadcast_reference(self, n, seed, signed_zeros):
+        # The frame's |x_k + x_i|^2, |v_k - v_i|^2 and <v_k - v_i, x_k - x_i> on the
+        # finite pool.  A rank-2 entry can differ from the ufunc's in a zero's sign
+        # only, so the squared tables are byte-equal and the dot product, which
+        # the frame reads only squared, is byte-equal up to the sign of a zero.
+        rng = np.random.default_rng(seed)
+        X, V = self.draw(rng, n, True), self.draw(rng, n, True)
+        if signed_zeros:
+            X[0], V[0], X[-1], V[-1] = -0.0, -0.0, 0.0, 0.0
+        ws = _Workspace(n)
+        for buf in ws.scratch:
+            buf.fill(np.nan)
+        _distance_table(X, ws)
+        margin = _margin_table(ws).copy()
+        x2, x3 = _gap_tables(V, ws)
+        assert margin.tobytes() == pair_table_reference(X, X, np.add).tobytes()
+        assert x3.tobytes() == pair_table_reference(V, V).tobytes()
+        assert (x2 + 0.0).tobytes() == (pair_table_reference(V, X) + 0.0).tobytes()
 
 
 def workspace_arrays(ws):

@@ -66,15 +66,20 @@ DRAWS = [(sigma, n, spread, fraction)
          for n, spread, fraction in cases]
 
 
-def test_pair_system_bound_on_admissible_data():
-    """Admissible draws at sigma 0.5, 1 and 2 with n from 2 to 8: each is
-    admissible, E does not increase from frame to frame, and
-    D_x(t) <= sqrt(K (X(0) + G(t))) e^(-delta t) at every frame to t = 30."""
+# Past n = 8: the condition depends on psi and sigma only, not on the number of agents.
+LARGE_DRAWS = [(1.0, 16, 1.0, 0.9), (1.0, 32, 0.3, 0.5), (0.5, 64, 3.0, 0.9), (2.0, 64, 1.0, 0.9)]
+
+
+def check_bound(draws, first_seed: int) -> float:
+    """Draw each (sigma, n, spread, fraction) of ``draws``, seeds counting up from
+    ``first_seed``, check that it is admissible, that E does not increase from
+    frame to frame and that D_x(t) <= sqrt(K (X(0) + G(t))) e^(-delta t) at every
+    frame to t = 30; return the worst D_x / bound."""
     kernel = paper_kernel()
     growth = {sigma: growth_constant(kernel.psi0, sigma, thresholds(kernel, sigma).mu)
-              for sigma in {draw[0] for draw in DRAWS}}
+              for sigma in {draw[0] for draw in draws}}
     worst = 0.0
-    for seed, (sigma, n, spread, fraction) in enumerate(DRAWS):
+    for seed, (sigma, n, spread, fraction) in enumerate(draws, first_seed):
         params = ModelParams(kernel, sigma)
         th = thresholds(kernel, sigma)
         ens = admissible_draw(seed, n, params, spread, fraction)
@@ -102,4 +107,19 @@ def test_pair_system_bound_on_admissible_data():
         assert np.all(ratio <= 1.0 + ROUNDING), (
             f"sigma {sigma}, n {n}: D_x / bound = {ratio.max():.6f} "
             f"at t = {t[ratio.argmax()]:.2f} (K = {k:.6f})")
+    return worst
+
+
+def test_pair_system_bound_on_admissible_data():
+    """Admissible draws at sigma 0.5, 1 and 2 with n from 2 to 8: each is
+    admissible, E does not increase from frame to frame, and
+    D_x(t) <= sqrt(K (X(0) + G(t))) e^(-delta t) at every frame to t = 30."""
+    worst = check_bound(DRAWS, 0)
     print(f"worst D_x / bound over {len(DRAWS)} draws: {worst:.6f}")
+
+
+def test_pair_system_bound_past_n_8():
+    """The same bound, with the same K, G and ROUNDING, on admissible draws at
+    n = 16, 32 and 64."""
+    worst = check_bound(LARGE_DRAWS, len(DRAWS))
+    print(f"worst D_x / bound over {len(LARGE_DRAWS)} draws: {worst:.6f}")

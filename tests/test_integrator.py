@@ -301,6 +301,44 @@ class TestSimulate:
             assert radial <= 1e-9
             assert tangency <= 1e-8
 
+    def test_one_drift_measurement_per_frame(self, params, monkeypatch):
+        # The frame's drift fields are also the check of a projected run's frames:
+        # e0.check() and one measurement for each of the 11 frames, not two.
+        from sphereflock import dynamics
+
+        sc = paper_scenario(1.0)
+        calls, inner = [], dynamics._drift_and_project
+        monkeypatch.setattr(dynamics, "_drift_and_project",
+                            lambda Y, project: calls.append(None) or inner(Y, project))
+        traj = simulate(sc.ensemble, params, SimConfig(dt=1e-3, t_end=0.1, frame_stride=10))
+        assert len(traj.frames) == 11 and len(calls) == 12
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_off_manifold_frame_raises_the_ensemble_message(self, numpy_params, monkeypatch,
+                                                            row):
+        # Each step leaves its projected state off the manifold (x scaled by
+        # 1 + 1e-6, or v tilted by 1e-6 x); the frame at step 10 then raises what
+        # Ensemble raises on that state, with its drift in the message.
+        from sphereflock import integrator
+
+        drift_and_project, states = integrator._drift_and_project, []
+
+        def leave_manifold(Y, project):
+            drift = drift_and_project(Y, project)
+            Y[row] += 1e-6 * Y[0]
+            states.append(Y.copy())
+            return drift
+
+        monkeypatch.setattr(integrator, "_drift_and_project", leave_manifold)
+        sc = paper_scenario(1.0)
+        with pytest.raises(InvalidEnsemble) as info:
+            simulate(sc.ensemble, numpy_params, SimConfig(dt=1e-3, t_end=0.1, frame_stride=10))
+        assert len(states) == 10
+        with pytest.raises(InvalidEnsemble) as want:
+            Ensemble(*states[-1])
+        assert str(info.value) == str(want.value)
+        assert str(info.value).startswith(("max |norm(x)-1| = ", "max |<v, x>| = ")[row])
+
     def test_fast_and_numpy_paths_agree(self, params, fast_loops):
         sc = paper_scenario(1.0, sim=SimConfig(dt=1e-3, t_end=0.2, frame_stride=200))
         slow_kernel = dataclasses.replace(params.kernel, fast_code=-1)

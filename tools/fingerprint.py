@@ -13,6 +13,17 @@ differ and exits 1 if any does:
 
     PYTHONPATH=src python3 tools/fingerprint.py --against ../parent
 
+The committed manifest ``tools/fingerprint.sha256`` holds the listing under a
+header naming what the hashes depend on: the numpy and Python versions,
+``platform.machine()``, numpy's SIMD features and the BLAS it was built with.
+``--write PATH`` writes such a manifest; ``--check PATH`` compares against one,
+exits 1 if a family differs and 3, checking nothing, if the header does not
+match the running interpreter and machine.  A change that alters an output on
+purpose writes the manifest again:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/fingerprint.py \
+        --write tools/fingerprint.sha256
+
 It calls only the public API, ``diagnostics.make_frame``,
 ``dynamics.constraint_violation``, ``geometry.project_state``,
 ``scenarios.build_scenario`` and ``cli.main``, so the same script
@@ -33,6 +44,7 @@ import hashlib
 import io
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -163,7 +175,8 @@ def _simulate(ens, p, k):
 def _tiles():
     """rk4_step and make_frame at the sizes where the distance table's row tiles
     change: one tile (n = 147), a one-row last tile (148), two tiles (150) and
-    five with a ragged last one (300)."""
+    five with a ragged last one (300).  Each tile is one stacked matmul of its
+    rank-2 factors; the frame's own tables are built untiled."""
     rng = np.random.default_rng(20240102)
     p = sf.ModelParams(sf.paper_kernel(), 1.0)
     out = []
@@ -304,27 +317,63 @@ def _listing() -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _header() -> str:
+    """The comment lines naming what the hashes depend on, as in a manifest."""
+    config = np.show_config(mode="dicts")
+    blas, simd = config["Build Dependencies"]["blas"], config["SIMD Extensions"]
+    return "".join(f"# {key} {value}\n" for key, value in (
+        ("numpy", np.__version__), ("python", platform.python_version()),
+        ("machine", platform.machine()), ("simd", " ".join(simd["baseline"] + simd["found"])),
+        ("blas", f"{blas['name']} {blas['version']}")))
+
+
+def _compare(label: str, theirs: str, ours: str) -> int:
+    """Print the families whose hashes differ between two listings (comment lines
+    left out) and their count; 1 if any does, else 0."""
+    def families(listing):
+        return dict(line.split() for line in listing.splitlines() if not line.startswith("#"))
+
+    theirs, mine = families(theirs), families(ours)
+    differ = [name for name in {**theirs, **mine} if theirs.get(name) != mine.get(name)]
+    for name in differ:
+        print(f"differs: {name} ({label}: {theirs.get(name, 'absent')}, "
+              f"here: {mine.get(name, 'absent')})")
+    print(f"{len(differ)} of {len(mine)} families differ")
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Print one sha256 per output family.")
-    parser.add_argument("--against", metavar="SRC",
-                        help="also fingerprint the checkout at SRC and compare")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--against", metavar="SRC",
+                      help="also fingerprint the checkout at SRC and compare")
+    mode.add_argument("--write", metavar="PATH", help="write the manifest, header first, to PATH")
+    mode.add_argument("--check", metavar="PATH",
+                      help="compare against the manifest at PATH (exit 3 if its header differs)")
     args = parser.parse_args(argv)
     print(f"# sphereflock from {sf.__file__}", file=sys.stderr)
+    if args.write is not None:
+        with open(args.write, "w") as fh:
+            fh.write(_header() + _listing())
+        return 0
+    if args.check is not None:
+        with open(args.check) as fh:
+            manifest = fh.read()
+        recorded = [line for line in manifest.splitlines() if line.startswith("#")]
+        here = _header().splitlines()
+        if recorded != here:
+            print(f"cannot check here: {args.check} was written with "
+                  f"{'; '.join(line[2:] for line in recorded if line not in here)}, "
+                  f"this machine has {'; '.join(line[2:] for line in here if line not in recorded)}")
+            return 3
+        return _compare(args.check, manifest, _listing())
     if args.against is None:
         print(_listing(), end="")
         return 0
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(args.against), "src"))
     other = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env, check=True,
                            stdout=subprocess.PIPE, text=True).stdout
-    ours = _listing()
-    theirs = dict(line.split() for line in other.splitlines())
-    mine = dict(line.split() for line in ours.splitlines())
-    differ = [name for name in {**theirs, **mine} if theirs.get(name) != mine.get(name)]
-    for name in differ:
-        print(f"differs: {name} ({args.against}: {theirs.get(name, 'absent')}, "
-              f"here: {mine.get(name, 'absent')})")
-    print(f"{len(differ)} of {len(mine)} families differ")
-    return 1 if differ else 0
+    return _compare(args.against, other, _listing())
 
 
 if __name__ == "__main__":
