@@ -71,6 +71,7 @@ def _cmd_simulate(args) -> int:
     _check_writable(paths)  # before the scenario is built and stepped
     cfg = _apply_overrides(_resolve_config(args), args)
     scenario = build_scenario(cfg)
+    args.n = scenario.ensemble.n  # for main's report of a MemoryError
     # the guarantee calculus needs sigma > 0; exploratory runs without
     # bonding still simulate, with the admissibility block omitted
     report = (check_initial(scenario.ensemble, scenario.params)
@@ -126,6 +127,7 @@ def _cmd_check(args) -> int:
         _check_writable([args.out])
     cfg = _resolve_config(args)
     scenario = build_scenario(cfg)
+    args.n = scenario.ensemble.n
     report = check_initial(scenario.ensemble, scenario.params)
     payload = {"label": scenario.label, **report.as_dict()}
     if args.out:
@@ -221,6 +223,9 @@ def main(argv=None) -> int:
     except NonFinite as exc:
         print(f"non-finite state, last finite frame{_at(exc.time)}: {exc}", file=sys.stderr)
         return EXIT_NONFINITE
+    except MemoryError as exc:  # numpy's, from the (n, n) tables of too large an ensemble
+        print(f"config error: out of memory at n = {vars(args).get('n')}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (SphereFlockError, OSError, ValueError) as exc:
         # anything rejected before stepping begins is a configuration problem
         print(f"config error: {exc}", file=sys.stderr)

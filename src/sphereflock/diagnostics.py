@@ -16,6 +16,7 @@ check on the force implementation, independent of integrator accuracy.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
@@ -266,7 +267,12 @@ def fit_decay_rate(times, values, window) -> RateFit:
     if not (np.isfinite(vw).all() and (vw > 0.0).all()):
         raise NonPositiveValue("log fit requires finite, strictly positive values")
     logv = np.log(vw)
-    slope, intercept = np.polyfit(tw, logv, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns on times it cannot fit a line to
+        try:
+            slope, intercept = np.polyfit(tw, logv, 1)
+        except Warning as exc:
+            raise InsufficientSamples(f"no line fits the times in [{lo}, {hi}]: {exc}") from None
     ss_tot = float(((logv - logv.mean()) ** 2).sum())
     if ss_tot == 0.0:
         return RateFit(0.0, 0.0, True, len(tw), (lo, hi))

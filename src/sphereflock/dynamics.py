@@ -36,7 +36,8 @@ built on a workspace are views into it, valid until it next builds a set; public
 ``rhs`` builds its own.  At the paper's n = 6 a pass costs numpy calls, not
 arithmetic, so the workspace also holds the pass's O(n) intermediates and every
 view the pass reads, built once: the distance table is one stacked matmul per row
-tile (``_distance_table``), whose exact rank-2 products form each x_k - x_i, and
+tile (``_distance_table``), whose exact rank-2 products form each x_k - x_i; its
+X^T copy feeds the dot table and <m_k, x_i> as gemms, not numpy's syrk for X @ X.T;
 the three per-agent multiples of x_i are one broadcast multiply.  The pass takes
 the state stacked, Y = [X, V] (2, n, 3), and writes its acceleration into ``out``
 (a stepping run's stage block) if given; what else it returns is its own.
@@ -169,10 +170,10 @@ class _Workspace:
 
     O(n): ``factors`` (3, 2, 4, n), the ``_FACTOR_ROWS`` of X and V per component,
     read-only but for their rows ``x_rows`` and ``v_rows`` (3, n), copies of X^T
-    and V^T; ``m`` (n, 3), the rows v_k x x_k; ``outer`` (n, 3, 3), the outer
-    products of a row-wise cross product; ``g`` and ``prod`` (n, 3), the pass's G
-    and scratch, adjacent as ``gp`` (2, n, 3), the state's product with v; a (4, n)
-    block, its rows ``col_rows`` <x_i, v_i>, |v_i|^2, (psi <x, v>)_i and
+    (which feeds the distance table, dots and <m_k, x_i>) and V^T; ``m`` (n, 3), the
+    rows v_k x x_k; ``outer`` (n, 3, 3), the outer products of a row-wise cross
+    product; ``g`` and ``prod`` (n, 3), the pass's G and scratch, adjacent as ``gp``
+    (2, n, 3), the state's product with v; a (4, n) block, its rows ``col_rows`` <x_i, v_i>, |v_i|^2, (psi <x, v>)_i and
     sum_k <x_i, x_k>, the first two ``xv_vsq``, the last three ``cols_col``, whose
     products with x_i are ``cols_x`` (3, n, 3), in rows ``cols_x_rows``.
 
@@ -269,12 +270,13 @@ def _pair_tables(X: np.ndarray, V: np.ndarray, ws: _Workspace | None = None) -> 
       (the cross form: eps / |x_i - x_k|); the diagonal gives 0, so w = 0.
       It cancels near the antipode, so pairs the antipodal pre-screen picks
       out (dots < _OPPOSITE_DOT) take it from their exact cross product;
-    - <x_k x x_i, v_k> = <m_k, x_i>, one matmul M X^T.
+    - <x_k x x_i, v_k> = <m_k, x_i>, one matmul M X^T.  It and dots = X X^T are
+      gemms on ws.x_rows, the X^T copy, not numpy's syrk for X @ X.T.
     """
     ws = _Workspace(X.shape[0]) if ws is None else ws
     a, b = ws.scratch[:2]
-    dots = np.matmul(X, X.T, out=ws.dots)
-    xsq = _distance_table(X, ws)
+    xsq = _distance_table(X, ws)  # and X^T into ws.x_rows, for the two gemms below
+    dots = np.matmul(X, ws.x_rows, out=ws.dots)
     p = np.subtract(dots, ws.diag, out=a)  # diag: |x_k|^2
     p *= p
     nsq = np.multiply(xsq, ws.diag, out=b)
@@ -288,7 +290,7 @@ def _pair_tables(X: np.ndarray, V: np.ndarray, ws: _Workspace | None = None) -> 
         bad = antipodal_mask(X, dots)
     m = _cross_rows(V, X, ws, ws.m)
     w = np.subtract(1.0, dots, out=ws.w)
-    w *= np.matmul(m, X.T, out=a)
+    w *= np.matmul(m, ws.x_rows, out=a)
     at_guard = np.less_equal(nsq, _CROSS_GUARD, out=ws.guard)
     np.copyto(nsq, np.inf, where=at_guard)  # w = 0 at or below the guard
     w /= nsq

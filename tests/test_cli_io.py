@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from sphereflock import (ConfigError, SimConfig, check_initial, paper_scenario,
@@ -608,3 +608,165 @@ class TestVerifyFailures:
         result = verify.check_registered_kernels()
         assert result.passed is False
         assert result.detail == "failing: ['flat']"
+
+
+# Texts for a numeric field that no key accepts as it stands: negatives, subnormals,
+# extremes, non-finite values and malformed text
+BAD_NUMBERS = ("-1", "5e-324", "1e-160", "1e308", "nan", "inf", "-inf", "x", "", "1e", "0x10")
+MALFORMED_CONFIGS = ("[sim\ndt = 1\n", "dt = 0.1\n", "[sim]\ndt 0.1\n",
+                     "[kernel]\nname = paper\n[kernel]\nname = linear\n")
+CSV_TEXTS = ("t,E,D_x\n", "t,E,D_x\n0,1,1\n1,nan,0.5\n", "t,E\n0,1,2\n", "t,E,D_x\n0,a,1\n",
+             "t,E,D_x\n0,1,1\n1,0.5,0.25\n2,0.25,0.0625\n", "",
+             "t,E,D_x\n" + "1,1,0.5\n" * 10)
+# Per config key: (values a run can take, values it should reject or abort on)
+CONFIG_KEYS = {
+    "kernel": {"name": (("paper", "linear"), ("gauss", "")),
+               "params": (("", "1.5", "0.2"), ("0", "1 2", *BAD_NUMBERS))},
+    "params": {"sigma": (("1", "0.5", "5", "0"), BAD_NUMBERS)},
+    "sim": {"projection": (("on", "off"), ("maybe",)),
+            "frame_stride": (("1", "3", "1000"), ("0", "-2", "2.5", "x"))},
+    "scenario": {"kind": (("paper", "random", "explicit"), ("cube",)),
+                 "n": (("1", "2", "6", "17", "64"), ("0", "-3", "x", "2.5")),
+                 "pos_spread": (("0", "1e-7", "0.05", "0.5", "1.5707963267948966"),
+                                ("2", *BAD_NUMBERS)),
+                 "vel_scale": (("0", "0.01", "0.3", "1"), BAD_NUMBERS),
+                 "seed": (("0", "1", "4294967295", "18446744073709551616"), ("-1", "x")),
+                 "label": (("", "run", "ü", "a,b", 'q"'), ())},
+}
+# (good, bad) x<i> rows, then (good, bad) v<i> rows, of an explicit scenario
+ROWS = ((("1 0 0", "0 1 0", "0.6 0.8 0", "-1 0 0"),
+         ("0 0 0", "nan 0 0", "inf 0 0", "1 0", "x y z")),
+        (("0 0 0", "0 0.1 0", "0 0 1", "0.5 0 0"), ("nan 0 0", "1e308 1e308 0", "1 1 1")))
+# simulate's flags that override a config key
+OVERRIDES = {"dt": "--dt", "t_end": "--t-end", "frame_stride": "--stride", "sigma": "--sigma"}
+
+
+def _pick(draw, good, bad=()):
+    """One of ``good``, or one time in eight one of ``bad``."""
+    return draw(st.sampled_from(bad if bad and not draw(st.integers(0, 7)) else good))
+
+
+@st.composite
+def cli_runs(draw):
+    """(config text, simulate argv, check argv, fit-rate argv, fit CSV text or None),
+    with output paths relative to the run's folder.  Whenever dt and t_end are both
+    valid, t_end / dt is a whole number of steps from 0 to 100; n is at most 64."""
+    dt = _pick(draw, ("1e-3", "0.05", "0.5", "5e-324"), ("0", "-1e-3", "nan", "inf", "x"))
+    try:
+        t_end = fmt_float(draw(st.integers(0, 100)) * float(dt))
+    except ValueError:
+        t_end = "1"
+    t_end = _pick(draw, (t_end,), ("nan", "inf", "-1", "x"))
+    sections = {name: {key: _pick(draw, *options) for key, options in keys.items()}
+                for name, keys in CONFIG_KEYS.items()}
+    sections["sim"].update(dt=dt, t_end=t_end)
+    for i in range(1, draw(st.integers(0, 3)) + 1):
+        sections["scenario"][f"x{i}"] = _pick(draw, *ROWS[0])
+        sections["scenario"][f"v{i}"] = _pick(draw, *ROWS[1])
+    malformed = _pick(draw, (None,), MALFORMED_CONFIGS)
+    source = _pick(draw, (["--config", "run.ini"], ["--preset", "paper-sigma1"]),
+                   (["--config", "run.ini", "--preset", "paper-sigma5"],))
+    simulate_argv = ["simulate", *source, "--out", "f.csv", "--summary", "s.json"]
+    # each overridable key goes into the config or the argv; a preset or a malformed
+    # config takes dt and t_end from the argv, so that every run stays short
+    for key, flag in OVERRIDES.items():
+        section = sections["params" if key == "sigma" else "sim"]
+        if key in ("dt", "t_end") and (malformed or "--config" not in source) \
+                or draw(st.booleans()):
+            simulate_argv += [flag, section.pop(key)]
+    if draw(st.booleans()):
+        simulate_argv += ["--fit-window", _pick(draw, ("0", "0.01"), ("nan", "-1", "x")),
+                          _pick(draw, ("0.05", "1"), ("0", "inf", "x"))]
+    if draw(st.booleans()):
+        simulate_argv.append("--full-state")
+    check_argv = ["check", *source, *draw(st.sampled_from(([], ["--out", "c.json"])))]
+    fit_argv = ["fit-rate", "--csv", "f.csv",
+                *_pick(draw, ([], ["--window", "0.01", "0.05"]),
+                       (["--window", "nan", "1"], ["--window", "1", "0"], ["--window", "x", "1"])),
+                *_pick(draw, ([], ["--column", "E"]), (["--column", "t"], ["--column", "bogus"]))]
+    csv = _pick(draw, (None,), CSV_TEXTS)
+    config = malformed or "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items())
+    return config, simulate_argv, check_argv, fit_argv, csv
+
+
+def _cli(argv):
+    """(exit code, stdout) of one cli.main call with every warning an error; an
+    argparse rejection is its SystemExit's code, as a shell would see it."""
+    stdout = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue()
+
+
+ANTIPODAL_CONFIG = "[sim]\ndt = 0.01\nt_end = 0.1\n[scenario]\nkind = explicit\n" \
+    "x1 = 1 0 0\nv1 = 0 0 0\nx2 = -1 0 0\nv2 = 0 0 0\n"
+
+
+@settings(max_examples=150)
+@given(cli_runs())
+@example(("[sim]\ndt = 5e-324\nt_end = 4.9406564584124654e-323\nframe_stride = 1\n",
+          ["simulate", "--config", "run.ini", "--out", "f.csv", "--summary", "s.json"],
+          ["check", "--config", "run.ini"], ["fit-rate", "--csv", "f.csv"], None)
+          ).via("subnormal times: polyfit warned, divide by zero")
+@example(("", ["simulate", "--preset", "paper-sigma1", "--dt", "1e-3", "--t-end", "0"],
+          ["check", "--preset", "paper-sigma1"], ["fit-rate", "--csv", "f.csv"],
+          "t,E,D_x\n" + "1,1,0.5\n" * 10)).via("coincident times: polyfit warned, rank 1")
+@example((ANTIPODAL_CONFIG,
+          ["simulate", "--config", "run.ini", "--out", "f.csv", "--summary", "s.json"],
+          ["check", "--config", "run.ini"], ["fit-rate", "--csv", "f.csv"], None)
+          ).via("antipodal abort, exit 3")
+def test_cli_contract(case):
+    """simulate, check and fit-rate on any drawn config and argv exit 0, 2, 3 or 4,
+    let no exception or warning escape, and print and write only strict JSON."""
+    config, simulate_argv, check_argv, fit_argv, csv = case
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with open("run.ini", "w", encoding="utf-8") as fh:
+                fh.write(config)
+            for argv in (simulate_argv, check_argv, fit_argv):
+                if argv is fit_argv and csv is not None:
+                    with open("f.csv", "w", encoding="utf-8") as fh:
+                        fh.write(csv)
+                code, stdout = _cli(argv)
+                assert code in (0, 2, 3, 4), (argv, code)
+                event(f"{argv[0]} exits {code}")
+                if code == 0 and argv[0] in ("check", "fit-rate"):
+                    strict_json(stdout)
+            for name in os.listdir("."):
+                if name.endswith(".json"):
+                    with open(name, encoding="utf-8") as fh:
+                        strict_json(fh.read())
+        finally:
+            os.chdir(cwd)
+
+
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_tables_out_of_memory_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    """An ensemble whose (n, n) tables do not fit exits 2 naming n, not with a
+    traceback.  The allocation is simulated: the tables of a real oversized n
+    (7 n^2 floats, 560 GB at n = 1e5) must never be requested."""
+    from sphereflock import cli, integrator
+
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate the tables")
+
+    monkeypatch.setattr(integrator, "_Workspace", no_memory)
+    monkeypatch.setattr(cli, "check_initial", no_memory)
+    path = tmp_path / "big.ini"
+    path.write_text("[sim]\nt_end = 0.01\n[scenario]\nkind = random\nn = 37\n")
+    argv = {"simulate": ["simulate", "--out", str(tmp_path / "f.csv"),
+                         "--summary", str(tmp_path / "s.json"), "--sigma", "0"],
+            "check": ["check"]}[command]
+    assert main([*argv, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out of memory at n = 37: Unable to allocate")
+    assert not (tmp_path / "f.csv").exists()

@@ -193,6 +193,14 @@ class TestFitDecayRate:
         assert fit.r_squared == 0.0
         assert fit.degenerate
 
+    @pytest.mark.parametrize("t", [np.full(10, 1.0), np.arange(10) * 5e-324],
+                             ids=["coincident", "subnormal"])
+    def test_times_without_a_line_are_rejected(self, t):
+        # numpy's polyfit warns on these (rank deficient, or its column scale underflows)
+        # and returns a meaningless rate
+        with pytest.raises(InsufficientSamples, match="no line fits"):
+            fit_decay_rate(t, np.exp(-t), (0.0, 1.0))
+
     def test_modulated_exponential(self):
         t = np.linspace(0.0, 40.0, 2001)
         v = np.exp(-0.3 * t) * (1.0 + 0.01 * np.sin(t))

@@ -603,6 +603,32 @@ class TestWorkspaceReuse:
             assert np.array(make_frame(0.5, ens, p, unbuilt).as_row()).tobytes() == want
 
 
+@settings(max_examples=60)
+@given(st.one_of(st.sampled_from((12, 13, 14, 15, 147, 148, 252, 253, 254, 255, 256)),
+                 st.integers(1, 300)),
+       st.integers(0, 2**32 - 1), st.sampled_from(("unit", "stage", "zeros and subnormals")))
+@example(13, 0, "unit").via("n = 4-7 mod 8: numpy's syrk for X @ X.T rounds other entries")
+@example(256, 0, "stage").via("crowd-256's size")
+def test_dot_table_is_plain_gemm(n, seed, rows):
+    """The pass's dot table is the gemm of X with its copied transpose, byte for byte,
+    and exactly symmetric, on a fresh workspace and on both dirty ones.  Rows are unit
+    vectors, off-sphere RK stage rows (scaled by 1 +- 1e-3), or unit rows with entries
+    set to +-0 and subnormals."""
+    rng = np.random.default_rng(seed)
+    X = random_ensemble(rng, n).positions
+    if rows == "stage":
+        X *= 1.0 + rng.uniform(-1e-3, 1e-3, (n, 1))
+    elif rows == "zeros and subnormals":
+        hit = rng.random((n, 3)) < 0.3
+        X[hit] = rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.2e-308], int(hit.sum()))
+    V = rng.standard_normal((n, 3))
+    want = np.matmul(X, np.ascontiguousarray(X.T))
+    for ws in (_Workspace(n), *TestWorkspaceReuse.dirty(random_ensemble(rng, n))):
+        dots = _pair_tables(X, V, ws).dots
+        assert dots.tobytes() == want.tobytes()
+        assert dots.tobytes() == dots.T.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 6, 148, 256])
 def test_pass_returns_share_no_memory_with_the_workspace(n):
     # the next stage overwrites the workspace, so a returned view would change under the caller

@@ -188,6 +188,22 @@ def _tiles():
     return out
 
 
+def _blas_edges():
+    """rhs, rk4_step and make_frame at sizes where the BLAS's blocking decides
+    bits: n = 13, 20 and 252 sit at 4-7 mod 8, where a gemm and a syrk of the
+    same rank-3 product round a few dot-table entries 1 ulp apart."""
+    rng = np.random.default_rng(20240104)
+    p = sf.ModelParams(sf.paper_kernel(), 1.0)
+    out = []
+    for n in (13, 20, 252):
+        ens = sf.Ensemble.projected(rng.standard_normal((n, 3)),
+                                    0.3 * rng.standard_normal((n, 3)))
+        out.append((sf.rhs(ens, p),
+                    [sf.rk4_step(ens, 1e-3, p, project) for project in (True, False)],
+                    make_frame(0.5, ens, p).as_row()))
+    return out
+
+
 def _row_norms():
     """The manifold drift and projection: ``constraint_violation`` and
     ``project_state`` on off-manifold states (n = 1 to 40, perturbations 1e-12,
@@ -256,6 +272,7 @@ def _random_states():
             families[name].append(_outcome(call))
         families["simulate"].append(_run_outcome(lambda: _simulate(ens, p, k)))
     families["tiles"] = _tiles()
+    families["blas_edges"] = _blas_edges()
     families["row_norms"] = _row_norms()
     return families
 
