@@ -102,7 +102,7 @@ def _cmd_simulate(args) -> int:
     if args.full_state:
         write_state_csv(str(args.out) + ".state.csv", trajectory)
 
-    n_steps = scenario.sim.n_steps
+    n_steps = (len(trajectory.frames) - 1) * scenario.sim.frame_stride  # the steps integrated
     summary = build_summary(
         scenario.label, trajectory, fit,
         report.as_dict() if report is not None else None,

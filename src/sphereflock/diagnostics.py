@@ -267,11 +267,12 @@ def fit_decay_rate(times, values, window) -> RateFit:
     if not (np.isfinite(vw).all() and (vw > 0.0).all()):
         raise NonPositiveValue("log fit requires finite, strictly positive values")
     logv = np.log(vw)
-    with warnings.catch_warnings():
+    # errstate too: with numpy's errors ignored, such times reach LAPACK as NaN
+    with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
         warnings.simplefilter("error")  # numpy warns on times it cannot fit a line to
         try:
             slope, intercept = np.polyfit(tw, logv, 1)
-        except Warning as exc:
+        except (Warning, FloatingPointError) as exc:
             raise InsufficientSamples(f"no line fits the times in [{lo}, {hi}]: {exc}") from None
     ss_tot = float(((logv - logv.mean()) ** 2).sum())
     if ss_tot == 0.0:

@@ -173,19 +173,19 @@ class _Workspace:
     (which feeds the distance table, dots and <m_k, x_i>) and V^T; ``m`` (n, 3), the
     rows v_k x x_k; ``outer`` (n, 3, 3), the outer products of a row-wise cross
     product; ``g`` and ``prod`` (n, 3), the pass's G and scratch, adjacent as ``gp``
-    (2, n, 3), the state's product with v; a (4, n) block, its rows ``col_rows`` <x_i, v_i>, |v_i|^2, (psi <x, v>)_i and
-    sum_k <x_i, x_k>, the first two ``xv_vsq``, the last three ``cols_col``, whose
-    products with x_i are ``cols_x`` (3, n, 3), in rows ``cols_x_rows``.
+    (2, n, 3), the state's product with v; a (4, n) block, its rows ``col_rows``
+    <x_i, v_i>, |v_i|^2, (psi <x, v>)_i and sum_k <x_i, x_k>, the first two
+    ``xv_vsq``, the last three ``cols_col``, whose products with x_i are ``cols_x``
+    (3, n, 3), in rows ``cols_x_rows``; the RK4 stages, a (4, 3, n, 3) block, stage
+    s the rows [x_s, v_s, a_s]: stage 0 is ``y`` = [``x``, ``v``] and ``a``,
+    ``derivs`` the stages' [v_s, a_s] and ``rk``, for stages 1-3, the previous
+    stage's [v, a], the stage's [x, v] and its a.
 
     Views built once: ``tiles`` (per row tile, the difference block, its planes,
     the tile's rows of the factors [x_a, -1] and of xsq), ``right_x`` (the factors
     [1; x_a]), ``diag`` (the dots diagonal as a column), ``outer9``, ``b_t``
     (scratch 1 transposed) and those named above, none of which the pass returns.
-
-    Given a stepping run's initial ``state`` (X, V), it holds the RK4 stages in a
-    (4, 3, n, 3) block, stage s the rows [x_s, v_s, a_s]: stage 0 is ``y`` = [``x``,
-    ``v``] and ``a``; ``derivs`` the stages' [v_s, a_s] and ``rk``, for stages 1-3,
-    the previous stage's [v, a], the stage's [x, v] and its a.
+    Every workspace has them all; a stepping run's ``state`` (X, V) starts ``y``.
     """
 
     def __init__(self, n: int, state=None):
@@ -212,18 +212,15 @@ class _Workspace:
         self.b_t = self.scratch[1].T
         left = factors[:, 0, 1:3].swapaxes(1, 2)  # [x_a, -1]
         rows = max(1, min(n, _TILE_FLOATS // (3 * n)))
-        if rows == n:  # one tile, of the views above
-            self.tiles = [(self.stack, *self.scratch[1:], left, self.xsq)]
-        else:  # each tile built in the first rows of stack
-            self.tiles = [(d, d[0], d[1], d[2], left[:, lo:lo + rows], self.xsq[lo:lo + rows])
-                          for lo in range(0, n, rows) for d in [self.stack[:, :min(rows, n - lo)]]]
+        self.tiles = [(d, d[0], d[1], d[2], left[:, lo:lo + rows], self.xsq[lo:lo + rows])
+                      for lo in range(0, n, rows) for d in [self.stack[:, :min(rows, n - lo)]]]
+        blk = np.empty((4, 3, n, 3))
+        b0, b1, b2, b3 = blk[0], blk[1], blk[2], blk[3]
+        self.y, self.x, self.v, self.a = b0[:2], b0[0], b0[1], b0[2]
         if state is not None:
-            blk = np.empty((4, 3, n, 3))
-            b0, b1, b2, b3 = blk[0], blk[1], blk[2], blk[3]
-            self.y, self.x, self.v, self.a = b0[:2], b0[0], b0[1], b0[2]
             self.y[...] = state
-            self.derivs = f0, f1, f2, f3 = b0[1:], b1[1:], b2[1:], b3[1:]
-            self.rk = ((f0, b1[:2], b1[2]), (f1, b2[:2], b2[2]), (f2, b3[:2], b3[2]))
+        self.derivs = f0, f1, f2, f3 = b0[1:], b1[1:], b2[1:], b3[1:]
+        self.rk = ((f0, b1[:2], b1[2]), (f1, b2[:2], b2[2]), (f2, b3[:2], b3[2]))
 
 
 def _distance_table(X: np.ndarray, ws: _Workspace) -> np.ndarray:

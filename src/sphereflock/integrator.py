@@ -7,9 +7,10 @@ each step and the running maximum kept on the trajectory so the
 projection's magnitude stays auditable.  Fixed step only: the decay-rate
 diagnostics depend on uniform sampling.
 
-One stepping loop, ``_run``, serves both entry points: ``simulate``
-records frames between its chunks and ``energy_audit`` sums the
-trapezoid over the dissipation sums it yields.  A chunk-boundary state's
+One stepping loop, ``_run``, serves both entry points.  It advances whole
+chunks and yields the state at each boundary: ``simulate`` records a frame
+there, its chunk a frame stride, and ``energy_audit`` sums the trapezoid
+over the dissipation sums it yields, its chunk one step.  A boundary state's
 pair tables are built once, for its frame and the next chunk's first RK4
 stage.  A run owns one ``dynamics._Workspace``: every pair pass, RK4 stage
 and frame of the run is handed the bare workspace, the unbuilt set, and
@@ -42,7 +43,8 @@ class SimConfig:
 
     dt defaults to 1e-3, small enough that per-step constraint drift and
     discrete energy monotonicity hold with margin on the benchmark runs.
-    Frames are recorded every ``frame_stride`` steps.
+    Frames are recorded every ``frame_stride`` steps, and only whole strides
+    are integrated: a run ends at its last frame.
     """
 
     dt: float = 1e-3
@@ -84,7 +86,7 @@ class Frame:
 
 @dataclass
 class Trajectory:
-    """Recorded frames at uniform spacing dt * frame_stride.
+    """Recorded frames at uniform spacing dt * frame_stride, the last the run's end.
 
     ``max_step_radial`` / ``max_step_tangency`` are the worst pre-projection
     per-step constraint violations seen over the whole run.  Immutable by
@@ -152,21 +154,20 @@ def rk4_step(ensemble: Ensemble, dt: float, params: ModelParams,
     return StepResult(Ensemble(ws.x, ws.v, validate=project), radial, tangency)
 
 
-def _run(X, V, dt, n_steps, stride, params, project, rates=None):
-    """Advance a copy of (X, V) by n_steps, one chunk of `stride` steps at a time.
+def _run(X, V, dt, chunks, stride, params, project, rates=None):
+    """Advance a copy of (X, V) by `chunks` chunks of `stride` steps each.
 
     Yields (steps done, X, V, worst radial drift, worst tangency drift, tables)
-    for the state at `steps done`, the initial state first: X and V are the
-    run's state, held in its workspace and advanced in place, the drifts the
+    for the state at each chunk boundary, the initial state first: X and V are
+    the run's state, held in its workspace and advanced in place, the drifts the
     running pre-projection maxima, tables that state's ``_pair_tables`` on the
     numpy loop, built once for its frame and the next chunk's k1.  The
-    compiled loop builds its own, and only a frame reads the final state's,
-    so there tables is the unbuilt set, the run's bare workspace, which
-    ``make_frame`` builds on when it is asked for a frame.  Every set lives
-    in the run's one workspace: the yielded tables are views into its
-    buffers, valid only until the run resumes.  If ``rates`` is a list,
-    each chunk appends the dissipation sum D at its start state, on the
-    numpy loop from the pair pass of its first k1.
+    compiled loop builds its own, so there tables is the unbuilt set, the
+    run's bare workspace, which ``make_frame`` builds on when it is asked for
+    a frame.  Every set lives in the run's one workspace: the yielded tables
+    are views into its buffers, valid only until the run resumes.  If
+    ``rates`` is a list, each chunk appends the dissipation sum D at its start
+    state, on the numpy loop from the pair pass of its first k1.
 
     Raises AntipodalPair with ``time`` the start of the step that met the
     pair, and NonFinite with ``time`` that of the chunk's start state if
@@ -178,13 +179,11 @@ def _run(X, V, dt, n_steps, stride, params, project, rates=None):
     ws = _Workspace(X.shape[0], (X, V))
     X, V, state, a1 = ws.x, ws.v, ws.y, ws.a
     max_r = max_t = 0.0
-    done = 0
-    while True:
-        tables = ws if fast or done == n_steps else _pair_tables(X, V, ws)
+    for done in range(0, chunks * stride + 1, stride):
+        tables = ws if fast else _pair_tables(X, V, ws)
         yield done, X, V, max_r, max_t, tables
-        if done == n_steps:
+        if done == chunks * stride:
             return
-        steps = min(stride, n_steps - done)
         s = 0
         try:
             if fast:
@@ -192,7 +191,7 @@ def _run(X, V, dt, n_steps, stride, params, project, rates=None):
                     rates.append(float(_fast.dissipation(X, V, kernel.fast_code,
                                                          kernel.fast_param)))
                 status, s, radial, tangency = _fast.advance(
-                    X, V, dt, steps, params.sigma, kernel.fast_code, kernel.fast_param,
+                    X, V, dt, stride, params.sigma, kernel.fast_code, kernel.fast_param,
                     project)
                 if status != 0:
                     # status = 1 + k n + i; the i-outer loop meets a pair first at i < k
@@ -203,7 +202,7 @@ def _run(X, V, dt, n_steps, stride, params, project, rates=None):
                 rate = _rhs_and_dissipation(state, params, tables, out=a1)[1]
                 if rates is not None:
                     rates.append(rate)
-                for s in range(steps):
+                for s in range(stride):
                     if s:
                         dynamics._pair_pass(state, params, ws, out=a1)
                     radial, tangency = _step(ws, dt, params, project)
@@ -212,9 +211,8 @@ def _run(X, V, dt, n_steps, stride, params, project, rates=None):
             exc.time = (done + s) * dt
             raise
         if not np.isfinite(state).all():
-            raise NonFinite(f"the state is not finite after {steps} steps of dt = {dt:g}",
+            raise NonFinite(f"the state is not finite after {stride} steps of dt = {dt:g}",
                             time=done * dt)
-        done += steps
 
 
 @dataclass(frozen=True)
@@ -266,7 +264,8 @@ def energy_audit(e0: Ensemble, params: ModelParams, dt: float, t_end: float) -> 
 
 
 def simulate(e0: Ensemble, params: ModelParams, config: SimConfig) -> Trajectory:
-    """Integrate from e0 to t_end, recording a frame every frame_stride steps.
+    """Integrate from e0 in whole strides of frame_stride steps up to t_end,
+    recording a frame at t = 0 and after each: the run ends at its last frame.
 
     Deterministic for fixed inputs.  An antipodal configuration aborts the
     run: the raised AntipodalPair carries the failing time and the partial
@@ -278,16 +277,16 @@ def simulate(e0: Ensemble, params: ModelParams, config: SimConfig) -> Trajectory
 
     e0.check()
 
-    run = _run(e0.positions, e0.velocities, config.dt, config.n_steps, config.frame_stride,
+    stride = config.frame_stride
+    run = _run(e0.positions, e0.velocities, config.dt, config.n_steps // stride, stride,
                params, config.projection)
     try:
         for step, X, V, traj.max_step_radial, traj.max_step_tangency, tables in run:
-            if step % config.frame_stride == 0:
-                ens, t = Ensemble(X, V, validate=False), step * config.dt
-                frame = diagnostics.make_frame(t, ens, params, tables)
-                if config.projection:  # unprojected runs leave the manifold by design
-                    ens.check((frame.drift_radial, frame.drift_tangency))
-                frames.append(Frame(t, ens, frame))
+            ens, t = Ensemble(X, V, validate=False), step * config.dt
+            frame = diagnostics.make_frame(t, ens, params, tables)
+            if config.projection:  # unprojected runs leave the manifold by design
+                ens.check((frame.drift_radial, frame.drift_tangency))
+            frames.append(Frame(t, ens, frame))
     except (AntipodalPair, NonFinite) as exc:
         exc.partial_trajectory = traj
         raise

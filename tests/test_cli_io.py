@@ -299,6 +299,16 @@ class TestCli:
         assert runtime["backend"] == ("numba" if _fast.available(kernel) else "numpy")
         assert runtime["steps_per_s"] == runtime["n_steps"] / runtime["wall_time_s"] > 0.0
 
+    def test_runtime_counts_the_steps_integrated(self, tmp_path):
+        # 105 steps at stride 10: the run ends at the last frame, step 100
+        summary = tmp_path / "summary.json"
+        assert main(["simulate", "--preset", "paper-sigma1", "--t-end", "0.105",
+                     "--stride", "10", "--out", str(tmp_path / "f.csv"),
+                     "--summary", str(summary)]) == 0
+        runtime = json.loads(summary.read_text())["runtime"]
+        assert runtime["n_steps"] == 100 and runtime["n_frames"] == 11
+        assert runtime["steps_per_s"] == 100 / runtime["wall_time_s"]
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_fit_rate_rejects_non_finite_samples(self, tmp_path, capsys, bad):
         rows = [[0.1 * k] + [math.exp(-0.1 * k)] * (len(CSV_COLUMNS) - 1) for k in range(20)]

@@ -201,6 +201,14 @@ class TestFitDecayRate:
         with pytest.raises(InsufficientSamples, match="no line fits"):
             fit_decay_rate(t, np.exp(-t), (0.0, 1.0))
 
+    @pytest.mark.parametrize("scale", [5e-324, 1e-200], ids=["subnormal", "tiny"])
+    def test_times_without_a_line_are_rejected_whatever_the_errstate(self, scale, capfd):
+        # with numpy's errors ignored, the fit's column scale reaches LAPACK as NaN
+        t = np.arange(10) * scale
+        with np.errstate(all="ignore"), pytest.raises(InsufficientSamples, match="no line fits"):
+            fit_decay_rate(t, np.exp(-np.arange(10.0)), (0.0, t[-1]))
+        assert capfd.readouterr() == ("", "")
+
     def test_modulated_exponential(self):
         t = np.linspace(0.0, 40.0, 2001)
         v = np.exp(-0.3 * t) * (1.0 + 0.01 * np.sin(t))

@@ -209,21 +209,25 @@ class TestLoopEqualsOracle:
     @settings(max_examples=40)
     @given(*RUN_DRAWS, st.integers(1, 7), st.integers(0, 2), st.integers(0, 5), st.booleans())
     def test_simulate(self, n, seed, sigma, dt, linear, stride, chunks, rest, project):
-        # a step count that is no multiple of the stride, so the last chunk is short
+        # a step count that is no multiple of the stride: the run stops at the last
+        # whole stride, so the oracle runs to there
         n_steps = chunks * stride + 1 + rest % max(1, stride - 1)
+        whole = n_steps - n_steps % stride
         ens, p = run_case(n, seed, sigma, linear)
         config = SimConfig(dt=dt, t_end=n_steps * dt, projection=project, frame_stride=stride)
         traj = simulate(ens, p, config)
-        states, frames, max_r, max_t = oracle_run(ens, p, dt, n_steps, stride, project)
+        states, frames, max_r, max_t = oracle_run(ens, p, dt, whole, stride, project)
         assert same_bytes(traj.times, [f.t for f in frames])
-        for got, want in zip(traj.frames, frames):
+        for got, want in zip(traj.frames, frames, strict=True):
             assert same_bytes(got.diagnostics.as_row(), want.as_row())
             state = states[round(got.time / dt)]
             assert same_bytes(got.ensemble.positions, state.positions)
             assert same_bytes(got.ensemble.velocities, state.velocities)
         assert same_bytes([traj.max_step_radial, traj.max_step_tangency], [max_r, max_t])
-        # the final state, past the last frame, as the loop leaves it
-        *_, (_, X, V, *_) = _run(ens.positions, ens.velocities, dt, n_steps, stride, p, project)
+        # the loop's end state is the last whole stride's
+        *_, (done, X, V, *_) = _run(ens.positions, ens.velocities, dt, n_steps // stride,
+                                    stride, p, project)
+        assert done == whole
         assert same_bytes(X, states[-1].positions) and same_bytes(V, states[-1].velocities)
 
     @settings(max_examples=20)
@@ -291,6 +295,20 @@ class TestSimulate:
         traj = simulate(sc.ensemble, sc.params, sc.sim)
         assert traj.final.time == pytest.approx(0.1)
         assert len(traj.frames) == 11
+
+    def test_trailing_partial_stride_not_integrated(self, params):
+        # an unprojected run drifts off the manifold with every step, so steps past
+        # the last frame would show in the drift maxima and the final state
+        sc = paper_scenario(1.0)
+        runs = [simulate(sc.ensemble, params, SimConfig(dt=1e-3, t_end=t_end, frame_stride=10,
+                                                        projection=False))
+                for t_end in (0.105, 0.1)]
+        tail, whole = ([[f.diagnostics.as_row() for f in r.frames], r.times,
+                        r.max_step_radial, r.max_step_tangency,
+                        r.final.ensemble.positions, r.final.ensemble.velocities] for r in runs)
+        assert len(tail[0]) == len(whole[0]) == 11
+        for got, want in zip(tail, whole):
+            assert same_bytes(got, want)
 
     def test_projected_frames_satisfy_invariants(self, params):
         sc = paper_scenario(1.0, sim=SimConfig(dt=1e-3, t_end=0.5, frame_stride=10))
@@ -404,8 +422,9 @@ class TestSimulate:
     def test_four_pair_passes_per_step(self, numpy_params, monkeypatch):
         calls = count_pair_passes(monkeypatch)
         sc = paper_scenario(1.0)
+        # 37 steps at stride 5: the 2 past the last frame are not taken
         simulate(sc.ensemble, numpy_params, SimConfig(dt=1e-3, t_end=0.037, frame_stride=5))
-        assert len(calls) == 4 * 37
+        assert len(calls) == 4 * 35
         calls.clear()
         energy_audit(sc.ensemble, numpy_params, 1e-3, 0.037)
         assert len(calls) == 4 * 37

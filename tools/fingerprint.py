@@ -116,6 +116,9 @@ def _trajectory(traj):
 
 
 def _paper():
+    """The paper's run, projected to t_end = 1.0, and free to t_end = 0.205: 205
+    steps at stride 10, so the free run stops at the last whole stride, step 200.
+    Its drift grows with every step, so a step taken past there would show."""
     sc = sf.paper_scenario(1.0)
     projected = sf.simulate(sc.ensemble, sc.params, sf.SimConfig(dt=1e-3, t_end=1.0))
     free = sf.simulate(sc.ensemble, sc.params,
@@ -164,7 +167,8 @@ def _random_state(rng, k):
 
 def _simulate(ens, p, k):
     """simulate from random state k: frame stride 1 to 7, a step count that is not
-    a multiple of the stride (above 1), dt 1e-3 or 0.05, projection on and off."""
+    a multiple of the stride (above 1), so the run stops at its last whole stride,
+    dt 1e-3 or 0.05, projection on and off."""
     stride = 1 + k % 7
     n_steps = 2 * stride + 1 + k % max(1, stride - 1)
     dt = (1e-3, 0.05)[k // 2 % 2]
