@@ -11,7 +11,8 @@ and along exact solutions it dissipates as
 
 That identity is algebraic in the right-hand side, so the residual
 computed here (chain-rule dE/dt plus the dissipation sum) is a correctness
-check on the force implementation, independent of integrator accuracy.
+check on the force implementation, independent of integrator accuracy.  A frame
+reads the pair tables ``dynamics._pair_tables`` built; one-shot calls build their own.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .dynamics import (Ensemble, ModelParams, _built, _pair_dot, _rates, constraint_violation,
-                       rhs)
+from .dynamics import (Ensemble, ModelParams, _pair_dot, _pair_tables, _rates,
+                       constraint_violation, rhs)
 from .errors import InsufficientSamples, NonPositiveValue
 from .geometry import _cross_weights, _transport_components, antipodal_mask
 
@@ -82,10 +83,10 @@ def _gap_tables(V: np.ndarray, ws) -> tuple[np.ndarray, np.ndarray]:
 
 def _gap_fields(ensemble: Ensemble, sigma: float, tables=None) -> dict[str, float]:
     """The frame fields read off one set of pair gap tables, by name: x1 = xsq of the
-    state's pair ``tables`` (built by ``_built``), x2 and x3 from ``_gap_tables``,
-    each squared before it is read."""
+    state's built pair ``tables`` (None: built here, on a fresh workspace), x2 and x3
+    from ``_gap_tables``, each squared before it is read."""
     X, V = ensemble.positions, ensemble.velocities
-    ws = _built(X, V, tables).ws
+    ws = (_pair_tables(X, V) if tables is None else tables).ws
     x1 = ws.xsq
     e, ek, ec = _energies(V, x1, sigma)
     x2, x3 = _gap_tables(V, ws)
@@ -166,18 +167,17 @@ def _margin_table(ws) -> np.ndarray:
 def make_frame(t: float, ensemble: Ensemble, params: ModelParams, tables=None) -> DiagnosticsFrame:
     """Every frame field from one set of gap tables and one misalignment table.
 
-    ``tables`` are the state's ``dynamics._pair_tables`` if already built, else
-    the unbuilt set, a bare ``dynamics._Workspace`` (or None for a fresh one),
-    to build them on (``dynamics._built``).  The frame's other tables go into
-    the scratch of the tables' workspace, so the tables themselves stay
-    intact for the state's next pair pass.
+    ``tables`` are the state's built ``dynamics._pair_tables``, or None for a
+    one-shot call, which builds them on a fresh workspace.  The frame's other
+    tables go into the scratch of the tables' workspace, so the tables
+    themselves stay intact for the state's next pair pass.
 
     flock_align = max_{i,j} |x_i + x_j| |R_{x_j -> x_i} v_j - v_i|, 0 by convention
     for pairs inside the antipodal tolerance and for i = j (R = I, whatever the
     transport's rounding), and antipode_margin = min_{i,j} |x_i + x_j|.
     """
     X, V = ensemble.positions, ensemble.velocities
-    tables = _built(X, V, tables)
+    tables = _pair_tables(X, V) if tables is None else tables
     prod = _misalignment(X, V, tables.dots, tables.w, tables.ws.scratch)
     np.sqrt(prod, out=prod)
     margin = np.sqrt(_margin_table(tables.ws), out=tables.ws.scratch[1])

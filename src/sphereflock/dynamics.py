@@ -26,12 +26,12 @@ the exact cross product), the second one matmul.  By BAC-CAB the
 x_i x sum_k psi_ik (v_k x x_k).  The frame diagnostics and
 ``pairwise_dissipation`` keep the componentwise transport of ``geometry``.
 
-The (n, n) tables live in a ``_Workspace``: ``_pair_tables`` writes a state's
-tables into its buffers and the pair pass takes its temporaries from them, so a
-stepping run (``integrator._run``) that owns one allocates no (n, n) array but
-the kernel's own, and the antipodal mask of a state the pre-screen (one
-minimum reduction of dots) hits; a clean state has none.  A bare workspace is
-the unbuilt set: a helper given one builds the state's tables on it.  Tables
+The (n, n) tables live in a ``_Workspace``: ``_pair_tables``, their only builder,
+writes a state's tables into its buffers and the pair pass takes its temporaries
+from them, so a stepping run (``integrator._run``) that owns one allocates no
+(n, n) array but the kernel's own, and the antipodal mask of a state the
+pre-screen (one minimum reduction of dots) hits; a clean state has none.  Whoever
+holds a state builds its tables, and every reader takes them built.  Tables
 built on a workspace are views into it, valid until it next builds a set; public
 ``rhs`` builds its own.  At the paper's n = 6 a pass costs numpy calls, not
 arithmetic, so the workspace also holds the pass's O(n) intermediates and every
@@ -39,8 +39,9 @@ view the pass reads, built once: the distance table is one stacked matmul per ro
 tile (``_distance_table``), whose exact rank-2 products form each x_k - x_i; its
 X^T copy feeds the dot table and <m_k, x_i> as gemms, not numpy's syrk for X @ X.T;
 the three per-agent multiples of x_i are one broadcast multiply.  The pass takes
-the state stacked, Y = [X, V] (2, n, 3), and writes its acceleration into ``out``
-(a stepping run's stage block) if given; what else it returns is its own.
+the state stacked, Y = [X, V] (2, n, 3), and returns only its acceleration, into
+``out`` (a stepping run's stage block) if given; the S, r and |v|^2 that D is
+formed from stay in the workspace.
 
 For every pair (i, j) the triple
 
@@ -71,8 +72,7 @@ from .kernels import Kernel
 RADIAL_TOL = 1e-9
 TANGENCY_TOL = 1e-8
 
-# The pair tables of one state, built on the workspace ws by _pair_tables;
-# the bare workspace is the unbuilt set, to be built on when needed.
+# The pair tables of one state, built on the workspace ws by _pair_tables alone.
 _PairTables = namedtuple("_PairTables", "ws dots bad xsq w m")
 
 
@@ -172,14 +172,14 @@ class _Workspace:
     read-only but for their rows ``x_rows`` and ``v_rows`` (3, n), copies of X^T
     (which feeds the distance table, dots and <m_k, x_i>) and V^T; ``m`` (n, 3), the
     rows v_k x x_k; ``outer`` (n, 3, 3), the outer products of a row-wise cross
-    product; ``g`` and ``prod`` (n, 3), the pass's G and scratch, adjacent as ``gp``
-    (2, n, 3), the state's product with v; a (4, n) block, its rows ``col_rows``
-    <x_i, v_i>, |v_i|^2, (psi <x, v>)_i and sum_k <x_i, x_k>, the first two
-    ``xv_vsq``, the last three ``cols_col``, whose products with x_i are ``cols_x``
-    (3, n, 3), in rows ``cols_x_rows``; the RK4 stages, a (4, 3, n, 3) block, stage
-    s the rows [x_s, v_s, a_s]: stage 0 is ``y`` = [``x``, ``v``] and ``a``,
-    ``derivs`` the stages' [v_s, a_s] and ``rk``, for stages 1-3, the previous
-    stage's [v, a], the stage's [x, v] and its a.
+    product; ``g`` and ``prod`` (n, 3), the pass's G (then S) and scratch, adjacent as
+    ``gp`` (2, n, 3), the state's product with v; a (5, n) block, its rows
+    ``col_rows`` <x_i, v_i>, |v_i|^2, (psi <x, v>)_i, sum_k <x_i, x_k> and
+    r_i = sum_k psi_ik, the first two ``xv_vsq``, the middle three ``cols_col``,
+    whose products with x_i are ``cols_x`` (3, n, 3), in rows ``cols_x_rows``; the
+    RK4 stages, a (4, 3, n, 3) block, stage s the rows [x_s, v_s, a_s]: stage 0 is
+    ``y`` = [``x``, ``v``] and ``a``, ``derivs`` the stages' [v_s, a_s] and ``rk``,
+    for stages 1-3, the previous stage's [v, a], the stage's [x, v] and its a.
 
     Views built once: ``tiles`` (per row tile, the difference block, its planes,
     the tile's rows of the factors [x_a, -1] and of xsq), ``right_x`` (the factors
@@ -203,9 +203,9 @@ class _Workspace:
         mgp = np.empty((3, n, 3))
         self.m, self.g, self.prod, self.gp = mgp[0], mgp[1], mgp[2], mgp[1:]
         self.outer = np.empty((n, 3, 3))
-        cols, cols_x = np.empty((4, n)), np.empty((3, n, 3))
-        self.cols_x, self.xv_vsq, self.cols_col = cols_x, cols[:2], cols[1:, :, None]
-        self.col_rows = (cols[0], cols[1], cols[2], cols[3])
+        cols, cols_x = np.empty((5, n)), np.empty((3, n, 3))
+        self.cols_x, self.xv_vsq, self.cols_col = cols_x, cols[:2], cols[1:4, :, None]
+        self.col_rows = (cols[0], cols[1], cols[2], cols[3], cols[4])
         self.cols_x_rows = (cols_x[0], cols_x[1], cols_x[2])
         self.diag = self.dots.diagonal()[:, None]
         self.outer9 = self.outer.reshape(n, 9)
@@ -254,9 +254,10 @@ def _cross_rows(A: np.ndarray, X: np.ndarray, ws: _Workspace, out=None) -> np.nd
 def _pair_tables(X: np.ndarray, V: np.ndarray, ws: _Workspace | None = None) -> _PairTables:
     """A state's pair tables, indexed [k, i]: dots = <x_k, x_i>, bad = the antipodal
     mask, xsq = |x_i - x_k|^2, the rank-one transport weight w, and the rows
-    m_k = v_k x x_k.  Built once per recorded state, for its frame and the next
-    step's k1; the mask (None if the pre-screen finds no pair) is not raised on,
-    so a frame can record the state.  The tables go into the workspace ws (fresh if None).
+    m_k = v_k x x_k.  The only builder: a state's owner calls it and hands the tables,
+    built, to the pair pass and the frame.  The mask (None if the pre-screen finds no
+    pair) is not raised on, so a frame can record the state.  The tables go into the
+    workspace ws (fresh if None).
 
     w = (1 - <x_k,x_i>) <x_k x x_i, v_k> / |x_k x x_i|^2 (0 at or below
     _CROSS_GUARD) is formed without cross tables, by two identities exact
@@ -294,12 +295,6 @@ def _pair_tables(X: np.ndarray, V: np.ndarray, ws: _Workspace | None = None) -> 
     return _PairTables(ws, dots, bad, xsq, w, m)
 
 
-def _built(X: np.ndarray, V: np.ndarray, tables) -> _PairTables:
-    """``tables`` if built (a ``_PairTables``); else the pair tables of (X, V),
-    built on ``tables``, the unbuilt set: a ``_Workspace`` (a fresh one if None)."""
-    return tables if isinstance(tables, _PairTables) else _pair_tables(X, V, tables)
-
-
 def _rates(bad: np.ndarray | None, xsq: np.ndarray, kernel: Kernel, out=None) -> np.ndarray:
     """psi(|x_i - x_k|) from xsq = |x_i - x_k|^2, raising AntipodalPair on the antipodal
     mask ``bad`` (None if none was built); the distances go into ``out`` (fresh if None)."""
@@ -309,8 +304,9 @@ def _rates(bad: np.ndarray | None, xsq: np.ndarray, kernel: Kernel, out=None) ->
     return kernel.psi(np.minimum(r, 2.0, out=r))
 
 
-def _pair_pass(Y: np.ndarray, params: ModelParams, tables=None, out=None):
-    """One pass over the pair tables at the state Y = [X, V]: (dv/dt, S, r, vsq).
+def _pair_pass(Y: np.ndarray, params: ModelParams, tables: _PairTables, out=None) -> np.ndarray:
+    """One pass over the state's built pair ``tables`` at Y = [X, V]: dv/dt, into
+    ``out`` if given (fresh if None).
 
     S_i = sum_k psi_ik T[k,i] is the coupling sum of the four-term transport
     T[k,i] = <x_k,x_i> v_k + <x_k,v_k> x_i - <v_k,x_i> x_k + w_ki (x_k x x_i),
@@ -319,20 +315,17 @@ def _pair_pass(Y: np.ndarray, params: ModelParams, tables=None, out=None):
     S_i = (G_i - (psi M)_i) x x_i + (psi <x, v>)_i x_i:
     (n, n) tables and matmuls, and no (n, n, 3) or cross table.
 
-    ``tables`` are the state's ``_pair_tables``, or the unbuilt set, a bare
-    ``_Workspace`` (or None), to build them on (see ``_built``); the pass's
-    temporaries are the tables' workspace's, so only the returned (n, 3) and
-    (n,) arrays are its own; dv/dt goes into ``out`` if given (fresh if None).
-    <x_i, v_i> and |v_i|^2 are one product of Y with V and one reduction, and
-    the three products of a per-agent factor with x_i, |v_i|^2 x_i,
+    The pass's temporaries are the tables' workspace's, and S, r and vsq stay
+    there for ``_rhs_and_dissipation``: S in ws.g, r and vsq in rows 4 and 1 of
+    ws.col_rows.  <x_i, v_i> and |v_i|^2 are one product of Y with V and one
+    reduction, and the three products of a per-agent factor with x_i, |v_i|^2 x_i,
     (psi <x, v>)_i x_i and (sum_k <x_i, x_k>) x_i, one broadcast multiply.
     """
     X, V = Y[0], Y[1]
     n = X.shape[0]
-    tables = _built(X, V, tables)
     ws = tables.ws
     psim = _rates(tables.bad, tables.xsq, params.kernel, ws.scratch[0])
-    xv, vsq, psi_xv, dot_sums = ws.col_rows
+    xv, _, psi_xv, dot_sums, r = ws.col_rows
     x_vsq, x_psi_xv, bonding = ws.cols_x_rows
     np.add.reduce(np.multiply(Y, V, out=ws.gp), axis=2, out=ws.xv_vsq)
     np.matmul(psim, xv, out=psi_xv)
@@ -341,9 +334,9 @@ def _pair_pass(Y: np.ndarray, params: ModelParams, tables=None, out=None):
     np.multiply(psim, tables.w, out=ws.scratch[1])
     G = np.matmul(ws.b_t, X, out=ws.g)  # (psi w)^T X, b_t being scratch 1 transposed
     G -= np.matmul(psim, tables.m, out=ws.prod)
-    S = _cross_rows(G, X, ws)
+    S = _cross_rows(G, X, ws, G)
     S += x_psi_xv
-    r = np.add.reduce(psim, axis=1)
+    np.add.reduce(psim, axis=1, out=r)
     coupling = np.multiply(r[:, None], V, out=ws.prod)
     np.subtract(S, coupling, out=coupling)
     coupling /= n
@@ -351,12 +344,13 @@ def _pair_pass(Y: np.ndarray, params: ModelParams, tables=None, out=None):
     bonding *= params.sigma / n
     dV = np.subtract(coupling, x_vsq, out=out)
     dV += bonding
-    return dV, S, r, vsq.copy()
+    return dV
 
 
-def _rhs_and_dissipation(Y: np.ndarray, params: ModelParams, tables=None, out=None):
-    """(dv, D) from one pair pass at the stacked state Y = [X, V]: the acceleration
-    (into ``out`` if given) and the dissipation sum.
+def _rhs_and_dissipation(Y: np.ndarray, params: ModelParams, tables: _PairTables, out=None):
+    """(dv, D) from one pair pass over the state's built ``tables`` at the stacked
+    state Y = [X, V]: the acceleration (into ``out`` if given) and the dissipation
+    sum, from the S, r and |v|^2 the pass leaves in the workspace.
 
     R is orthogonal, so |R v_k - v_i|^2 = |v_k|^2 + |v_i|^2 - 2 <R v_k, v_i>
     and D = sum_{i,k} psi_ik |R v_k - v_i|^2 / n^2 = 2 (sum_i r_i |v_i|^2
@@ -366,8 +360,10 @@ def _rhs_and_dissipation(Y: np.ndarray, params: ModelParams, tables=None, out=No
     is absolute, of order eps sum_i r_i |v_i|^2 / n^2, not relative to D.
     """
     n = Y.shape[1]
-    dV, S, r, vsq = _pair_pass(Y, params, tables, out=out)
-    return dV, 2.0 * (float(r @ vsq) - float(np.add.reduce(S * Y[1], axis=None))) / (n * n)
+    dV = _pair_pass(Y, params, tables, out=out)
+    ws = tables.ws
+    _, vsq, _, _, r = ws.col_rows
+    return dV, 2.0 * (float(r @ vsq) - float(np.add.reduce(ws.g * Y[1], axis=None))) / (n * n)
 
 
 def rhs(ensemble: Ensemble, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -378,7 +374,7 @@ def rhs(ensemble: Ensemble, params: ModelParams) -> tuple[np.ndarray, np.ndarray
     regularizing, since silent regularization would mask blowup.
     """
     Y = np.array((ensemble.positions, ensemble.velocities))
-    return Y[1], _pair_pass(Y, params)[0]
+    return Y[1], _pair_pass(Y, params, _pair_tables(Y[0], Y[1]))
 
 
 def lagrange_multiplier(ensemble: Ensemble, i: int, params: ModelParams) -> float:

@@ -10,12 +10,12 @@ diagnostics depend on uniform sampling.
 One stepping loop, ``_run``, serves both entry points.  It advances whole
 chunks and yields the state at each boundary: ``simulate`` records a frame
 there, its chunk a frame stride, and ``energy_audit`` sums the trapezoid
-over the dissipation sums it yields, its chunk one step.  A boundary state's
-pair tables are built once, for its frame and the next chunk's first RK4
-stage.  A run owns one ``dynamics._Workspace``: every pair pass, RK4 stage
-and frame of the run is handed the bare workspace, the unbuilt set, and
-writes its (n, n) tables into its buffers, so the tables ``_run`` yields
-are views into them, valid only until the run resumes.  It also holds the
+over the dissipation sums it yields, its chunk one step.  A run owns one
+``dynamics._Workspace`` and builds the pair tables of each state it holds
+on it, with ``_pair_tables``: each RK4 stage's, for that stage's pair pass,
+and each boundary state's once, for its frame and the next chunk's first
+RK4 stage.  So the tables ``_run`` yields are views into the workspace's
+buffers, valid only until the run resumes.  The workspace also holds the
 run's state and RK4 stages, as (x, v, a) blocks.  Each chunk runs through a
 compiled kernel (``_fast``) when numba is installed and the communication
 kernel has a closed-form fast code; otherwise a plain numpy loop with
@@ -127,7 +127,7 @@ def _step(ws, dt, params, project):
     for (f, ys, a), c in zip(ws.rk, (half, half, dt)):
         np.multiply(f, c, out=ys)
         np.add(y, ys, out=ys)
-        dynamics._pair_pass(ys, params, ws, out=a)
+        dynamics._pair_pass(ys, params, _pair_tables(ys[0], ys[1], ws), out=a)
     f0, f1, f2, f3 = ws.derivs
     np.add(f1, f2, out=f1)
     f1 *= 2.0
@@ -149,7 +149,7 @@ def rk4_step(ensemble: Ensemble, dt: float, params: ModelParams,
     """
     SimConfig(dt=dt)  # the one rule for a step: finite and positive
     ws = _Workspace(ensemble.n, (ensemble.positions, ensemble.velocities))
-    dynamics._pair_pass(ws.y, params, ws, out=ws.a)
+    dynamics._pair_pass(ws.y, params, _pair_tables(ws.x, ws.v, ws), out=ws.a)
     radial, tangency = _step(ws, dt, params, project)
     return StepResult(Ensemble(ws.x, ws.v, validate=project), radial, tangency)
 
@@ -160,14 +160,13 @@ def _run(X, V, dt, chunks, stride, params, project, rates=None):
     Yields (steps done, X, V, worst radial drift, worst tangency drift, tables)
     for the state at each chunk boundary, the initial state first: X and V are
     the run's state, held in its workspace and advanced in place, the drifts the
-    running pre-projection maxima, tables that state's ``_pair_tables`` on the
-    numpy loop, built once for its frame and the next chunk's k1.  The
-    compiled loop builds its own, so there tables is the unbuilt set, the
-    run's bare workspace, which ``make_frame`` builds on when it is asked for
-    a frame.  Every set lives in the run's one workspace: the yielded tables
-    are views into its buffers, valid only until the run resumes.  If
-    ``rates`` is a list, each chunk appends the dissipation sum D at its start
-    state, on the numpy loop from the pair pass of its first k1.
+    running pre-projection maxima, tables that state's ``_pair_tables``, built
+    once for its frame and, on the numpy loop, the next chunk's k1; the
+    compiled loop reads none of them, so an audit, which makes no frame, builds
+    them for nothing there.  Every set lives in the run's one workspace: the
+    yielded tables are views into its buffers, valid only until the run
+    resumes.  If ``rates`` is a list, each chunk appends the dissipation sum D
+    at its start state, on the numpy loop from the pair pass of its first k1.
 
     Raises AntipodalPair with ``time`` the start of the step that met the
     pair, and NonFinite with ``time`` that of the chunk's start state if
@@ -180,7 +179,7 @@ def _run(X, V, dt, chunks, stride, params, project, rates=None):
     X, V, state, a1 = ws.x, ws.v, ws.y, ws.a
     max_r = max_t = 0.0
     for done in range(0, chunks * stride + 1, stride):
-        tables = ws if fast else _pair_tables(X, V, ws)
+        tables = _pair_tables(X, V, ws)
         yield done, X, V, max_r, max_t, tables
         if done == chunks * stride:
             return
@@ -204,7 +203,7 @@ def _run(X, V, dt, chunks, stride, params, project, rates=None):
                     rates.append(rate)
                 for s in range(stride):
                     if s:
-                        dynamics._pair_pass(state, params, ws, out=a1)
+                        dynamics._pair_pass(state, params, _pair_tables(X, V, ws), out=a1)
                     radial, tangency = _step(ws, dt, params, project)
                     max_r, max_t = _worst(max_r, radial), _worst(max_t, tangency)
         except AntipodalPair as exc:

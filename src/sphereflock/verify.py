@@ -129,7 +129,7 @@ def check_dissipation_identity() -> CheckResult:
         rate = abs(diagnostics.energy_rate(ens, params))
         worst = max(worst, res / max(1.0, rate))
         state = np.array((ens.positions, ens.velocities))
-        fused = dynamics._rhs_and_dissipation(state, params)[1]
+        fused = dynamics._rhs_and_dissipation(state, params, dynamics._pair_tables(*state))[1]
         worst_fused = max(worst_fused, abs(fused - diagnostics.pairwise_dissipation(ens, params)))
     return CheckResult("energy dissipation identity", worst <= 1e-10 and worst_fused <= 1e-13,
                        f"worst scaled residual {worst:.3e}, "

@@ -273,7 +273,8 @@ class TestFusedDissipation:
         ens = (near_coincident_ensemble(rng, n) if close_pair and n > 1
                else random_ensemble(rng, n, speed))
         p = ModelParams(paper_kernel(), 1.0)
-        dV, D = _rhs_and_dissipation(stacked(ens), p)
+        Y = stacked(ens)
+        dV, D = _rhs_and_dissipation(Y, p, _pair_tables(*Y))
         # the same pass also yields the right-hand side, bit for bit
         assert np.array_equal(dV, rhs(ens, p)[1])
         # The error is absolute: D is the difference of two sums of size
@@ -297,7 +298,8 @@ class TestCloseAndOppositePairs:
         assert X[2] @ X[3] < _OPPOSITE_DOT  # inside the antipodal pre-screen
         p = ModelParams(paper_kernel(), 1.0)
         assert_allclose(rhs(ens, p)[1], rhs_oracle(ens, p)[1], rtol=0, atol=1e-12)
-        _, D = _rhs_and_dissipation(stacked(ens), p)
+        Y = stacked(ens)
+        _, D = _rhs_and_dissipation(Y, p, _pair_tables(*Y))
         assert abs(D - dissipation_oracle(ens, p)) <= 1e-14 * max(1.0, cancelled_size(ens, p))
 
     @settings(max_examples=24)
@@ -389,17 +391,16 @@ class TestEquivariance:
     def check_pass(self, case, sigma, which):
         ens, q, perm = case
         p = ModelParams(paper_kernel(), sigma)
-        dv, S, r, vsq = _pair_pass(stacked(ens), p)
-        want = ((dv @ q.T, S @ q.T, r, vsq), (dv[perm], S[perm], r[perm], vsq[perm]))[which]
-        moved = self.moved(ens, q, perm)[which]
-        got = _pair_pass(stacked(moved), p)
-        for g, w in zip(got, want):
-            assert np.abs(g - w).max() <= 1e-13 * max(1.0, np.abs(w).max())
+        Y = stacked(ens)
+        dv = _pair_pass(Y, p, _pair_tables(*Y))
+        want = (dv @ q.T, dv[perm])[which]
+        Y = stacked(self.moved(ens, q, perm)[which])
+        got = _pair_pass(Y, p, _pair_tables(*Y))
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
     @settings(max_examples=30)
     @given(symmetry_cases(), st.sampled_from([0.0, 1.0, 5.0]))
     def test_pair_pass_rotates(self, case, sigma):
-        # dv and S rotate with the state; r and |v|^2 are unchanged
         self.check_pass(case, sigma, 0)
 
     @settings(max_examples=30)
@@ -416,9 +417,11 @@ class TestEquivariance:
         # relative to max(1, |D|) it reached 1.7e-13.
         ens, q, perm = case
         p = ModelParams(paper_kernel(), sigma)
-        D = _rhs_and_dissipation(stacked(ens), p)[1]
+        Y = stacked(ens)
+        D = _rhs_and_dissipation(Y, p, _pair_tables(*Y))[1]
         for moved in self.moved(ens, q, perm):
-            got = _rhs_and_dissipation(stacked(moved), p)[1]
+            Y = stacked(moved)
+            got = _rhs_and_dissipation(Y, p, _pair_tables(*Y))[1]
             assert abs(got - D) <= 1e-13 * max(1.0, cancelled_size(ens, p))
 
     @settings(max_examples=30)
@@ -577,19 +580,18 @@ class TestWorkspaceReuse:
     def test_pair_pass(self, case):
         ens, other = case
         Y, p = stacked(ens), ModelParams(paper_kernel(), 1.0)
-        want = _pair_pass(Y, p)
-        for unbuilt in self.dirty(other):
-            for got, fresh in zip(_pair_pass(Y, p, unbuilt), want):
-                assert got.tobytes() == fresh.tobytes()
+        want = _pair_pass(Y, p, _pair_tables(*Y))
+        for dirty in self.dirty(other):
+            assert _pair_pass(Y, p, _pair_tables(*Y, dirty)).tobytes() == want.tobytes()
 
     @settings(max_examples=30)
     @given(reuse_states())
     def test_fused_dissipation(self, case):
         ens, other = case
         Y, p = stacked(ens), ModelParams(paper_kernel(), 1.0)
-        want_dv, want_D = _rhs_and_dissipation(Y, p)
-        for unbuilt in self.dirty(other):
-            dv, D = _rhs_and_dissipation(Y, p, unbuilt)
+        want_dv, want_D = _rhs_and_dissipation(Y, p, _pair_tables(*Y))
+        for dirty in self.dirty(other):
+            dv, D = _rhs_and_dissipation(Y, p, _pair_tables(*Y, dirty))
             assert dv.tobytes() == want_dv.tobytes()
             assert np.float64(D).tobytes() == np.float64(want_D).tobytes()
 
@@ -599,8 +601,10 @@ class TestWorkspaceReuse:
         ens, other = case
         p = ModelParams(paper_kernel(), 1.0)
         want = np.array(make_frame(0.5, ens, p).as_row()).tobytes()
-        for unbuilt in self.dirty(other):
-            assert np.array(make_frame(0.5, ens, p, unbuilt).as_row()).tobytes() == want
+        X, V = ens.positions, ens.velocities
+        for dirty in self.dirty(other):
+            tables = _pair_tables(X, V, dirty)
+            assert np.array(make_frame(0.5, ens, p, tables).as_row()).tobytes() == want
 
 
 @settings(max_examples=60)
@@ -635,7 +639,8 @@ def test_pass_returns_share_no_memory_with_the_workspace(n):
     ens = random_ensemble(np.random.default_rng(n), n)
     Y, p = stacked(ens), ModelParams(paper_kernel(), 1.0)
     ws = _Workspace(n)
-    returned = [*_pair_pass(Y, p, ws), _rhs_and_dissipation(Y, p, ws)[0]]
+    returned = [_pair_pass(Y, p, _pair_tables(*Y, ws)),
+                _rhs_and_dissipation(Y, p, _pair_tables(*Y, ws))[0]]
     bufs = workspace_arrays(ws)
     assert any(buf is ws.dots for buf in bufs)
     for got in returned:

@@ -14,7 +14,8 @@ from sphereflock import (ANTIPODAL_TOL, AntipodalPair, Ensemble, InvalidEnsemble
                          NonFinite, SimConfig, energy, linear_kernel, pairwise_dissipation,
                          paper_kernel, paper_scenario, random_scenario, rhs, rk4_step, simulate)
 from sphereflock.diagnostics import make_frame
-from sphereflock.dynamics import _rhs_and_dissipation, constraint_violation
+from sphereflock.dynamics import (_pair_pass, _pair_tables, _rhs_and_dissipation, _Workspace,
+                                  constraint_violation)
 from sphereflock.geometry import _drift_and_project, project_state
 from sphereflock.integrator import _run, _worst, energy_audit
 
@@ -236,7 +237,8 @@ class TestLoopEqualsOracle:
         ens, p = run_case(n, seed, sigma, linear)
         audit = energy_audit(ens, p, dt, n_steps * dt)
         states, _, max_r, max_t = oracle_run(ens, p, dt, n_steps, 1, True)
-        rates = [_rhs_and_dissipation(stacked(s), p)[1] for s in states[:-1]]
+        rates = [_rhs_and_dissipation(Y, p, _pair_tables(*Y))[1]
+                 for Y in map(stacked, states[:-1])]
         rates.append(pairwise_dissipation(states[-1], p))
         total = 0.0
         for prev, cur in zip(rates, rates[1:]):
@@ -582,6 +584,31 @@ class TestSharedPairTables:
         assert traj.final.diagnostics.antipode_margin == gap
         assert_frames_rebuild(traj, params)
 
+    @pytest.mark.parametrize("opposite", [False, True])
+    def test_compiled_loop_yields_built_tables(self, params, fast_loops, opposite):
+        # Every state the compiled loop yields comes with its tables built, byte-equal
+        # to a build on a fresh workspace, so a frame reads the same on either loop.
+        # With ``opposite`` a pair starts at |x_i + x_k| = 0.1, inside the antipodal
+        # pre-screen, so the tables carry a (clean) mask.
+        assert fast_loops.available(params.kernel)
+        ens = random_ensemble(np.random.default_rng(5), 5)
+        if opposite:
+            X = ens.positions.copy()
+            side = np.cross(X[0], X[1])
+            X[3] = -X[0] + 0.1 * side / np.linalg.norm(side)
+            ens = Ensemble.projected(X, ens.velocities)
+        yielded = 0
+        for _, X, V, _, _, tables in _run(ens.positions, ens.velocities, 1e-3, 3, 2, params,
+                                          True):
+            want = _pair_tables(X, V, _Workspace(len(X)))
+            for field in ("dots", "xsq", "w", "m"):
+                assert getattr(tables, field).tobytes() == getattr(want, field).tobytes()
+            assert (tables.bad is None) == (want.bad is None) == (not opposite)
+            if opposite:
+                assert tables.bad.tobytes() == want.bad.tobytes()
+            yielded += 1
+        assert yielded == 4
+
     def test_one_table_set_live(self, numpy_params):
         # A state's tables serve its frame and the next k1, then are dropped.
         # Holding one set past its k1 (two sets live) lifts the peak above
@@ -607,13 +634,12 @@ class TestSharedPairTables:
         import tracemalloc
 
         from sphereflock import integrator
-        from sphereflock.dynamics import _pair_pass, _pair_tables, _Workspace
 
         for n in (128, 256):  # the distance table in one tile, then in four
             ens = random_scenario(0, n, 0.5, 0.1, numpy_params).ensemble
             X, V = ens.positions, ens.velocities
             ws = _Workspace(n, (X, V))
-            a1 = _pair_pass(ws.y, numpy_params, ws)[0]
+            a1 = _pair_pass(ws.y, numpy_params, _pair_tables(X, V, ws))
 
             def step():  # from (X, V) each time, in the run's stage blocks
                 ws.x[...], ws.v[...], ws.a[...] = X, V, a1
@@ -630,6 +656,34 @@ class TestSharedPairTables:
                 finally:
                     tracemalloc.stop()
                 assert rise <= 3 * 8 * n * n, n
+
+
+@pytest.mark.parametrize("kernel", [paper_kernel(), linear_kernel(2.0)], ids=["paper", "linear"])
+def test_compiled_loops_clamp_chords_past_two(kernel, fast_loops):
+    # An RK stage's rows leave the sphere, so a near-antipodal pair's chord can pass
+    # 2 while |x_i + x_k| stays outside ANTIPODAL_TOL.  With rows scaled by 1 + 5e-4
+    # and |x_i + x_k| = 1e-6 the chord is about 2.001, where the kernel would give
+    # psi < 0 (about -3e-3 for the paper kernel) were r not clamped to 2, as the
+    # numpy pass and pairwise_dissipation clamp it.
+    params = ModelParams(kernel, 0.7)
+    assert fast_loops.available(kernel)
+    ens = random_ensemble(np.random.default_rng(8), 5)
+    X, V = ens.positions.copy(), ens.velocities
+    scale = 1.0 + 5e-4
+    side = np.cross(X[0], X[1])
+    X[1] = -X[0] + (1e-6 / scale) * side / np.linalg.norm(side)
+    X[1] /= np.linalg.norm(X[1])
+    X *= scale
+    assert ANTIPODAL_TOL < np.linalg.norm(X[0] + X[1]) < 1.01e-6
+    assert np.linalg.norm(X[0] - X[1]) > 2.0009
+    code, p = kernel.fast_code, kernel.fast_param
+    D = pairwise_dissipation(Ensemble(X, V, validate=False), params)
+    assert abs(fast_loops.dissipation(X, V, code, p) - D) <= 1e-13 * max(1.0, D)
+    Y = np.array((X, V))
+    dv = _pair_pass(Y, params, _pair_tables(*Y))
+    out = np.empty_like(X)
+    assert fast_loops._accel(X, V, params.sigma, code, p, out) == 0
+    assert np.abs(out - dv).max() <= 1e-13 * max(1.0, np.abs(dv).max())
 
 
 def test_simulate_works_without_numba(tmp_path):
