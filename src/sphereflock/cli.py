@@ -90,11 +90,9 @@ def _cmd_simulate(args) -> int:
         raise
     wall = time.perf_counter() - start
 
-    window = tuple(args.fit_window) if args.fit_window else \
-        (scenario.sim.t_end / 8.0, scenario.sim.t_end)
     fit = None
     try:
-        fit = fit_decay_rate(trajectory.times, trajectory.series("d_x"), window)
+        fit = fit_decay_rate(trajectory.times, trajectory.series("d_x"), args.fit_window)
     except SphereFlockError as exc:
         print(f"rate fit skipped: {exc}", file=sys.stderr)
 
@@ -141,9 +139,7 @@ def _cmd_fit_rate(args) -> int:
     for name in ("t", args.column):
         if name not in columns:
             raise ConfigError(f"column {name!r} not in CSV (have {list(columns)})")
-    t = columns["t"]
-    window = tuple(args.window) if args.window else (t[-1] / 8.0, t[-1])
-    fit = fit_decay_rate(t, columns[args.column], window)
+    fit = fit_decay_rate(columns["t"], columns[args.column], args.window)
     print(json_text({"column": args.column, **asdict(fit)}))
     return EXIT_OK
 

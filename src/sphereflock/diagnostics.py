@@ -252,13 +252,16 @@ class RateFit:
     window: tuple[float, float]
 
 
-def fit_decay_rate(times, values, window) -> RateFit:
-    """Fit value ~ a exp(-rate t) by least squares on log(value) over window.
+def fit_decay_rate(times, values, window=None) -> RateFit:
+    """Fit value ~ a exp(-rate t) by least squares on log(value) over window,
+    by default (t_last / 8, t_last) with t_last the last of the times.
 
     Requires at least 10 samples inside the window, all finite and strictly positive.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
+    if window is None:  # empty times: an empty window, which raises below
+        window = (t[-1] / 8.0, t[-1]) if t.size else (np.nan, np.nan)
     lo, hi = float(window[0]), float(window[1])
     mask = (t >= lo) & (t <= hi)
     if int(mask.sum()) < 10:

@@ -244,9 +244,8 @@ _LEVI = np.array([[0, 0, 0], [0, 0, 1], [0, -1, 0], [0, 0, -1], [0, 0, 0], [1, 0
                   [0, 1, 0], [-1, 0, 0], [0, 0, 0]], dtype=float)
 
 
-def _cross_rows(A: np.ndarray, X: np.ndarray, ws: _Workspace, out=None) -> np.ndarray:
-    """The rows a_i x x_i, through the outer products in ws.outer, into ``out``
-    (fresh if None)."""
+def _cross_rows(A: np.ndarray, X: np.ndarray, ws: _Workspace, out: np.ndarray) -> np.ndarray:
+    """The rows a_i x x_i, through the outer products in ws.outer, into ``out``."""
     np.multiply(A[:, :, None], X[:, None, :], out=ws.outer)
     return np.matmul(ws.outer9, _LEVI, out=out)
 

@@ -223,8 +223,9 @@ class EnergyAudit:
     overestimates the convex decaying dissipation, so slack comes out
     slightly positive and shrinks as O(dt^2).  The step must resolve the
     initial alignment transient, which decays at roughly the communication
-    rate at contact.  ``max_step_radial`` / ``max_step_tangency`` are the
-    worst pre-projection drifts of the run's steps, as on a Trajectory.
+    rate at contact.  ``t_end`` is the time the ledger closes, n_steps * dt in
+    SimConfig's whole steps.  ``max_step_radial`` / ``max_step_tangency`` are
+    the worst pre-projection drifts of the run's steps, as on a Trajectory.
     """
 
     e_start: float
@@ -258,7 +259,7 @@ def energy_audit(e0: Ensemble, params: ModelParams, dt: float, t_end: float) -> 
         total += 0.5 * (prev + cur) * dt
     e_end = diagnostics.energy(Ensemble(X, V), params.sigma)[0]
     return EnergyAudit(e_start=e_start, e_end=e_end, dissipated=total,
-                       slack=e_end + total - e_start, dt=dt, t_end=t_end,
+                       slack=e_end + total - e_start, dt=dt, t_end=n_steps * dt,
                        max_step_radial=max_r, max_step_tangency=max_t)
 
 

@@ -265,12 +265,20 @@ class TestFramesCsv:
 
 
 class TestCli:
-    def test_simulate_and_fit_rate_bit_exact(self, tmp_path, capsys):
+    @pytest.mark.parametrize("run, window", [
+        (["--t-end", "4", "--dt", "1e-3"], ["1", "4"]),
+        (["--t-end", "4"], []),
+        # the last frame's time, 700 * 1e-3, is 0.70000000000000007, not t_end
+        (["--t-end", "0.7"], []),
+        # a partial last stride: the run, and the window, end at 88.0
+        (["--t-end", "88.5", "--dt", "0.1", "--stride", "10"], []),
+    ], ids=["explicit-window", "default-window", "last-frame-past-t-end", "partial-stride"])
+    def test_simulate_and_fit_rate_bit_exact(self, tmp_path, capsys, run, window):
+        # fit-rate with the summary's window, given or not, refits the summary's fit
         out = tmp_path / "frames.csv"
         summary = tmp_path / "summary.json"
-        code = main(["simulate", "--preset", "paper-sigma1", "--t-end", "4",
-                     "--dt", "1e-3", "--out", str(out), "--summary", str(summary),
-                     "--fit-window", "1", "4"])
+        code = main(["simulate", "--preset", "paper-sigma1", *run, "--out", str(out),
+                     "--summary", str(summary)] + (["--fit-window", *window] if window else []))
         assert code == 0
         payload = json.loads(summary.read_text())
         assert payload["label"] == "paper-sigma1"
@@ -280,10 +288,13 @@ class TestCli:
         assert payload["delta_guaranteed"] == payload["admissibility"]["thresholds"]["delta"]
         capsys.readouterr()
 
-        code = main(["fit-rate", "--csv", str(out), "--window", "1", "4"])
+        code = main(["fit-rate", "--csv", str(out)] + (["--window", *window] if window else []))
         assert code == 0
         refit = json.loads(capsys.readouterr().out)
-        assert refit["rate"] == payload["fit"]["rate"]
+        assert refit.pop("column") == "D_x"
+        assert refit == payload["fit"]
+        if not window:  # the default window ends at the last frame
+            assert refit["window"][1] == payload["final_frame"]["t"]
 
     def test_summary_runtime_record(self, tmp_path, capsys):
         from sphereflock import _fast
@@ -593,6 +604,60 @@ def test_cli_json_is_strict(sigma, scale):
                 strict_json(stdout.getvalue())
             for name in os.listdir(out):
                 os.remove(os.path.join(out, name))
+
+
+class TestPatchedCallSites:
+    """perfbench/child.py times and gates a run by patching module attributes, so
+    these calls must go through the modules' names, not names imported from them."""
+
+    def test_cli_fits_through_its_module_name(self, tmp_path, capsys, monkeypatch):
+        from sphereflock import cli
+
+        for name in ("build_scenario", "check_initial", "simulate", "fit_decay_rate",
+                     "write_frames_csv", "read_frames_csv", "write_json"):
+            assert callable(getattr(cli, name))
+        fits = []
+        real = cli.fit_decay_rate
+        monkeypatch.setattr(cli, "fit_decay_rate",
+                            lambda *args: fits.append(real(*args)) or fits[-1])
+        out, summary = tmp_path / "f.csv", tmp_path / "s.json"
+        assert main(["simulate", "--preset", "paper-sigma1", "--t-end", "0.2",
+                     "--out", str(out), "--summary", str(summary)]) == 0
+        capsys.readouterr()
+        assert main(["fit-rate", "--csv", str(out)]) == 0
+        refit = json.loads(capsys.readouterr().out)
+        assert len(fits) == 2
+        assert fits[0].rate == json.loads(summary.read_text())["fit"]["rate"]
+        assert fits[1] == fits[0] and fits[1].rate == refit["rate"]
+
+    def test_simulate_makes_each_frame_through_diagnostics(self, monkeypatch):
+        from sphereflock import diagnostics
+
+        times = []
+        real = diagnostics.make_frame
+        monkeypatch.setattr(diagnostics, "make_frame",
+                            lambda t, *args: times.append(t) or real(t, *args))
+        sc = paper_scenario(1.0, sim=SimConfig(dt=1e-3, t_end=0.05, frame_stride=10))
+        traj = simulate(sc.ensemble, sc.params, sc.sim)
+        assert times == [f.time for f in traj.frames] and len(times) == 6
+
+    def test_energy_audit_reads_its_final_state_through_diagnostics(self, monkeypatch):
+        from sphereflock import diagnostics
+        from sphereflock.integrator import energy_audit
+
+        states = []
+        real = diagnostics.pairwise_dissipation
+        monkeypatch.setattr(diagnostics, "pairwise_dissipation",
+                            lambda ens, params: states.append(ens) or real(ens, params))
+        sc = paper_scenario(1.0)
+        audit = energy_audit(sc.ensemble, sc.params, 1e-3, 0.05)
+        monkeypatch.undo()
+        final = simulate(sc.ensemble, sc.params,
+                         SimConfig(dt=1e-3, t_end=0.05, frame_stride=1)).final.ensemble
+        assert len(states) == 1
+        assert np.array_equal(states[0].positions, final.positions)
+        assert np.array_equal(states[0].velocities, final.velocities)
+        assert diagnostics.energy(states[0], 1.0)[0] == audit.e_end
 
 
 class TestVerifyFailures:

@@ -238,6 +238,19 @@ class TestFitDecayRate:
         v[45] = bad
         assert fit_decay_rate(t, v, (0.0, 9.0)).n_samples == 45
 
+    def test_default_window_is_the_last_eighth_onwards(self):
+        # (t_last / 8, t_last) of the times given, whatever span they were asked for
+        t = np.arange(71) * 0.01  # t[-1] is 0.7000000000000001
+        v = np.exp(-0.3 * t) * (1.0 + 0.01 * np.sin(7.0 * t))
+        fit = fit_decay_rate(t, v)
+        assert fit == fit_decay_rate(t, v, (t[-1] / 8.0, t[-1]))
+        assert fit.window == (t[-1] / 8.0, t[-1]) and fit.n_samples == 62
+
+    def test_rejects_empty_times(self):
+        # no last time, so no default window: a typed error, not an IndexError
+        with pytest.raises(InsufficientSamples):
+            fit_decay_rate([], [])
+
     def test_rejects_sparse_windows(self):
         t = np.linspace(0.0, 10.0, 50)
         with pytest.raises(InsufficientSamples):

@@ -822,6 +822,11 @@ class TestEnergyAudit:
         assert audit.max_step_tangency == traj.max_step_tangency > 0.0
         assert audit.e_end == traj.final.diagnostics.e_total
 
+    def test_t_end_is_where_the_ledger_closes(self, params):
+        # 1.0 / 0.3 rounds to 3 steps, which end at 0.8999999999999999, not at 1.0
+        audit = energy_audit(paper_scenario(1.0).ensemble, params, 0.3, 1.0)
+        assert audit.t_end == 3 * 0.3
+
     def test_blow_up_raises_non_finite(self, numpy_params):
         sc = paper_scenario(1.0)
         with pytest.raises(NonFinite) as info, np.errstate(all="ignore"):
