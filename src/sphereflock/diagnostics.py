@@ -12,7 +12,11 @@ and along exact solutions it dissipates as
 That identity is algebraic in the right-hand side, so the residual
 computed here (chain-rule dE/dt plus the dissipation sum) is a correctness
 check on the force implementation, independent of integrator accuracy.  A frame
-reads the pair tables ``dynamics._pair_tables`` built; one-shot calls build their own.
+reads the pair tables ``dynamics._pair_tables`` built; one-shot calls build their own,
+and ``diameters`` and ``check_initial`` only the distance table.  The frame's
+misalignment is two gemms on the pass's rows m_k = v_k x x_k and weights w
+(``_frame_misalignment``); ``pairwise_dissipation`` keeps the componentwise
+transport of ``geometry``, sharing no table with the pass.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .dynamics import (Ensemble, ModelParams, _pair_dot, _pair_tables, _rates,
-                       constraint_violation, rhs)
+from .dynamics import (_LEVI, Ensemble, ModelParams, _distance_table, _pair_dot, _pair_tables,
+                       _rates, _Workspace, constraint_violation, rhs)
 from .errors import InsufficientSamples, NonPositiveValue
 from .geometry import _cross_weights, _transport_components, antipodal_mask
 
@@ -83,11 +87,11 @@ def _gap_tables(V: np.ndarray, ws) -> tuple[np.ndarray, np.ndarray]:
 
 def _gap_fields(ensemble: Ensemble, sigma: float, tables=None) -> dict[str, float]:
     """The frame fields read off one set of pair gap tables, by name: x1 = xsq of the
-    state's built pair ``tables`` (None: built here, on a fresh workspace), x2 and x3
-    from ``_gap_tables``, each squared before it is read."""
+    state's built pair ``tables`` (None: the distance table alone, built here on a fresh
+    workspace), x2 and x3 from ``_gap_tables``, each squared before it is read."""
     X, V = ensemble.positions, ensemble.velocities
-    ws = (_pair_tables(X, V) if tables is None else tables).ws
-    x1 = ws.xsq
+    ws = _Workspace(X.shape[0]) if tables is None else tables.ws
+    x1 = _distance_table(X, ws) if tables is None else tables.xsq
     e, ek, ec = _energies(V, x1, sigma)
     x2, x3 = _gap_tables(V, ws)
     x2 *= x2
@@ -112,13 +116,10 @@ def diameters(ensemble: Ensemble) -> tuple[float, float, float]:
     return gaps["d_x"], gaps["d_v"], gaps["v_max"]
 
 
-def _misalignment(X: np.ndarray, V: np.ndarray, dots: np.ndarray, w: np.ndarray,
-                  bufs=(None,) * 4) -> np.ndarray:
+def _misalignment(X: np.ndarray, V: np.ndarray, dots: np.ndarray, w: np.ndarray) -> np.ndarray:
     """|R_{x_k -> x_i} v_k - v_i|^2 as an (n, n) table indexed [k, i], from the
-    componentwise transport with rank-one weights w.  The table is written
-    into bufs[0], with bufs[1:] as scratch (fresh tables if None)."""
-    out, T, U, C = bufs
-    for a, Ta in enumerate(_transport_components(X, V, dots, w, (out, T, T), (U, C))):
+    componentwise transport with rank-one weights w, in fresh tables."""
+    for a, Ta in enumerate(_transport_components(X, V, dots, w)):
         Ta -= V[:, a]
         Ta *= Ta
         if a:
@@ -126,6 +127,37 @@ def _misalignment(X: np.ndarray, V: np.ndarray, dots: np.ndarray, w: np.ndarray,
         else:
             out = Ta
     return out
+
+
+# _EPS[a, b, c] = epsilon_abc, so _EPS @ X^T is Q_a[b, i] = sum_c epsilon_abc x_i,c,
+# exactly (one nonzero product per entry), and X Q_a the cross table (x_k x x_i)_a.
+_EPS = np.ascontiguousarray(_LEVI.T).reshape(3, 3, 3)
+
+
+def _frame_misalignment(X: np.ndarray, V: np.ndarray, tables) -> np.ndarray:
+    """|R_{x_k -> x_i} v_k - v_i|^2, indexed [k, i], into ws.scratch[0] from the state's
+    built ``tables``.  By BAC-CAB, with m_k = v_k x x_k, component a of T[k, i] - v_i is
+
+        (x_i x m_k)_a + <x_k, v_k> x_i,a - v_i,a + w_ki (x_k x x_i)_a,
+
+    two gemms per component: the rows [-m_k, <x_k, v_k>, -1] by [Q_a; x_a; v_a] into
+    ws.stack, and X Q_a into scratch 0, weighted by w and added; then the squares are
+    summed in component order."""
+    ws = tables.ws
+    np.negative(tables.m, out=ws.mis_m)
+    np.add.reduce(np.multiply(X, V, out=ws.prod), axis=1, out=ws.mis_xv)
+    np.matmul(_EPS, ws.x_rows, out=ws.mis_q)
+    ws.mis_x[...] = ws.x_rows
+    ws.mis_v[...] = V.T
+    stack, cross = np.matmul(ws.mis_left, ws.mis_right, out=ws.stack), ws.scratch[0]
+    for Ta, Qa in zip(stack, ws.mis_q):
+        np.matmul(X, Qa, out=cross)
+        cross *= tables.w
+        Ta += cross
+    np.multiply(stack, stack, out=stack)
+    np.add(stack[0], stack[1], out=cross)
+    cross += stack[2]
+    return cross
 
 
 def pairwise_dissipation(ensemble: Ensemble, params: ModelParams) -> float:
@@ -168,9 +200,10 @@ def make_frame(t: float, ensemble: Ensemble, params: ModelParams, tables=None) -
     """Every frame field from one set of gap tables and one misalignment table.
 
     ``tables`` are the state's built ``dynamics._pair_tables``, or None for a
-    one-shot call, which builds them on a fresh workspace.  The frame's other
-    tables go into the scratch of the tables' workspace, so the tables
-    themselves stay intact for the state's next pair pass.
+    one-shot call, which builds them on a fresh workspace.  The misalignment
+    table is ``_frame_misalignment``'s two gemms on the tables' m and w.  The
+    frame's own tables go into the four scratch tables of the tables' workspace,
+    so the tables themselves stay intact for the state's next pair pass.
 
     flock_align = max_{i,j} |x_i + x_j| |R_{x_j -> x_i} v_j - v_i|, 0 by convention
     for pairs inside the antipodal tolerance and for i = j (R = I, whatever the
@@ -178,7 +211,7 @@ def make_frame(t: float, ensemble: Ensemble, params: ModelParams, tables=None) -
     """
     X, V = ensemble.positions, ensemble.velocities
     tables = _pair_tables(X, V) if tables is None else tables
-    prod = _misalignment(X, V, tables.dots, tables.w, tables.ws.scratch)
+    prod = _frame_misalignment(X, V, tables)
     np.sqrt(prod, out=prod)
     margin = np.sqrt(_margin_table(tables.ws), out=tables.ws.scratch[1])
     prod *= margin  # margin is pair-symmetric

@@ -23,8 +23,10 @@ for close pairs, where the cross form is eps / |x_i - x_k|; near the
 antipode it cancels, so the pairs the antipodal pre-screen picks out take
 the exact cross product), the second one matmul.  By BAC-CAB the
 <x_k,x_i> v_k - <x_i,v_k> x_k terms of the transport sum to
-x_i x sum_k psi_ik (v_k x x_k).  The frame diagnostics and
-``pairwise_dissipation`` keep the componentwise transport of ``geometry``.
+x_i x sum_k psi_ik (v_k x x_k).  A frame's misalignment |T[k, i] - v_i|^2 takes
+the same form, from the rows m_k = v_k x x_k and weights w of the state's tables
+(``diagnostics._frame_misalignment``); ``pairwise_dissipation`` keeps the
+componentwise transport of ``geometry``.
 
 The (n, n) tables live in a ``_Workspace``: ``_pair_tables``, their only builder,
 writes a state's tables into its buffers and the pair pass takes its temporaries
@@ -171,7 +173,10 @@ class _Workspace:
     O(n): ``factors`` (3, 2, 4, n), the ``_FACTOR_ROWS`` of X and V per component,
     read-only but for their rows ``x_rows`` and ``v_rows`` (3, n), copies of X^T
     (which feeds the distance table, dots and <m_k, x_i>) and V^T; ``m`` (n, 3), the
-    rows v_k x x_k; ``outer`` (n, 3, 3), the outer products of a row-wise cross
+    rows v_k x x_k; a frame's misalignment factors ``mis_left`` (n, 5), the rows
+    [-m_k, <x_k, v_k>, -1] (read-only but for ``mis_m`` and ``mis_xv``), and
+    ``mis_right`` (3, 5, n), per component [Q_a; x_a; v_a] (``mis_q``, ``mis_x``,
+    ``mis_v``); ``outer`` (n, 3, 3), the outer products of a row-wise cross
     product; ``g`` and ``prod`` (n, 3), the pass's G (then S) and scratch, adjacent as
     ``gp`` (2, n, 3), the state's product with v; a (5, n) block, its rows
     ``col_rows`` <x_i, v_i>, |v_i|^2, (psi <x, v>)_i, sum_k <x_i, x_k> and
@@ -200,6 +205,12 @@ class _Workspace:
         self.x_rows, self.v_rows = factors[:, 0, 1], factors[:, 1, 1]
         factors.setflags(write=False)  # and so every view taken from here on
         self.factors, self.right_x = factors, factors[:, 0, :2]
+        mis_left, mis_right = np.empty((n, 5)), np.empty((3, 5, n))
+        mis_left[:, 4] = -1.0
+        self.mis_m, self.mis_xv = mis_left[:, :3], mis_left[:, 3]
+        mis_left.setflags(write=False)
+        self.mis_left, self.mis_right, self.mis_q = mis_left, mis_right, mis_right[:, :3]
+        self.mis_x, self.mis_v = mis_right[:, 3], mis_right[:, 4]
         mgp = np.empty((3, n, 3))
         self.m, self.g, self.prod, self.gp = mgp[0], mgp[1], mgp[2], mgp[1:]
         self.outer = np.empty((n, 3, 3))

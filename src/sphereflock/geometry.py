@@ -191,32 +191,27 @@ def pairwise_transport(positions, vectors):
     return np.stack(tuple(_transport_components(X, V, dots, _cross_weights(X, V, dots))), axis=-1)
 
 
-def _transport_components(X: np.ndarray, V: np.ndarray, dots: np.ndarray, w: np.ndarray,
-                          outs=(None,) * 3, tmp=(None, None)):
+def _transport_components(X: np.ndarray, V: np.ndarray, dots: np.ndarray, w: np.ndarray):
     """Yield the (n, n) tables T[:, :, a] of the four-term transport, a = 0, 1, 2,
     T[k, i] = <x_k,x_i> v_k + <x_k,v_k> x_i - <x_i,v_k> x_k + w[k, i] (x_k x x_i),
-    with w the weights of ``_cross_weights``.  Callers are responsible for
-    antipodal screening.  T[:, :, a] is written into outs[a], with the pair
-    tmp as scratch (fresh tables if None); np.cross is avoided, as it
-    dominates the cost at small n."""
+    with w the weights of ``_cross_weights``, each in fresh tables.  Callers are
+    responsible for antipodal screening.  np.cross is avoided, as it dominates
+    the cost at small n."""
     xv = (X * V).sum(axis=1)
-    U, C = tmp
-    for a, Ta in enumerate(outs):
-        Ta = np.multiply(dots, V[:, a, None], out=Ta)
-        Ta += np.multiply.outer(xv, X[:, a], out=U)
-        vx = np.matmul(V, X.T, out=U)  # <v_k, x_i>
-        vx *= X[:, a, None]
-        Ta -= vx
-        Ta += np.multiply(w, _cross_table(X, a, C, U), out=C)
+    vx = V @ X.T  # <v_k, x_i>
+    for a in range(3):
+        Ta = dots * V[:, a, None]
+        Ta += np.multiply.outer(xv, X[:, a])
+        Ta -= vx * X[:, a, None]
+        Ta += w * _cross_table(X, a)
         yield Ta
 
 
-def _cross_table(X: np.ndarray, a: int, out=None, tmp=None) -> np.ndarray:
-    """The cross table c_a[k, i] = (x_k x x_i)_a, written into ``out`` with
-    ``tmp`` as scratch (fresh tables if None)."""
+def _cross_table(X: np.ndarray, a: int) -> np.ndarray:
+    """The cross table c_a[k, i] = (x_k x x_i)_a, in a fresh table."""
     p, q = X[:, (a + 1) % 3], X[:, (a + 2) % 3]
-    c = np.multiply.outer(p, q, out=out)
-    c -= np.multiply.outer(q, p, out=tmp)
+    c = np.multiply.outer(p, q)
+    c -= np.multiply.outer(q, p)
     return c
 
 

@@ -12,7 +12,8 @@ from sphereflock import (ANTIPODAL_TOL, Ensemble, InsufficientSamples, ModelPara
                          pairwise_dissipation, paper_kernel, paper_scenario,
                          random_scenario, rhs, simulate, velocity_bound_check)
 from sphereflock.diagnostics import make_frame
-from sphereflock.dynamics import _Workspace
+from sphereflock.dynamics import _pair_tables, _Workspace
+from sphereflock.geometry import _cross_weights, transport
 from sphereflock.integrator import _step
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -128,6 +129,34 @@ class TestFlockingMetrics:
         assert frame.antipode_margin <= ANTIPODAL_TOL  # the pair is degenerate
         assert frame.antipode_margin == 0.0
         assert frame.flock_align == 0.0  # pairs inside the tolerance report 0 by convention
+
+    # The state's own weights w lose accuracy between the antipodal pre-screen
+    # (|x_0 + x_1| < 0.14) and the middle: there |x_0 x x_1|^2 is formed as
+    # |x_0|^2 |x_1 - x_0|^2 - <x_0, x_1 - x_0>^2, which cancels to about 8 eps /
+    # |x_0 x x_1|^2 relative.  At a gap of 2.95 (|x_0 x x_1| = 0.19) that reads up
+    # to 1.5e-14 |v|; geometry's exact cross weights read 2e-16 |v| there.
+    @pytest.mark.parametrize("gap, bound", [(1e-8, 1e-14), (1e-3, 1e-14), (0.5, 1e-14),
+                                            (1.5, 1e-14), (2.5, 1e-14), (2.95, 4e-14),
+                                            (math.pi - 0.1, 1e-14), (math.pi - 1e-4, 1e-14)])
+    def test_aligned_pair_reads_rounding_only(self, params, gap, bound):
+        # v_1 = R_{x_0 -> x_1} v_0 exactly, so only rounding separates the two
+        # velocities: the frame's two-gemm misalignment must not lose accuracy here.
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            x0 = rng.standard_normal(3)
+            x0 /= np.linalg.norm(x0)
+            side = np.cross(x0, rng.standard_normal(3))
+            X = Ensemble.projected([x0, math.cos(gap) * x0
+                                    + math.sin(gap) * side / np.linalg.norm(side)],
+                                   np.zeros((2, 3))).positions
+            v0 = rng.standard_normal(3)
+            v0 = (v0 - (v0 @ X[0]) * X[0]) * 10.0 ** rng.uniform(-3, 3)
+            V = np.array([v0, transport(X[0], X[1], v0)])
+            ens, speed = Ensemble(X, V), float(np.linalg.norm(v0))
+            assert make_frame(0.0, ens, params).flock_align <= bound * speed
+            tables = _pair_tables(X, V)
+            tables.w[...] = _cross_weights(X, V, tables.dots)
+            assert make_frame(0.0, ens, params, tables).flock_align <= 1e-14 * speed
 
 
 class TestMaxPairFunctional:
@@ -283,6 +312,15 @@ class TestContractedPairSums:
         kind, n, seed, speed = state
         p = ModelParams(paper_kernel(), sigma)
         ens = _property_state(kind, n, seed, speed, p)
+        got = make_frame(0.25, ens, p).as_row()
+        assert_allclose(got, frame_oracle(0.25, ens, p), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [13, 20, 64, 256])
+    def test_make_frame_matches_frame_oracle_at_blas_sizes(self, n):
+        # n = 13 and 20 sit at 4-7 mod 8, where the BLAS's blocking decides bits;
+        # 256 is crowd-256's size, where the frame's gemms block differently again
+        p = ModelParams(paper_kernel(), 1.0)
+        ens = random_ensemble(np.random.default_rng(n), n, 0.3)
         got = make_frame(0.25, ens, p).as_row()
         assert_allclose(got, frame_oracle(0.25, ens, p), rtol=1e-12, atol=0)
 
