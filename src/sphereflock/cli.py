@@ -14,7 +14,7 @@ import time
 import warnings
 from dataclasses import asdict, replace
 
-from . import __version__, _fast
+from . import __version__
 from .admissibility import check_initial
 from .config import load_config, save_config
 from .diagnostics import fit_decay_rate
@@ -106,7 +106,7 @@ def _cmd_simulate(args) -> int:
         report.as_dict() if report is not None else None,
         runtime={"wall_time_s": wall, "n_steps": n_steps, "dt": scenario.sim.dt,
                  "n_frames": len(trajectory.frames),
-                 "backend": "numba" if _fast.available(scenario.params.kernel) else "numpy",
+                 "backend": "numpy",
                  "steps_per_s": n_steps / wall},
         adjustments={"position": scenario.position_adjustment,
                      "velocity": scenario.velocity_adjustment},

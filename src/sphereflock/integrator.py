@@ -16,11 +16,9 @@ on it, with ``_pair_tables``: each RK4 stage's, for that stage's pair pass,
 and each boundary state's once, for its frame and the next chunk's first
 RK4 stage.  So the tables ``_run`` yields are views into the workspace's
 buffers, valid only until the run resumes.  The workspace also holds the
-run's state and RK4 stages, as (x, v, a) blocks.  Each chunk runs through a
-compiled kernel (``_fast``) when numba is installed and the communication
-kernel has a closed-form fast code; otherwise a plain numpy loop with
-identical semantics runs.  ``rk4_step`` always takes the numpy
-step, so a loop of it stays an independent replay of ``simulate``.
+run's state and RK4 stages, as (x, v, a) blocks.  ``rk4_step`` takes the
+same step on a workspace of its own, so a loop of it stays an independent
+replay of ``simulate``.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _fast, diagnostics, dynamics
+from . import diagnostics, dynamics
 from .dynamics import Ensemble, ModelParams, _pair_tables, _rhs_and_dissipation, _Workspace
 from .errors import AntipodalPair, NonFinite
 from .geometry import _drift_and_project
@@ -161,20 +159,16 @@ def _run(X, V, dt, chunks, stride, params, project, rates=None):
     for the state at each chunk boundary, the initial state first: X and V are
     the run's state, held in its workspace and advanced in place, the drifts the
     running pre-projection maxima, tables that state's ``_pair_tables``, built
-    once for its frame and, on the numpy loop, the next chunk's k1; the
-    compiled loop reads none of them, so an audit, which makes no frame, builds
-    them for nothing there.  Every set lives in the run's one workspace: the
-    yielded tables are views into its buffers, valid only until the run
-    resumes.  If ``rates`` is a list, each chunk appends the dissipation sum D
-    at its start state, on the numpy loop from the pair pass of its first k1.
+    once for its frame and the next chunk's k1.  Every set lives in the run's
+    one workspace: the yielded tables are views into its buffers, valid only
+    until the run resumes.  If ``rates`` is a list, each chunk appends the
+    dissipation sum D at its start state, from the pair pass of its first k1.
 
     Raises AntipodalPair with ``time`` the start of the step that met the
     pair, and NonFinite with ``time`` that of the chunk's start state if
     the state is not finite after the chunk (NaN and inf persist, so one
     check per chunk suffices).
     """
-    kernel = params.kernel
-    fast = _fast.available(kernel)
     ws = _Workspace(X.shape[0], (X, V))
     X, V, state, a1 = ws.x, ws.v, ws.y, ws.a
     max_r = max_t = 0.0
@@ -185,27 +179,14 @@ def _run(X, V, dt, chunks, stride, params, project, rates=None):
             return
         s = 0
         try:
-            if fast:
-                if rates is not None:
-                    rates.append(float(_fast.dissipation(X, V, kernel.fast_code,
-                                                         kernel.fast_param)))
-                status, s, radial, tangency = _fast.advance(
-                    X, V, dt, stride, params.sigma, kernel.fast_code, kernel.fast_param,
-                    project)
-                if status != 0:
-                    # status = 1 + k n + i; the i-outer loop meets a pair first at i < k
-                    k, i = divmod(status - 1, X.shape[0])
-                    raise AntipodalPair.between(i, k)
+            rate = _rhs_and_dissipation(state, params, tables, out=a1)[1]
+            if rates is not None:
+                rates.append(rate)
+            for s in range(stride):
+                if s:
+                    dynamics._pair_pass(state, params, _pair_tables(X, V, ws), out=a1)
+                radial, tangency = _step(ws, dt, params, project)
                 max_r, max_t = _worst(max_r, radial), _worst(max_t, tangency)
-            else:
-                rate = _rhs_and_dissipation(state, params, tables, out=a1)[1]
-                if rates is not None:
-                    rates.append(rate)
-                for s in range(stride):
-                    if s:
-                        dynamics._pair_pass(state, params, _pair_tables(X, V, ws), out=a1)
-                    radial, tangency = _step(ws, dt, params, project)
-                    max_r, max_t = _worst(max_r, radial), _worst(max_t, tangency)
         except AntipodalPair as exc:
             exc.time = (done + s) * dt
             raise

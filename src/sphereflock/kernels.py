@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._fast import FAST_EXP3, FAST_LINEAR, FAST_NONE
 from .errors import OutOfRange
 
 # Grid size for numeric c1_norm estimation, inflated by 1% for safety.
@@ -34,9 +33,6 @@ class Kernel:
     ``psi`` and ``psi_prime`` must accept numpy arrays.  Construction does
     not enforce validity; run :func:`validate_kernel` for that, so that
     deliberately broken kernels can still be built and reported on.
-
-    ``fast_code``/``fast_param`` identify kernels the optional compiled
-    stepping loop knows in closed form (``FAST_NONE``: numpy path only).
     """
 
     name: str
@@ -44,8 +40,6 @@ class Kernel:
     psi_prime: Callable[[np.ndarray], np.ndarray]
     psi0: float
     c1_norm: float
-    fast_code: int = FAST_NONE
-    fast_param: float = 0.0
 
 
 def eval_psi(kernel: Kernel, r):
@@ -85,7 +79,6 @@ def paper_kernel() -> Kernel:
         psi_prime=lambda r: -3.0 * np.exp(2.0 - r),
         psi0=3.0 * (e2 - 1.0),
         c1_norm=6.0 * e2 - 3.0,
-        fast_code=FAST_EXP3,
     )
 
 
@@ -99,8 +92,6 @@ def linear_kernel(scale: float = 1.0) -> Kernel:
         psi_prime=lambda r: np.full_like(np.asarray(r, dtype=float), -scale),
         psi0=2.0 * scale,
         c1_norm=3.0 * scale,
-        fast_code=FAST_LINEAR,
-        fast_param=scale,
     )
 
 
