@@ -26,7 +26,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import diagnostics
-from .dynamics import Ensemble, ModelParams, spectral_abscissa
+from .dynamics import Ensemble, ModelParams, _pair_tables, spectral_abscissa
 from .errors import NoRoot
 from .kernels import Kernel
 
@@ -178,7 +178,7 @@ class AdmissibilityReport:
 def check_initial(e0: Ensemble, params: ModelParams) -> AdmissibilityReport:
     """Evaluate the admissibility condition on an initial state."""
     th = thresholds(params.kernel, params.sigma)
-    gaps = diagnostics._gap_fields(e0, params.sigma)
+    gaps = diagnostics._gap_fields(e0, params.sigma, _pair_tables(e0.positions, e0.velocities))
     e_init, v_max, x_init = gaps["e_total"], gaps["v_max"], gaps["x_max"]
     bound_x = min(th.mu / (2.0 * params.sigma), th.x_m)
     return AdmissibilityReport(

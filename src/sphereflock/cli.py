@@ -49,11 +49,13 @@ def _apply_overrides(cfg, args):
 
 
 def _check_writable(paths) -> None:
-    """Raise ConfigError unless each path can be written as a file: it is not a
-    directory, its folder is a writable one, and no earlier path names the same
-    file (compared after ``os.path.realpath``), which would overwrite it."""
+    """Raise ConfigError unless each path can be written as a file: it is not
+    empty or a directory, its folder is a writable one, and no earlier path names
+    the same file (compared after ``os.path.realpath``), which would overwrite it."""
     real = [os.path.realpath(path) for path in paths]
     for k, path in enumerate(paths):
+        if not path:
+            raise ConfigError("cannot write '': empty path")
         folder = os.path.dirname(path) or "."
         if os.path.isdir(path):
             raise ConfigError(f"cannot write {path}: it is a directory")
@@ -121,14 +123,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.out:
-        _check_writable([args.out])
+    _check_writable([] if args.out is None else [args.out])
     cfg = _resolve_config(args)
     scenario = build_scenario(cfg)
     args.n = scenario.ensemble.n
     report = check_initial(scenario.ensemble, scenario.params)
     payload = {"label": scenario.label, **report.as_dict()}
-    if args.out:
+    if args.out is not None:
         write_json(args.out, payload)
     print(json_text(payload))
     return EXIT_OK

@@ -12,8 +12,8 @@ and along exact solutions it dissipates as
 That identity is algebraic in the right-hand side, so the residual
 computed here (chain-rule dE/dt plus the dissipation sum) is a correctness
 check on the force implementation, independent of integrator accuracy.  A frame
-reads the pair tables ``dynamics._pair_tables`` built; one-shot calls build their own,
-and ``diameters`` and ``check_initial`` only the distance table.  The frame's
+reads the pair tables ``dynamics._pair_tables`` built; one-shot calls, ``diameters``
+and ``check_initial`` among them, build a workspace and its pair tables.  The frame's
 misalignment is two gemms on the pass's rows m_k = v_k x x_k and weights w
 (``_frame_misalignment``); ``pairwise_dissipation`` keeps the componentwise
 transport of ``geometry``, sharing no table with the pass.
@@ -27,8 +27,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .dynamics import (_LEVI, Ensemble, ModelParams, _distance_table, _pair_dot, _pair_tables,
-                       _rates, _Workspace, constraint_violation, rhs)
+from .dynamics import (_LEVI, Ensemble, ModelParams, _pair_dot, _pair_tables, _rates,
+                       constraint_violation, rhs)
 from .errors import InsufficientSamples, NonPositiveValue
 from .geometry import _cross_weights, _transport_components, antipodal_mask
 
@@ -85,13 +85,11 @@ def _gap_tables(V: np.ndarray, ws) -> tuple[np.ndarray, np.ndarray]:
     return x2, x3
 
 
-def _gap_fields(ensemble: Ensemble, sigma: float, tables=None) -> dict[str, float]:
+def _gap_fields(ensemble: Ensemble, sigma: float, tables) -> dict[str, float]:
     """The frame fields read off one set of pair gap tables, by name: x1 = xsq of the
-    state's built pair ``tables`` (None: the distance table alone, built here on a fresh
-    workspace), x2 and x3 from ``_gap_tables``, each squared before it is read."""
-    X, V = ensemble.positions, ensemble.velocities
-    ws = _Workspace(X.shape[0]) if tables is None else tables.ws
-    x1 = _distance_table(X, ws) if tables is None else tables.xsq
+    state's built pair ``tables``, x2 and x3 from ``_gap_tables``, each squared before
+    it is read."""
+    V, ws, x1 = ensemble.velocities, tables.ws, tables.xsq
     e, ek, ec = _energies(V, x1, sigma)
     x2, x3 = _gap_tables(V, ws)
     x2 *= x2
@@ -112,7 +110,7 @@ def energy(ensemble: Ensemble, sigma: float) -> tuple[float, float, float]:
 
 def diameters(ensemble: Ensemble) -> tuple[float, float, float]:
     """(max pair position distance, max pair velocity distance, max speed)."""
-    gaps = _gap_fields(ensemble, 0.0)
+    gaps = _gap_fields(ensemble, 0.0, _pair_tables(ensemble.positions, ensemble.velocities))
     return gaps["d_x"], gaps["d_v"], gaps["v_max"]
 
 

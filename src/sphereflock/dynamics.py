@@ -37,8 +37,8 @@ holds a state builds its tables, and every reader takes them built.  Tables
 built on a workspace are views into it, valid until it next builds a set; public
 ``rhs`` builds its own.  At the paper's n = 6 a pass costs numpy calls, not
 arithmetic, so the workspace also holds the pass's O(n) intermediates and every
-view the pass reads, built once: the distance table is one stacked matmul per row
-tile (``_distance_table``), whose exact rank-2 products form each x_k - x_i; its
+view the pass reads, built once: the distance table is one stacked matmul
+(``_distance_table``), whose exact rank-2 products form each x_k - x_i; its
 X^T copy feeds the dot table and <m_k, x_i> as gemms, not numpy's syrk for X @ X.T;
 the three per-agent multiples of x_i are one broadcast multiply.  The pass takes
 the state stacked, Y = [X, V] (2, n, 3), and returns only its acceleration, into
@@ -156,11 +156,6 @@ def _pair_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 # products and one rounding, the ufunc's but for a zero's sign: read only squared.
 _FACTOR_ROWS = np.array([[1.0], [0.0], [-1.0], [1.0]])
 
-# Floats in one tile of the distance table's (3, rows, n) difference block.  A
-# 512 KB tile stays in a core's L2; at n = 256 the untiled 1.5 MB block made
-# crowd-256 about 3% slower.  One tile for n <= 147, four at n = 256.
-_TILE_FLOATS = 1 << 16
-
 
 class _Workspace:
     """The buffers of one run and the fixed views into them that the pair pass reads.
@@ -168,7 +163,7 @@ class _Workspace:
     O(n^2): a state's tables ``dots``, ``xsq``, ``w`` and the cross guard's mask
     ``guard`` (the antipodal mask is built only for a state the pre-screen hits),
     and four ``scratch`` tables: the pass uses two, a frame all four, and scratch
-    1-3 are ``stack`` (3, n, n), whose first rows hold the distance table's tile.
+    1-3 are ``stack`` (3, n, n), which holds the distance table's difference block.
 
     O(n): ``factors`` (3, 2, 4, n), the ``_FACTOR_ROWS`` of X and V per component,
     read-only but for their rows ``x_rows`` and ``v_rows`` (3, n), copies of X^T
@@ -186,8 +181,7 @@ class _Workspace:
     ``y`` = [``x``, ``v``] and ``a``, ``derivs`` the stages' [v_s, a_s] and ``rk``,
     for stages 1-3, the previous stage's [v, a], the stage's [x, v] and its a.
 
-    Views built once: ``tiles`` (per row tile, the difference block, its planes,
-    the tile's rows of the factors [x_a, -1] and of xsq), ``right_x`` (the factors
+    Views built once: ``left_x`` and ``right_x`` (the factors [x_a, -1] and
     [1; x_a]), ``diag`` (the dots diagonal as a column), ``outer9``, ``b_t``
     (scratch 1 transposed) and those named above, none of which the pass returns.
     Every workspace has them all; a stepping run's ``state`` (X, V) starts ``y``.
@@ -221,10 +215,7 @@ class _Workspace:
         self.diag = self.dots.diagonal()[:, None]
         self.outer9 = self.outer.reshape(n, 9)
         self.b_t = self.scratch[1].T
-        left = factors[:, 0, 1:3].swapaxes(1, 2)  # [x_a, -1]
-        rows = max(1, min(n, _TILE_FLOATS // (3 * n)))
-        self.tiles = [(d, d[0], d[1], d[2], left[:, lo:lo + rows], self.xsq[lo:lo + rows])
-                      for lo in range(0, n, rows) for d in [self.stack[:, :min(rows, n - lo)]]]
+        self.left_x = factors[:, 0, 1:3].swapaxes(1, 2)  # [x_a, -1]
         blk = np.empty((4, 3, n, 3))
         b0, b1, b2, b3 = blk[0], blk[1], blk[2], blk[3]
         self.y, self.x, self.v, self.a = b0[:2], b0[0], b0[1], b0[2]
@@ -235,18 +226,16 @@ class _Workspace:
 
 
 def _distance_table(X: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """|x_i - x_k|^2 into ws.xsq, equal to ``_pair_dot(X, X)`` for finite X: per
-    tile of rows, one stacked matmul of the tile's factors [x_a, -1] by [1; x_a]
-    (X^T copied into ws.x_rows) into the (3, rows, n) block of x_k,a - x_i,a, a
-    square and the two adds in _pair_dot's order, ((d0^2 + d1^2) + d2^2).  Where
-    NaN or inf meet, BLAS and numpy may keep different NaN bits."""
+    """|x_i - x_k|^2 into ws.xsq, equal to ``_pair_dot(X, X)`` for finite X: one
+    stacked matmul of the factors [x_a, -1] by [1; x_a] (X^T copied into ws.x_rows)
+    into ws.stack, the (3, n, n) block of x_k,a - x_i,a, a square and the two adds
+    in _pair_dot's order, ((d0^2 + d1^2) + d2^2).  Where NaN or inf meet, BLAS and
+    numpy may keep different NaN bits."""
     ws.x_rows[...] = X.T
-    for d, d0, d1, d2, left, out in ws.tiles:
-        np.matmul(left, ws.right_x, out=d)
-        np.multiply(d, d, out=d)
-        np.add(d0, d1, out=out)
-        np.add(out, d2, out=out)
-    return ws.xsq
+    d = np.matmul(ws.left_x, ws.right_x, out=ws.stack)
+    np.multiply(d, d, out=d)
+    np.add(ws.scratch[1], ws.scratch[2], out=ws.xsq)
+    return np.add(ws.xsq, ws.scratch[3], out=ws.xsq)
 
 
 # _LEVI[3 b + c, a] = epsilon_abc, so the row-wise cross product G x X is

@@ -9,8 +9,8 @@ diagnostics depend on uniform sampling.
 
 One stepping loop, ``_run``, serves both entry points.  It advances whole
 chunks and yields the state at each boundary: ``simulate`` records a frame
-there, its chunk a frame stride, and ``energy_audit`` sums the trapezoid
-over the dissipation sums it yields, its chunk one step.  A run owns one
+there, its chunk a frame stride, and ``energy_audit`` closes the trapezoid of
+dissipation sums that the loop keeps, its chunk one step.  A run owns one
 ``dynamics._Workspace`` and builds the pair tables of each state it holds
 on it, with ``_pair_tables``: each RK4 stage's, for that stage's pair pass,
 and each boundary state's once, for its frame and the next chunk's first
@@ -152,17 +152,18 @@ def rk4_step(ensemble: Ensemble, dt: float, params: ModelParams,
     return StepResult(Ensemble(ws.x, ws.v, validate=project), radial, tangency)
 
 
-def _run(X, V, dt, chunks, stride, params, project, rates=None):
+def _run(X, V, dt, chunks, stride, params, project):
     """Advance a copy of (X, V) by `chunks` chunks of `stride` steps each.
 
-    Yields (steps done, X, V, worst radial drift, worst tangency drift, tables)
-    for the state at each chunk boundary, the initial state first: X and V are
-    the run's state, held in its workspace and advanced in place, the drifts the
-    running pre-projection maxima, tables that state's ``_pair_tables``, built
-    once for its frame and the next chunk's k1.  Every set lives in the run's
-    one workspace: the yielded tables are views into its buffers, valid only
-    until the run resumes.  If ``rates`` is a list, each chunk appends the
-    dissipation sum D at its start state, from the pair pass of its first k1.
+    Yields (steps done, X, V, worst radial drift, worst tangency drift, tables,
+    (dissipated, rate)) for the state at each chunk boundary, the initial state
+    first: X and V are the run's state, held in its workspace and advanced in
+    place, the drifts the running pre-projection maxima, tables that state's
+    ``_pair_tables``, built once for its frame and the next chunk's k1, in the
+    run's one workspace: views into its buffers, valid only until the run
+    resumes.  rate is the dissipation sum D at the last chunk's start, from its
+    first k1 (None before the first step), and dissipated the trapezoid of the
+    chunk starts' D up to there, spaced stride * dt.
 
     Raises AntipodalPair with ``time`` the start of the step that met the
     pair, and NonFinite with ``time`` that of the chunk's start state if
@@ -171,17 +172,17 @@ def _run(X, V, dt, chunks, stride, params, project, rates=None):
     """
     ws = _Workspace(X.shape[0], (X, V))
     X, V, state, a1 = ws.x, ws.v, ws.y, ws.a
-    max_r = max_t = 0.0
+    max_r, max_t, dissipated, rate = 0.0, 0.0, 0.0, None
     for done in range(0, chunks * stride + 1, stride):
         tables = _pair_tables(X, V, ws)
-        yield done, X, V, max_r, max_t, tables
+        yield done, X, V, max_r, max_t, tables, (dissipated, rate)
         if done == chunks * stride:
             return
         s = 0
         try:
-            rate = _rhs_and_dissipation(state, params, tables, out=a1)[1]
-            if rates is not None:
-                rates.append(rate)
+            last, rate = rate, _rhs_and_dissipation(state, params, tables, out=a1)[1]
+            if last is not None:
+                dissipated += 0.5 * (last + rate) * (stride * dt)
             for s in range(stride):
                 if s:
                     dynamics._pair_pass(state, params, _pair_tables(X, V, ws), out=a1)
@@ -222,25 +223,24 @@ class EnergyAudit:
 def energy_audit(e0: Ensemble, params: ModelParams, dt: float, t_end: float) -> EnergyAudit:
     """Integrate with projection and per-step (stride-1) trapezoidal dissipation accounting.
 
-    Also records the worst pre-projection step drift.  Each state's
-    dissipation sum comes from the stepping loop, the final state's from
-    the independent ``pairwise_dissipation``.  Checks e0 and aborts as
-    ``simulate`` does, with the same ``time``, but without a partial trajectory.
+    Also records the worst pre-projection step drift.  The stepping loop keeps
+    the trapezoid, and the final state's dissipation sum, from the independent
+    ``pairwise_dissipation``, closes it.  Checks e0 and aborts as ``simulate``
+    does, with the same ``time``, but without a partial trajectory.
     """
     n_steps = SimConfig(dt=dt, t_end=t_end).n_steps  # simulate's rule on dt and t_end
     e0.check()
     e_start = diagnostics.energy(e0, params.sigma)[0]
-    rates = []
-    for _, X, V, max_r, max_t, _tables in _run(e0.positions, e0.velocities, dt, n_steps, 1,
-                                                 params, True, rates):
+    for _, X, V, max_r, max_t, _tables, (dissipated, rate) in _run(
+            e0.positions, e0.velocities, dt, n_steps, 1, params, True):
         pass
-    rates.append(diagnostics.pairwise_dissipation(Ensemble(X, V, validate=False), params))
-    total = 0.0
-    for prev, cur in zip(rates, rates[1:]):
-        total += 0.5 * (prev + cur) * dt
-    e_end = diagnostics.energy(Ensemble(X, V), params.sigma)[0]
-    return EnergyAudit(e_start=e_start, e_end=e_end, dissipated=total,
-                       slack=e_end + total - e_start, dt=dt, t_end=n_steps * dt,
+    final = Ensemble(X, V)
+    rate_end = diagnostics.pairwise_dissipation(final, params)
+    if rate is not None:
+        dissipated += 0.5 * (rate + rate_end) * dt
+    e_end = diagnostics.energy(final, params.sigma)[0]
+    return EnergyAudit(e_start=e_start, e_end=e_end, dissipated=dissipated,
+                       slack=e_end + dissipated - e_start, dt=dt, t_end=n_steps * dt,
                        max_step_radial=max_r, max_step_tangency=max_t)
 
 
@@ -262,7 +262,7 @@ def simulate(e0: Ensemble, params: ModelParams, config: SimConfig) -> Trajectory
     run = _run(e0.positions, e0.velocities, config.dt, config.n_steps // stride, stride,
                params, config.projection)
     try:
-        for step, X, V, traj.max_step_radial, traj.max_step_tangency, tables in run:
+        for step, X, V, traj.max_step_radial, traj.max_step_tangency, tables, _ledger in run:
             ens, t = Ensemble(X, V, validate=False), step * config.dt
             frame = diagnostics.make_frame(t, ens, params, tables)
             if config.projection:  # unprojected runs leave the manifold by design

@@ -497,6 +497,26 @@ class TestCli:
                                            f"{self.unwritable_reason(path)}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--out", "", "--summary", "s.json"],
+        ["simulate", "--out", "f.csv", "--summary", ""],
+        ["check", "--out", ""],
+    ])
+    def test_empty_output_path_is_rejected_before_running(self, tmp_path, capsys,
+                                                          monkeypatch, argv):
+        # '' has no folder to read as '.', and check's '' is a path given, not absent
+        import sphereflock.cli as cli_mod
+
+        def no_run(*args):
+            raise AssertionError("the scenario ran before the output paths were checked")
+
+        for name in ("build_scenario", "check_initial", "simulate"):
+            monkeypatch.setattr(cli_mod, name, no_run)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "config error: cannot write '': empty path\n"
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("kernel", ["name = paper\nparams = 2.0",
                                         "name = linear\nparams = 1.0 2.0",
                                         "name = linear\nparams = nan"])

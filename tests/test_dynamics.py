@@ -487,9 +487,8 @@ def reuse_states(draw):
 class TestDistanceTable:
     """The pair tables built by rank-2 matmuls against their broadcast forms
     (``helpers.pair_table_reference``), on entries mixing ordinary values with
-    +-0, subnormals, 1e150, NaN and inf.  For the distance table n runs over one
-    tile (n <= 147), the 147/148 boundary and ragged last tiles (four tiles of
-    85, 85, 85, 1 at 256)."""
+    +-0, subnormals, 1e150, NaN and inf.  For the distance table n runs from 1 to
+    400, with n = 147, 148 and 256 always drawn."""
 
     SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e150, -1e150,
                         np.nan, -np.nan, np.inf, -np.inf])
@@ -501,9 +500,9 @@ class TestDistanceTable:
 
     @settings(max_examples=80)
     @given(st.integers(1, 400), st.integers(0, 2**32 - 1), st.booleans())
-    @example(147, 0, True).via("one tile")
-    @example(148, 0, True).via("two tiles, the last one row")
-    @example(256, 0, True).via("four tiles")
+    @example(147, 0, True).via("n = 147")
+    @example(148, 0, True).via("n = 148")
+    @example(256, 0, True).via("n = 256, crowd-256's")
     def test_equals_broadcast_reference(self, n, seed, finite):
         X = self.draw(np.random.default_rng(seed), n, finite)
         ws = _Workspace(n)

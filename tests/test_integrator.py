@@ -205,6 +205,25 @@ class TestLoopEqualsOracle:
         assert same_bytes([audit.dissipated, audit.max_step_radial, audit.max_step_tangency],
                           [total, max_r, max_t])
 
+    @settings(max_examples=20)
+    @given(*RUN_DRAWS)
+    def test_ledger_at_stride_3(self, n, seed, sigma, dt, linear):
+        # The loop's ledger over 4 chunks of 3 steps: the trapezoid of the D at the
+        # chunk starts, spaced 3 dt, and the last start's D, None before a step.
+        ens, p = run_case(n, seed, sigma, linear)
+        states = oracle_run(ens, p, dt, 12, 3, True)[0]
+        starts = [_rhs_and_dissipation(Y, p, _pair_tables(*Y))[1]
+                  for Y in map(stacked, states[:-1:3])]
+        ledgers = [ledger for *_, ledger in _run(ens.positions, ens.velocities, dt, 4, 3, p,
+                                                 True)]
+        assert ledgers[0] == (0.0, None)
+        total = 0.0
+        for k, (dissipated, rate) in enumerate(ledgers[1:]):
+            if k:
+                total += 0.5 * (starts[k - 1] + starts[k]) * (3 * dt)
+            assert same_bytes([dissipated, rate], [total, starts[k]])
+        assert len(ledgers) == 5
+
 
 class TestGreatCircle:
     def test_closed_form_solution(self, params):
@@ -528,8 +547,8 @@ class TestSharedPairTables:
             X[3] = -X[0] + 0.1 * side / np.linalg.norm(side)
             ens = Ensemble.projected(X, ens.velocities)
         yielded = 0
-        for _, X, V, _, _, tables in _run(ens.positions, ens.velocities, 1e-3, 3, 2, params,
-                                          True):
+        for _, X, V, _, _, tables, _ in _run(ens.positions, ens.velocities, 1e-3, 3, 2, params,
+                                             True):
             want = _pair_tables(X, V, _Workspace(len(X)))
             for field in ("dots", "xsq", "w", "m"):
                 assert getattr(tables, field).tobytes() == getattr(want, field).tobytes()
@@ -568,7 +587,7 @@ class TestSharedPairTables:
 
         from sphereflock import integrator
 
-        for n in (128, 256):  # the distance table in one tile, then in four
+        for n in (128, 256):  # up to crowd-256's n
             ens = random_scenario(0, n, 0.5, 0.1, params).ensemble
             X, V = ens.positions, ens.velocities
             ws = _Workspace(n, (X, V))

@@ -177,10 +177,10 @@ def _simulate(ens, p, k):
 
 
 def _tiles():
-    """rk4_step and make_frame at the sizes where the distance table's row tiles
-    change: one tile (n = 147), a one-row last tile (148), two tiles (150) and
-    five with a ragged last one (300).  Each tile is one stacked matmul of its
-    rank-2 factors; the frame's own tables are built untiled."""
+    """rk4_step and make_frame at n = 147, 148, 150 and 300.  These sizes were
+    the boundaries of the distance table's row tiles, which are gone: the table
+    is one stacked matmul of its rank-2 factors.  The family keeps its name and
+    inputs, so the manifest is unchanged."""
     rng = np.random.default_rng(20240102)
     p = sf.ModelParams(sf.paper_kernel(), 1.0)
     out = []
