@@ -81,10 +81,7 @@ def _cmd_simulate(args) -> int:
 
     start = time.perf_counter()
     try:
-        # a blow-up is reported once, as NonFinite, not as numpy's warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            trajectory = simulate(scenario.ensemble, scenario.params, scenario.sim)
+        trajectory = simulate(scenario.ensemble, scenario.params, scenario.sim)
     except (AntipodalPair, NonFinite) as exc:
         if exc.partial_trajectory is not None and exc.partial_trajectory.frames:
             write_frames_csv(args.out, exc.partial_trajectory)
@@ -213,7 +210,10 @@ def _at(time) -> str:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a bad state is reported once, by its exit code, not also as numpy's warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return args.func(args)
     except AntipodalPair as exc:
         print(f"antipodal abort{_at(exc.time)}: {exc}", file=sys.stderr)
         return EXIT_ANTIPODAL

@@ -28,7 +28,7 @@ from operator import attrgetter
 import numpy as np
 
 from .dynamics import (_LEVI, Ensemble, ModelParams, _pair_dot, _pair_tables, _rates,
-                       constraint_violation, rhs)
+                       _sum_squares, constraint_violation, rhs)
 from .errors import InsufficientSamples, NonPositiveValue
 from .geometry import _cross_weights, _transport_components, antipodal_mask
 
@@ -138,24 +138,22 @@ def _frame_misalignment(X: np.ndarray, V: np.ndarray, tables) -> np.ndarray:
 
         (x_i x m_k)_a + <x_k, v_k> x_i,a - v_i,a + w_ki (x_k x x_i)_a,
 
-    two gemms per component: the rows [-m_k, <x_k, v_k>, -1] by [Q_a; x_a; v_a] into
-    ws.stack, and X Q_a into scratch 0, weighted by w and added; then the squares are
-    summed in component order."""
+    two gemms per component: the rows [-m_k, <x_k, v_k>, -1] by [Q_a; x_a; v_a], the
+    frame's own (n, 5) and (3, 5, n) factors, into ws.stack, and X Q_a into scratch 0,
+    weighted by w and added; then ``_sum_squares`` adds the squares in component order."""
     ws = tables.ws
-    np.negative(tables.m, out=ws.mis_m)
-    np.add.reduce(np.multiply(X, V, out=ws.prod), axis=1, out=ws.mis_xv)
-    np.matmul(_EPS, ws.x_rows, out=ws.mis_q)
-    ws.mis_x[...] = ws.x_rows
-    ws.mis_v[...] = V.T
-    stack, cross = np.matmul(ws.mis_left, ws.mis_right, out=ws.stack), ws.scratch[0]
-    for Ta, Qa in zip(stack, ws.mis_q):
+    left, right = np.empty((X.shape[0], 5)), np.empty((3, 5, X.shape[0]))
+    np.negative(tables.m, out=left[:, :3])
+    np.add.reduce(X * V, axis=1, out=left[:, 3])
+    left[:, 4] = -1.0
+    np.matmul(_EPS, ws.x_rows, out=right[:, :3])
+    right[:, 3], right[:, 4] = ws.x_rows, V.T
+    stack, cross = np.matmul(left, right, out=ws.stack), ws.scratch[0]
+    for Ta, Qa in zip(stack, right[:, :3]):
         np.matmul(X, Qa, out=cross)
         cross *= tables.w
         Ta += cross
-    np.multiply(stack, stack, out=stack)
-    np.add(stack[0], stack[1], out=cross)
-    cross += stack[2]
-    return cross
+    return _sum_squares(stack, cross)
 
 
 def pairwise_dissipation(ensemble: Ensemble, params: ModelParams) -> float:
@@ -186,12 +184,10 @@ def dissipation_residual(ensemble: Ensemble, params: ModelParams) -> float:
 
 
 def _margin_table(ws) -> np.ndarray:
-    """|x_k + x_i|^2 into ws.scratch[1], from the factors [x_a, 1] by [1; x_a]."""
-    s0, s1, s2 = np.matmul(ws.factors[:, 0, 1::2].swapaxes(1, 2), ws.right_x, out=ws.stack)
-    np.multiply(ws.stack, ws.stack, out=ws.stack)
-    s0 += s1
-    s0 += s2
-    return s0
+    """|x_k + x_i|^2 into ws.scratch[1], from the factors [x_a, 1] by [1; x_a], summed
+    squared by ``_sum_squares``."""
+    s = np.matmul(ws.factors[:, 0, 1::2].swapaxes(1, 2), ws.right_x, out=ws.stack)
+    return _sum_squares(s, s[0])
 
 
 def make_frame(t: float, ensemble: Ensemble, params: ModelParams, tables=None) -> DiagnosticsFrame:

@@ -23,10 +23,7 @@ for close pairs, where the cross form is eps / |x_i - x_k|; near the
 antipode it cancels, so the pairs the antipodal pre-screen picks out take
 the exact cross product), the second one matmul.  By BAC-CAB the
 <x_k,x_i> v_k - <x_i,v_k> x_k terms of the transport sum to
-x_i x sum_k psi_ik (v_k x x_k).  A frame's misalignment |T[k, i] - v_i|^2 takes
-the same form, from the rows m_k = v_k x x_k and weights w of the state's tables
-(``diagnostics._frame_misalignment``); ``pairwise_dissipation`` keeps the
-componentwise transport of ``geometry``.
+x_i x sum_k psi_ik (v_k x x_k).
 
 The (n, n) tables live in a ``_Workspace``: ``_pair_tables``, their only builder,
 writes a state's tables into its buffers and the pair pass takes its temporaries
@@ -168,10 +165,7 @@ class _Workspace:
     O(n): ``factors`` (3, 2, 4, n), the ``_FACTOR_ROWS`` of X and V per component,
     read-only but for their rows ``x_rows`` and ``v_rows`` (3, n), copies of X^T
     (which feeds the distance table, dots and <m_k, x_i>) and V^T; ``m`` (n, 3), the
-    rows v_k x x_k; a frame's misalignment factors ``mis_left`` (n, 5), the rows
-    [-m_k, <x_k, v_k>, -1] (read-only but for ``mis_m`` and ``mis_xv``), and
-    ``mis_right`` (3, 5, n), per component [Q_a; x_a; v_a] (``mis_q``, ``mis_x``,
-    ``mis_v``); ``outer`` (n, 3, 3), the outer products of a row-wise cross
+    rows v_k x x_k; ``outer`` (n, 3, 3), the outer products of a row-wise cross
     product; ``g`` and ``prod`` (n, 3), the pass's G (then S) and scratch, adjacent as
     ``gp`` (2, n, 3), the state's product with v; a (5, n) block, its rows
     ``col_rows`` <x_i, v_i>, |v_i|^2, (psi <x, v>)_i, sum_k <x_i, x_k> and
@@ -199,12 +193,6 @@ class _Workspace:
         self.x_rows, self.v_rows = factors[:, 0, 1], factors[:, 1, 1]
         factors.setflags(write=False)  # and so every view taken from here on
         self.factors, self.right_x = factors, factors[:, 0, :2]
-        mis_left, mis_right = np.empty((n, 5)), np.empty((3, 5, n))
-        mis_left[:, 4] = -1.0
-        self.mis_m, self.mis_xv = mis_left[:, :3], mis_left[:, 3]
-        mis_left.setflags(write=False)
-        self.mis_left, self.mis_right, self.mis_q = mis_left, mis_right, mis_right[:, :3]
-        self.mis_x, self.mis_v = mis_right[:, 3], mis_right[:, 4]
         mgp = np.empty((3, n, 3))
         self.m, self.g, self.prod, self.gp = mgp[0], mgp[1], mgp[2], mgp[1:]
         self.outer = np.empty((n, 3, 3))
@@ -225,17 +213,22 @@ class _Workspace:
         self.rk = ((f0, b1[:2], b1[2]), (f1, b2[:2], b2[2]), (f2, b3[:2], b3[2]))
 
 
+def _sum_squares(d: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(d0^2 + d1^2) + d2^2 of the (3, n, n) block d, squared in place, into ``out``:
+    the one square-and-add of the distance, margin and misalignment tables."""
+    np.multiply(d, d, out=d)
+    np.add(d[0], d[1], out=out)
+    return np.add(out, d[2], out=out)
+
+
 def _distance_table(X: np.ndarray, ws: _Workspace) -> np.ndarray:
     """|x_i - x_k|^2 into ws.xsq, equal to ``_pair_dot(X, X)`` for finite X: one
     stacked matmul of the factors [x_a, -1] by [1; x_a] (X^T copied into ws.x_rows)
-    into ws.stack, the (3, n, n) block of x_k,a - x_i,a, a square and the two adds
-    in _pair_dot's order, ((d0^2 + d1^2) + d2^2).  Where NaN or inf meet, BLAS and
-    numpy may keep different NaN bits."""
+    into ws.stack, the (3, n, n) block of x_k,a - x_i,a, summed squared by
+    ``_sum_squares`` in _pair_dot's order.  Where NaN or inf meet, BLAS and numpy
+    may keep different NaN bits."""
     ws.x_rows[...] = X.T
-    d = np.matmul(ws.left_x, ws.right_x, out=ws.stack)
-    np.multiply(d, d, out=d)
-    np.add(ws.scratch[1], ws.scratch[2], out=ws.xsq)
-    return np.add(ws.xsq, ws.scratch[3], out=ws.xsq)
+    return _sum_squares(np.matmul(ws.left_x, ws.right_x, out=ws.stack), ws.xsq)
 
 
 # _LEVI[3 b + c, a] = epsilon_abc, so the row-wise cross product G x X is

@@ -806,6 +806,18 @@ def _cli(argv):
 
 ANTIPODAL_CONFIG = "[sim]\ndt = 0.01\nt_end = 0.1\n[scenario]\nkind = explicit\n" \
     "x1 = 1 0 0\nv1 = 0 0 0\nx2 = -1 0 0\nv2 = 0 0 0\n"
+# A first agent that is infinite or whose values overflow, beside an ordinary second
+# one, by the exit codes of check and simulate on it: numpy warned on each
+EXTREME_ROWS = {"x1 = inf 0 0\nv1 = 0 0 0\n": (2, 2), "x1 = 1e200 0 0\nv1 = 0 0 0\n": (2, 2),
+                "x1 = 1 0 0\nv1 = 0 1e100 0\n": (2, 4), "x1 = 1 0 0\nv1 = 0 1e200 0\n": (2, 4)}
+
+
+def _extreme_run(rows):
+    """test_cli_contract's case for the EXTREME_ROWS key ``rows``."""
+    config = "[sim]\ndt = 0.01\nt_end = 0.1\n[scenario]\nkind = explicit\n" + rows \
+        + "x2 = 0 1 0\nv2 = 0 0 0\n"
+    return config, ["simulate", "--config", "run.ini", "--out", "f.csv", "--summary", "s.json"], \
+        ["check", "--config", "run.ini"], ["fit-rate", "--csv", "f.csv"], None
 
 
 @settings(max_examples=150)
@@ -821,6 +833,10 @@ ANTIPODAL_CONFIG = "[sim]\ndt = 0.01\nt_end = 0.1\n[scenario]\nkind = explicit\n
           ["simulate", "--config", "run.ini", "--out", "f.csv", "--summary", "s.json"],
           ["check", "--config", "run.ini"], ["fit-rate", "--csv", "f.csv"], None)
           ).via("antipodal abort, exit 3")
+@example(_extreme_run("x1 = inf 0 0\nv1 = 0 0 0\n")).via("infinite row: numpy warned")
+@example(_extreme_run("x1 = 1e200 0 0\nv1 = 0 0 0\n")).via("row norm overflows: numpy warned")
+@example(_extreme_run("x1 = 1 0 0\nv1 = 0 1e100 0\n")).via("X(0) overflows: numpy warned")
+@example(_extreme_run("x1 = 1 0 0\nv1 = 0 1e200 0\n")).via("|v|^2 overflows: numpy warned")
 def test_cli_contract(case):
     """simulate, check and fit-rate on any drawn config and argv exit 0, 2, 3 or 4,
     let no exception or warning escape, and print and write only strict JSON."""
@@ -846,6 +862,18 @@ def test_cli_contract(case):
                         strict_json(fh.read())
         finally:
             os.chdir(cwd)
+
+
+@pytest.mark.parametrize("rows, codes", EXTREME_ROWS.items(),
+                         ids=["inf position", "position overflows", "X(0) overflows",
+                              "speed overflows"])
+def test_extreme_rows_exit_without_warnings(tmp_path, monkeypatch, rows, codes):
+    """check and simulate on a state that is infinite or overflows exit 2, or 4 once
+    stepping has begun, with every warning an error: none of numpy's escapes main."""
+    monkeypatch.chdir(tmp_path)
+    config, simulate_argv, check_argv, _, _ = _extreme_run(rows)
+    (tmp_path / "run.ini").write_text(config, encoding="utf-8")
+    assert (_cli(check_argv)[0], _cli(simulate_argv)[0]) == codes
 
 
 @pytest.mark.parametrize("command", ["simulate", "check"])
