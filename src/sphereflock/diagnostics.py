@@ -14,9 +14,9 @@ computed here (chain-rule dE/dt plus the dissipation sum) is a correctness
 check on the force implementation, independent of integrator accuracy.  A frame
 reads the pair tables ``dynamics._pair_tables`` built; one-shot calls, ``diameters``
 and ``check_initial`` among them, build a workspace and its pair tables.  The frame's
-misalignment is two gemms on the pass's rows m_k = v_k x x_k and weights w
-(``_frame_misalignment``); ``pairwise_dissipation`` keeps the componentwise
-transport of ``geometry``, sharing no table with the pass.
+misalignment is two gemms on the pass's rows m_k = v_k x x_k and weights w, with factor
+rows of its own (``_frame_misalignment``); ``pairwise_dissipation`` keeps the
+componentwise transport of ``geometry``, sharing no table with the pass.
 """
 
 from __future__ import annotations

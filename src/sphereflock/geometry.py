@@ -107,7 +107,9 @@ def _drift_and_project(Y: np.ndarray, project: bool) -> tuple[float, float]:
 
 def project_state(positions, velocities) -> tuple[np.ndarray, np.ndarray]:
     """Project each position row onto the sphere and each velocity row onto
-    the tangent plane at the projected position (``_drift_and_project`` on a copy)."""
+    the tangent plane at the projected position (``_drift_and_project`` on a copy).
+    The one projection of input states: ``Ensemble.projected`` (so ``random_scenario``)
+    and ``scenarios._build_ensemble`` (paper and explicit rows) call it."""
     Y = np.array((positions, velocities), dtype=float)
     _drift_and_project(Y, True)
     return Y[0], Y[1]

@@ -12,8 +12,8 @@ import numpy as np
 
 from .config import RunConfig, ScenarioSpec
 from .dynamics import Ensemble, ModelParams, constraint_violation
-from .errors import ConfigError
-from .geometry import project_to_sphere, project_to_tangent, rotation_matrix
+from .errors import ConfigError, ZeroVector
+from .geometry import project_state, project_to_sphere, rotation_matrix
 from .integrator import SimConfig
 from .kernels import kernel_from_name
 
@@ -60,15 +60,19 @@ class Scenario:
 
 
 def _build_ensemble(positions, velocities) -> tuple[Ensemble, float, float]:
+    """The paper's or explicit rows projected by ``geometry.project_state``, the routine
+    of ``Ensemble.projected`` and ``random_scenario``, and how far each moved.  Raises
+    ZeroVector for a row whose squared norm, formed as the projection forms it, is 0."""
     X = np.array(positions, dtype=float)
     V = np.array(velocities, dtype=float)
-    Xp = np.array([project_to_sphere(x) for x in X])
+    if not np.add.reduce(X * X, axis=1).all():  # project_state would keep NaN for it
+        raise ZeroVector("cannot project the zero vector onto the sphere")
+    Xp, Vp = project_state(X, V)
     tangency = constraint_violation(Xp, V)[1]
     if tangency > MAX_INPUT_TANGENCY:
         raise ConfigError(
             f"input velocities violate tangency by {tangency:.3e} "
             f"(> {MAX_INPUT_TANGENCY:.1e}); refusing to project that far")
-    Vp = np.array([project_to_tangent(x, v) for x, v in zip(Xp, V)])
     pos_adj = float(np.linalg.norm(Xp - X, axis=1).max())
     vel_adj = float(np.linalg.norm(Vp - V, axis=1).max())
     return Ensemble(Xp, Vp), pos_adj, vel_adj

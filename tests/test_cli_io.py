@@ -12,17 +12,17 @@ import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from sphereflock import (ConfigError, SimConfig, check_initial, paper_scenario,
+from sphereflock import (ConfigError, SimConfig, ZeroVector, check_initial, paper_scenario,
                          random_scenario, simulate)
 from sphereflock.cli import main
 from sphereflock.config import RunConfig, ScenarioSpec, emit_config, fmt_float, parse_config
-from sphereflock.dynamics import ModelParams
+from sphereflock.dynamics import Ensemble, ModelParams
 from sphereflock.kernels import paper_kernel
 from sphereflock.diagnostics import FRAME_FIELDS
 from sphereflock.output import CSV_COLUMNS, read_frames_csv, write_frames_csv
 from sphereflock.geometry import project_to_sphere
-from sphereflock.scenarios import (BENCHMARK_POSITIONS, PRESETS, _cap_polar, build_scenario,
-                                   preset_config)
+from sphereflock.scenarios import (BENCHMARK_POSITIONS, BENCHMARK_VELOCITIES, PRESETS,
+                                   _cap_polar, build_scenario, preset_config)
 
 
 class TestPaperScenario:
@@ -61,6 +61,35 @@ class TestPaperScenario:
     def test_rejects_non_positive_sigma(self, sigma):
         with pytest.raises(ConfigError, match="sigma must be positive"):
             paper_scenario(sigma)
+
+
+EXPLICIT_ROWS = (((2.0, 0.0, 0.0), (0.0, 3.0, 4.0), (1e-3, 1.0, -2.0)),
+                 ((0.0, 0.5, 0.1), (1.0, 0.2, -0.15), (0.3, 0.2, 0.1)))
+
+
+@pytest.mark.parametrize("cfg, rows", [
+    (preset_config("paper-sigma1"), (BENCHMARK_POSITIONS, BENCHMARK_VELOCITIES)),
+    (RunConfig(scenario=ScenarioSpec(kind="explicit", positions=EXPLICIT_ROWS[0],
+                                     velocities=EXPLICIT_ROWS[1])), EXPLICIT_ROWS),
+], ids=["paper-sigma1", "explicit"])
+def test_built_state_is_the_projected_state(cfg, rows):
+    """Paper and explicit rows are projected by the routine of ``Ensemble.projected``
+    (and of random_scenario), so the built state equals it byte for byte."""
+    built, projected = build_scenario(cfg).ensemble, Ensemble.projected(*rows)
+    assert built.positions.tobytes() == projected.positions.tobytes()
+    assert built.velocities.tobytes() == projected.velocities.tobytes()
+
+
+@pytest.mark.parametrize("row", [(0.0, 0.0, 0.0), (1e-170, 0.0, 0.0)], ids=["zero", "1e-170"])
+def test_zero_row_is_refused(row):
+    """A position row whose squared norm is 0, underflowed too, raises ZeroVector
+    rather than becoming NaN, and without a numpy warning."""
+    cfg = RunConfig(scenario=ScenarioSpec(kind="explicit", positions=((1.0, 0.0, 0.0), row),
+                                          velocities=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroVector):
+            build_scenario(cfg)
 
 
 class TestRandomScenario:
