@@ -159,8 +159,9 @@ class _Workspace:
 
     O(n^2): a state's tables ``dots``, ``xsq``, ``w`` and the cross guard's mask
     ``guard`` (the antipodal mask is built only for a state the pre-screen hits),
-    and four ``scratch`` tables: the pass uses two, a frame all four, and scratch
-    1-3 are ``stack`` (3, n, n), which holds the distance table's difference block.
+    and four ``scratch`` tables: the pass uses two, a frame all four (its factor rows
+    are its own), and scratch 1-3 are ``stack`` (3, n, n), which holds the distance
+    table's difference block.
 
     O(n): ``factors`` (3, 2, 4, n), the ``_FACTOR_ROWS`` of X and V per component,
     read-only but for their rows ``x_rows`` and ``v_rows`` (3, n), copies of X^T

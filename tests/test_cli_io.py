@@ -63,33 +63,24 @@ class TestPaperScenario:
             paper_scenario(sigma)
 
 
-EXPLICIT_ROWS = (((2.0, 0.0, 0.0), (0.0, 3.0, 4.0), (1e-3, 1.0, -2.0)),
-                 ((0.0, 0.5, 0.1), (1.0, 0.2, -0.15), (0.3, 0.2, 0.1)))
-
-
-@pytest.mark.parametrize("cfg, rows", [
-    (preset_config("paper-sigma1"), (BENCHMARK_POSITIONS, BENCHMARK_VELOCITIES)),
-    (RunConfig(scenario=ScenarioSpec(kind="explicit", positions=EXPLICIT_ROWS[0],
-                                     velocities=EXPLICIT_ROWS[1])), EXPLICIT_ROWS),
-], ids=["paper-sigma1", "explicit"])
-def test_built_state_is_the_projected_state(cfg, rows):
+def test_built_state_is_the_projected_state():
     """Paper and explicit rows are projected by the routine of ``Ensemble.projected``
-    (and of random_scenario), so the built state equals it byte for byte."""
-    built, projected = build_scenario(cfg).ensemble, Ensemble.projected(*rows)
-    assert built.positions.tobytes() == projected.positions.tobytes()
-    assert built.velocities.tobytes() == projected.velocities.tobytes()
-
-
-@pytest.mark.parametrize("row", [(0.0, 0.0, 0.0), (1e-170, 0.0, 0.0)], ids=["zero", "1e-170"])
-def test_zero_row_is_refused(row):
-    """A position row whose squared norm is 0, underflowed too, raises ZeroVector
-    rather than becoming NaN, and without a numpy warning."""
-    cfg = RunConfig(scenario=ScenarioSpec(kind="explicit", positions=((1.0, 0.0, 0.0), row),
-                                          velocities=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ZeroVector):
-            build_scenario(cfg)
+    (and of random_scenario), so the built state equals it byte for byte.  A position
+    row whose squared norm is 0, underflowed too, raises ZeroVector, without a warning."""
+    explicit = (((2.0, 0.0, 0.0), (0.0, 3.0, 4.0), (1e-3, 1.0, -2.0)),
+                ((0.0, 0.5, 0.1), (1.0, 0.2, -0.15), (0.3, 0.2, 0.1)))
+    for cfg, rows in ((preset_config("paper-sigma1"), (BENCHMARK_POSITIONS, BENCHMARK_VELOCITIES)),
+                      (RunConfig(scenario=ScenarioSpec("explicit", positions=explicit[0],
+                                                       velocities=explicit[1])), explicit)):
+        built, projected = build_scenario(cfg).ensemble, Ensemble.projected(*rows)
+        assert built.positions.tobytes() == projected.positions.tobytes()
+        assert built.velocities.tobytes() == projected.velocities.tobytes()
+    for row in ((0.0, 0.0, 0.0), (1e-170, 0.0, 0.0)):
+        spec = ScenarioSpec("explicit", positions=((1.0, 0.0, 0.0), row),
+                            velocities=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
+        with warnings.catch_warnings(), pytest.raises(ZeroVector):
+            warnings.simplefilter("error")
+            build_scenario(RunConfig(scenario=spec))
 
 
 class TestRandomScenario:

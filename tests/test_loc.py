@@ -2,6 +2,7 @@
 to each module's line count, and it classes lines as its docstring says."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,30 @@ def test_columns_add_up_to_each_module(capsys):
 def test_lines_are_classed_as_documented(source, want):
     """(code, docstring or comment, blank) of a small source."""
     assert loc.count(source) == want
+
+
+def _differences(out: str) -> dict[str, list[int]]:
+    """{module: the four DIR - SRC columns} of an ``--against`` listing."""
+    return {row[0]: [int(value) for value in row[-4:]]
+            for row in (line.split() for line in out.splitlines()[2:])}
+
+
+def test_against_the_same_tree_differs_by_nothing(capsys):
+    assert loc.main(["--against", str(ROOT)]) == 0
+    diffs = _differences(capsys.readouterr().out)
+    assert list(diffs)[-1] == "total" and len(diffs) > 1
+    assert all(diff == [0, 0, 0, 0] for diff in diffs.values())
+
+
+def test_against_counts_an_added_code_line(tmp_path, capsys):
+    """A copy of the modules with one code line added to one of them reads +1 line and
+    +1 code in that module and in the total, against this checkout, and 0 elsewhere."""
+    copy = tmp_path / "sphereflock"
+    shutil.copytree(ROOT / "src" / "sphereflock", copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "errors.py", "a", encoding="utf-8") as fh:
+        fh.write("_ADDED = 1\n")
+    assert loc.main([str(copy), "--against", str(ROOT)]) == 0
+    diffs = _differences(capsys.readouterr().out)
+    assert diffs.pop("errors") == diffs.pop("total") == [1, 1, 0, 0]
+    assert all(diff == [0, 0, 0, 0] for diff in diffs.values())
